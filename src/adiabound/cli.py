@@ -22,6 +22,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,23 @@ from . import __version__
 from .bounds import (
     SLACK_TOL,
     BoundReport,
-    beta_minimum,
     delta_ie,
     gap_scan,
     t_min,
     verify_distance_bound,
 )
-from .evolution import StepPolicy, evolve, make_schedule, schedule_integral, success_probability
+from .evolution import (
+    Schedule,
+    StepPolicy,
+    evolve,
+    make_schedule,
+    schedule_integral,
+    success_probability,
+)
+from .hilbert import expectation
 from .models import ModelBundle, build_grover, build_tsp_finite, build_tsp_rank, build_tsp_tuple
 from .tsp import (
+    MAX_ENUM_CITIES,
     DistanceSampler,
     DsqPolicy,
     TspFormatError,
@@ -139,13 +148,15 @@ def _require(cfg: dict, key: str, experiment: str):
     return cfg[key]
 
 
-def _int_list(values, what: str) -> list[int]:
+def _int_list(values, what: str, low: int | None = None) -> list[int]:
     if not isinstance(values, list) or not values:
         raise UsageError(f"{what} must be a nonempty list")
     out = []
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
             raise UsageError(f"{what} entries must be integers, got {v!r}")
+        if low is not None and v < low:
+            raise UsageError(f"{what} entries must be >= {low}, got {v}")
         out.append(v)
     return out
 
@@ -260,6 +271,8 @@ def _schedule_spec(cfg) -> tuple[str, float | None]:
         return "linear", None
     kind = cfg.get("kind", "linear")
     eps = cfg.get("eps")
+    if eps is not None and (not isinstance(eps, (int, float)) or isinstance(eps, bool)):
+        raise UsageError(f"schedule.eps must be a number, got {eps!r}")
     return kind, (float(eps) if eps is not None else None)
 
 
@@ -287,8 +300,7 @@ def _resolve_betas(raw, mean: float, delta: float) -> list[float]:
     return out
 
 
-def _t_grid(cfg: dict, experiment: str, kind: str, delta: float, n: int,
-            eps: float | None) -> list[tuple[str, float]]:
+def _t_grid(cfg: dict, experiment: str, base: float) -> list[tuple[str, float]]:
     """Resolve the run times: explicit t_values, or t_multipliers of t_min."""
     has_values = "t_values" in cfg
     has_mult = "t_multipliers" in cfg
@@ -297,8 +309,35 @@ def _t_grid(cfg: dict, experiment: str, kind: str, delta: float, n: int,
     if has_values:
         return [(f"T={t:g}", t) for t in _float_list(cfg["t_values"], "t_values")]
     mults = _float_list(cfg["t_multipliers"], "t_multipliers") if has_mult else [1.0]
-    base = t_min(kind, delta, n=n, eps=eps)
     return [(f"{m:g}*t_min", m * base) for m in mults]
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One evolve-and-audit run, resolved before any output is written."""
+
+    bundle: ModelBundle
+    label: str
+    schedule: Schedule
+    delta: float
+    t_min: float
+    mean: float
+    betas: list[float]
+
+
+def _audit_cells(bundle: ModelBundle, cfg: dict, experiment: str) -> list[_Cell]:
+    """Every run of one model: its schedule, t_min and resolved betas."""
+    kind, eps = _schedule_spec(cfg.get("schedule"))
+    n = bundle.h_p.basis.dim
+    delta = delta_ie(bundle.g_i, bundle.h_p)
+    mean = expectation(bundle.h_p, bundle.g_i)
+    betas = _resolve_betas(cfg.get("betas"), mean, delta)
+    try:
+        base = t_min(kind, delta, n=n, eps=eps)
+        return [_Cell(bundle, label, make_schedule(kind, t, n=n, eps=eps), delta, base, mean, betas)
+                for label, t in _t_grid(cfg, experiment, base)]
+    except ValueError as exc:
+        raise UsageError(f"bad schedule config for {bundle.name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -395,28 +434,22 @@ def _pool_map(fn, cells, threads: int):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _audit_one(bundle: ModelBundle, kind: str, eps: float | None, t_total: float,
-               betas_raw, step: StepPolicy) -> tuple[BoundReport, dict]:
-    delta = delta_ie(bundle.g_i, bundle.h_p)
-    n = bundle.h_p.basis.dim
-    schedule = make_schedule(kind, t_total, n=n, eps=eps)
+def _audit_one(cell: _Cell, step: StepPolicy) -> tuple[BoundReport, dict]:
+    bundle, schedule = cell.bundle, cell.schedule
     result = evolve(bundle.h_i, bundle.h_p, schedule, step)
-    mean = beta_minimum(bundle.g_i, bundle.h_p).h_p_mean
-    betas = _resolve_betas(betas_raw, mean, delta)
     margins = verify_distance_bound(result.state, bundle.g_i, bundle.e_i0,
-                                    bundle.h_p, schedule, betas)
+                                    bundle.h_p, schedule, cell.betas)
     report = BoundReport(
-        model=bundle.name, schedule_kind=kind, t_total=t_total, delta_ie=delta,
-        integral_g=schedule_integral(schedule, "g"),
-        t_min=t_min(kind, delta, n=n, eps=eps),
-        beta_star=mean, margins=margins,
+        model=bundle.name, schedule_kind=schedule.kind, t_total=schedule.t_total,
+        delta_ie=cell.delta, integral_g=schedule_integral(schedule, "g"),
+        t_min=cell.t_min, beta_star=cell.mean, margins=margins,
     )
     success = success_probability(result.state, bundle.target_indices)
-    cell = {
+    row = {
         "model": bundle.name,
-        "schedule": kind,
-        "t_total": t_total,
-        "delta_ie": delta,
+        "schedule": schedule.kind,
+        "t_total": schedule.t_total,
+        "delta_ie": cell.delta,
         "t_min": report.t_min,
         "success_prob": success,
         "slack_min": report.worst_slack(),
@@ -425,8 +458,9 @@ def _audit_one(bundle: ModelBundle, kind: str, eps: float | None, t_total: float
         "n_steps": result.n_steps,
         "alpha_cost": bundle.budget.alpha_cost,
         "path_norm_bound": bundle.budget.linear_path_norm_bound,
+        "t_label": cell.label,
     }
-    return report, cell
+    return report, row
 
 
 def _check_run_invariants(cell: dict) -> None:
@@ -440,32 +474,13 @@ def _check_run_invariants(cell: dict) -> None:
             f"(model {cell['model']}, T={cell['t_total']:g})")
 
 
-def _run_grover_sweep(cfg: dict, out: OutputDir, threads: int, seed: int) -> list[dict]:
-    n_values = _int_list(_require(cfg, "n_values", "grover-sweep"), "n_values")
-    marked = int(cfg.get("marked", 0))
-    kind, eps = _schedule_spec(cfg.get("schedule"))
-    step = _step_policy_from(cfg.get("step_policy"))
+def _run_grover_sweep(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+    def work(cell):
+        report, row = _audit_one(cell, plan["step"])
+        row["n"] = cell.bundle.h_p.basis.dim
+        return report, row
 
-    def cell_args():
-        for n in n_values:
-            try:
-                bundle = build_grover(n, marked)
-            except ValueError as exc:
-                raise UsageError(f"bad grover cell n={n}: {exc}") from exc
-            delta = delta_ie(bundle.g_i, bundle.h_p)
-            for label, t_total in _t_grid(cfg, "grover-sweep", kind, delta, n, eps):
-                yield bundle, label, t_total
-
-    cells = list(cell_args())
-
-    def work(args):
-        bundle, label, t_total = args
-        report, cell = _audit_one(bundle, kind, eps, t_total, cfg.get("betas"), step)
-        cell["t_label"] = label
-        cell["n"] = bundle.h_p.basis.dim
-        return report, cell
-
-    results = _pool_map(work, cells, threads)
+    results = _pool_map(work, plan["cells"], threads)
     rows = []
     for idx, (report, cell) in enumerate(results):
         out.write_json(f"cells/cell-{idx:03d}.json", cell)
@@ -488,21 +503,8 @@ def _run_grover_sweep(cfg: dict, out: OutputDir, threads: int, seed: int) -> lis
     return rows
 
 
-def _run_model_audit(cfg: dict, out: OutputDir, threads: int, seed: int,
-                     experiment: str) -> list[dict]:
-    bundle = _model_from(cfg.get("model"), cfg.get("instance"), seed)
-    kind, eps = _schedule_spec(cfg.get("schedule"))
-    step = _step_policy_from(cfg.get("step_policy"))
-    delta = delta_ie(bundle.g_i, bundle.h_p)
-    grid = _t_grid(cfg, experiment, kind, delta, bundle.h_p.basis.dim, eps)
-
-    def work(args):
-        label, t_total = args
-        report, cell = _audit_one(bundle, kind, eps, t_total, cfg.get("betas"), step)
-        cell["t_label"] = label
-        return report, cell
-
-    results = _pool_map(work, grid, threads)
+def _run_model_audit(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+    results = _pool_map(lambda cell: _audit_one(cell, plan["step"]), plan["cells"], threads)
     rows = []
     for idx, (report, cell) in enumerate(results):
         out.write_json(f"cells/cell-{idx:03d}.json", cell)
@@ -523,16 +525,8 @@ def _run_model_audit(cfg: dict, out: OutputDir, threads: int, seed: int,
     return rows
 
 
-def _run_sigma_scan(cfg: dict, out: OutputDir, threads: int, seed: int) -> list[dict]:
-    m_values = _int_list(_require(cfg, "m_values", "sigma-scan"), "m_values")
-    samples = cfg.get("samples", 200)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise UsageError("samples must be a positive integer")
-    sampler = _sampler_from(cfg.get("sampler"))
-    try:
-        report = sigma_scaling_study(sampler, m_values, samples, seed)
-    except ValueError as exc:
-        raise UsageError(f"bad sigma-scan config: {exc}") from exc
+def _run_sigma_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+    report = sigma_scaling_study(plan["sampler"], plan["m_values"], plan["samples"], plan["seed"])
     out.write_text("sigma.csv", report.to_csv())
     rows = [{"m": r.m, "samples": r.samples, "sigma_mean": r.sigma_mean,
              "sigma_stderr": r.sigma_stderr, "ratio_sqrtM": r.ratio_sqrtm}
@@ -547,24 +541,16 @@ def _run_sigma_scan(cfg: dict, out: OutputDir, threads: int, seed: int) -> list[
     return rows
 
 
-def _run_gap_scan(cfg: dict, out: OutputDir, threads: int, seed: int) -> list[dict]:
-    bundle = _model_from(cfg.get("model"), cfg.get("instance"), seed)
-    kind, eps = _schedule_spec(cfg.get("schedule"))
-    t_total = float(cfg.get("t_total", 1.0))
-    grid = cfg.get("grid", 201)
-    rounds = cfg.get("refine_rounds", 3)
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
-        raise UsageError("grid must be an integer >= 3")
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:
-        raise UsageError("refine_rounds must be a nonnegative integer")
-    schedule = make_schedule(kind, t_total, n=bundle.h_p.basis.dim, eps=eps)
-    report = gap_scan(bundle.h_i, bundle.h_p, schedule, grid=grid, refine_rounds=rounds)
+def _run_gap_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+    bundle, schedule = plan["bundle"], plan["schedule"]
+    report = gap_scan(bundle.h_i, bundle.h_p, schedule, grid=plan["grid"],
+                      refine_rounds=plan["rounds"])
     out.write_text("gap.json", report.to_json() + "\n")
     out.write_text("gap.csv", report.to_csv())
     out.write_series("E0.dat", "s E0", (report.s_grid, report.e0))
     out.write_series("E1.dat", "s E1", (report.s_grid, report.e1))
     out.write_series("gap.dat", "s gap", (report.s_grid, report.e1 - report.e0))
-    row = {"model": bundle.name, "schedule": kind, "g_min": report.g_min,
+    row = {"model": bundle.name, "schedule": schedule.kind, "g_min": report.g_min,
            "s_at_min": report.s_at_min, "t_adb": report.t_adb, "dh_norm": report.dh_norm}
     _print_table(["model", "schedule", "g_min", "s_at_min", "t_adb"],
                  [[row["model"], row["schedule"], f"{row['g_min']:.8g}",
@@ -572,12 +558,8 @@ def _run_gap_scan(cfg: dict, out: OutputDir, threads: int, seed: int) -> list[di
     return [row]
 
 
-def _run_fraction_decay(cfg: dict, out: OutputDir, threads: int, seed: int) -> list[dict]:
-    m_values = _int_list(_require(cfg, "m_values", "fraction-decay"), "m_values")
-    try:
-        report = tour_fraction_decay(m_values)
-    except ValueError as exc:
-        raise UsageError(f"bad fraction-decay config: {exc}") from exc
+def _run_fraction_decay(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+    report = tour_fraction_decay(plan["m_values"])
     out.write_text("fraction.csv", report.to_csv())
     rows = [{"m": r.m, "exact_ratio": r.exact_ratio, "stirling": r.stirling,
              "stirling_rel_dev": r.stirling_rel_dev, "sqrt_m_form": r.sqrt_m_form,
@@ -595,52 +577,116 @@ def _run_fraction_decay(cfg: dict, out: OutputDir, threads: int, seed: int) -> l
 
 _RUNNERS = {
     "grover-sweep": _run_grover_sweep,
-    "tsp-run": lambda cfg, out, threads, seed: _run_model_audit(cfg, out, threads, seed, "tsp-run"),
-    "bound-audit": lambda cfg, out, threads, seed: _run_model_audit(cfg, out, threads, seed, "bound-audit"),
+    "tsp-run": _run_model_audit,
+    "bound-audit": _run_model_audit,
     "sigma-scan": _run_sigma_scan,
     "gap-scan": _run_gap_scan,
     "fraction-decay": _run_fraction_decay,
 }
 
 
+# ---------------------------------------------------------------------------
+# preflight: everything a run needs, built before any output exists
+# ---------------------------------------------------------------------------
+
+def _model_checks(bundle: ModelBundle) -> list[tuple[str, str]]:
+    return [("model build", f"ok ({bundle.name}, dim {bundle.h_p.basis.dim})"),
+            ("energy budget", f"alpha_cost {bundle.budget.alpha_cost:g}, "
+                              f"path bound {bundle.budget.linear_path_norm_bound:g}"),
+            ("spread", f"delta_ie {delta_ie(bundle.g_i, bundle.h_p):.6g}")]
+
+
+def _run_times(cells: list[_Cell]) -> tuple[str, str]:
+    return "run times", ", ".join(f"{c.schedule.t_total:.4g}" for c in cells)
+
+
+def _plan_grover_sweep(cfg: dict, seed: int) -> dict:
+    n_values = _int_list(_require(cfg, "n_values", "grover-sweep"), "n_values")
+    marked = cfg.get("marked", 0)
+    if not isinstance(marked, int) or isinstance(marked, bool):
+        raise UsageError(f"marked must be an integer, got {marked!r}")
+    cells = []
+    for n in n_values:
+        try:
+            bundle = build_grover(n, marked)
+        except ValueError as exc:
+            raise UsageError(f"bad grover cell n={n}: {exc}") from exc
+        cells += _audit_cells(bundle, cfg, "grover-sweep")
+    return {"cells": cells, "step": _step_policy_from(cfg.get("step_policy")),
+            "checks": [("grover cells", f"ok ({len(n_values)} models)"), _run_times(cells)]}
+
+
+def _plan_model_audit(cfg: dict, seed: int, experiment: str) -> dict:
+    bundle = _model_from(cfg.get("model"), cfg.get("instance"), seed)
+    cells = _audit_cells(bundle, cfg, experiment)
+    return {"cells": cells, "step": _step_policy_from(cfg.get("step_policy")),
+            "checks": [*_model_checks(bundle), _run_times(cells)]}
+
+
+def _plan_sigma_scan(cfg: dict, seed: int) -> dict:
+    m_values = _int_list(_require(cfg, "m_values", "sigma-scan"), "m_values")
+    for m in m_values:
+        if not 3 <= m <= MAX_ENUM_CITIES:
+            raise UsageError(f"sigma-scan m={m} outside exact-enumeration range "
+                             f"3..{MAX_ENUM_CITIES}")
+    samples = cfg.get("samples", 200)
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise UsageError("samples must be a positive integer")
+    return {"m_values": m_values, "samples": samples, "seed": seed,
+            "sampler": _sampler_from(cfg.get("sampler")), "checks": [("m range", "ok")]}
+
+
+def _plan_gap_scan(cfg: dict, seed: int) -> dict:
+    bundle = _model_from(cfg.get("model"), cfg.get("instance"), seed)
+    kind, eps = _schedule_spec(cfg.get("schedule"))
+    t_total = cfg.get("t_total", 1.0)
+    grid = cfg.get("grid", 201)
+    rounds = cfg.get("refine_rounds", 3)
+    if not isinstance(t_total, (int, float)) or isinstance(t_total, bool):
+        raise UsageError(f"t_total must be a number, got {t_total!r}")
+    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
+        raise UsageError("grid must be an integer >= 3")
+    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:
+        raise UsageError("refine_rounds must be a nonnegative integer")
+    try:
+        schedule = make_schedule(kind, float(t_total), n=bundle.h_p.basis.dim, eps=eps)
+    except ValueError as exc:
+        raise UsageError(f"bad schedule config for {bundle.name}: {exc}") from exc
+    return {"bundle": bundle, "schedule": schedule, "grid": grid, "rounds": rounds,
+            "checks": [*_model_checks(bundle), ("schedule", f"{kind}, T={schedule.t_total:g}")]}
+
+
+def _plan_fraction_decay(cfg: dict, seed: int) -> dict:
+    m_values = _int_list(_require(cfg, "m_values", "fraction-decay"), "m_values", low=1)
+    return {"m_values": m_values, "checks": [("m values", "ok")]}
+
+
+_PREFLIGHTS = {
+    "grover-sweep": _plan_grover_sweep,
+    "tsp-run": lambda cfg, seed: _plan_model_audit(cfg, seed, "tsp-run"),
+    "bound-audit": lambda cfg, seed: _plan_model_audit(cfg, seed, "bound-audit"),
+    "sigma-scan": _plan_sigma_scan,
+    "gap-scan": _plan_gap_scan,
+    "fraction-decay": _plan_fraction_decay,
+}
+
+
 def run_experiment(experiment: str, cfg: dict, out_dir, threads: int, seed: int) -> dict:
-    """Execute one experiment config and return its manifest."""
+    """Execute one experiment config and return its manifest.
+
+    The same preflight as ``validate`` runs first, so a config error raises
+    :class:`UsageError` before the output directory is created.
+    """
+    plan = _PREFLIGHTS[experiment](cfg, seed)
     out = OutputDir(Path(out_dir))
-    rows = _RUNNERS[experiment](cfg, out, threads, seed)
+    rows = _RUNNERS[experiment](plan, out, threads)
     return _finish_manifest(out, experiment, cfg, rows)
 
 
-# ---------------------------------------------------------------------------
-# validate (dry run)
-# ---------------------------------------------------------------------------
-
 def _validate(experiment: str, cfg: dict, seed: int) -> None:
-    checks: list[tuple[str, str]] = [("config keys", "ok")]
-    if experiment in ("tsp-run", "bound-audit", "gap-scan"):
-        bundle = _model_from(cfg.get("model"), cfg.get("instance"), seed)
-        checks.append(("model build", f"ok ({bundle.name}, dim {bundle.h_p.basis.dim})"))
-        checks.append(("energy budget", f"alpha_cost {bundle.budget.alpha_cost:g}, "
-                                        f"path bound {bundle.budget.linear_path_norm_bound:g}"))
-        delta = delta_ie(bundle.g_i, bundle.h_p)
-        checks.append(("spread", f"delta_ie {delta:.6g}"))
-        if experiment != "gap-scan":
-            kind, eps = _schedule_spec(cfg.get("schedule"))
-            grid = _t_grid(cfg, experiment, kind, delta, bundle.h_p.basis.dim, eps)
-            checks.append(("run times", ", ".join(f"{t:.4g}" for _, t in grid)))
-    elif experiment == "grover-sweep":
-        for n in _int_list(_require(cfg, "n_values", experiment), "n_values"):
-            build_grover(n, int(cfg.get("marked", 0)))
-        checks.append(("grover cells", "ok"))
-    elif experiment == "sigma-scan":
-        _sampler_from(cfg.get("sampler"))
-        for m in _int_list(_require(cfg, "m_values", experiment), "m_values"):
-            if not 3 <= m <= 11:
-                raise UsageError(f"sigma-scan m={m} outside exact-enumeration range 3..11")
-        checks.append(("m range", "ok"))
-    elif experiment == "fraction-decay":
-        _int_list(_require(cfg, "m_values", experiment), "m_values")
-        checks.append(("m values", "ok"))
-    _print_table(["check", "result"], [[a, b] for a, b in checks])
+    """Dry run: the run's own preflight, then its checks as a table."""
+    plan = _PREFLIGHTS[experiment](cfg, seed)
+    _print_table(["check", "result"], [["config keys", "ok"], *plan["checks"]])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ BOUNDARY_TOL = 1e-12
 SCHEDULE_KINDS = ("linear", "das_wei", "local_adiabatic_grover")
 #: densify H(t) for instantaneous-ground tracking only up to this dimension
 _OVERLAP_DENSE_LIMIT = 512
+#: steps per chunk of precomputed stage values; bounds evolve's table memory
+_STAGE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,14 @@ class StepPolicy:
     """Fixed-step RK4 controls.
 
     The step obeys h * B <= step_bound_factor with B the schedule-weighted
-    operator-norm bound, shrinking further on long runs so the worst-case
-    accumulated drift stays an order below norm_tol.  Norm drift past norm_tol
-    aborts the run rather than silently renormalizing; opt into
-    renormalization explicitly if wanted.
+    operator-norm bound.  On long runs it shrinks further so the worst-case
+    accumulated drift stays at half of norm_tol.  That drift budget sees each
+    operator's spectrum centered on zero: RK4 integrates f (H_I - c_I) +
+    g (H_P - c_P), with c the midpoint of the operator's known spectral range,
+    so the budget grows with the half-widths of the two spectra rather than
+    their norms, and the exact global phase of the shift is put back at the
+    end.  Norm drift past norm_tol aborts the run rather than silently
+    renormalizing; opt into renormalization explicitly if wanted.
     """
 
     step_bound_factor: float = 0.1
@@ -199,9 +205,10 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
            policy: StepPolicy = StepPolicy(), psi0: StateVector | None = None) -> EvolutionResult:
     """Integrate i dpsi/dt = (f H_I + g H_P) psi from the ground state of H_I.
 
-    Classical fixed-step RK4.  The state is never renormalized unless the
-    policy says so; the drift it accumulates is the accuracy meter, and a
-    drift beyond ``policy.norm_tol`` raises instead of passing silently.
+    Classical fixed-step RK4 on the spectrally centered path (see
+    :class:`StepPolicy`).  The state is never renormalized unless the policy
+    says so; the drift it accumulates is the accuracy meter, and a drift
+    beyond ``policy.norm_tol`` raises instead of passing silently.
     """
     if h_i.basis != h_p.basis:
         raise ValueError(f"operator bases differ: {h_i.basis} vs {h_p.basis}")
@@ -211,29 +218,32 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         raise ValueError(f"initial state basis {psi0.basis} does not match {h_i.basis}")
 
     t_total = schedule.t_total
-    bound = schedule.max_f() * h_i.norm_bound() + schedule.max_g() * h_p.norm_bound()
+    c_i, r_i, b_i = _centering(h_i)
+    c_p, r_p, b_p = _centering(h_p)
+    bound = schedule.max_f() * b_i + schedule.max_g() * b_p
     if policy.n_steps_override is not None:
         n_steps = policy.n_steps_override
     else:
         # two caps on h: the stability rule h*B <= factor, and the accumulated
         # worst-case drift held at half of norm_tol.  A spectral component at
-        # the instantaneous bound E(t) = f*B_I + g*B_P loses |R(ihE)| ~
-        # 1 - (hE)^6/144 of its weight per RK4 step, so total drift is at most
-        # (h^5/144) * (integral of E^6 dt + h*max(E)^6).
+        # the instantaneous bound E(t) = f*r_I + g*r_P of the centered path
+        # loses |R(ihE)| ~ 1 - (hE)^6/144 of its weight per RK4 step, so total
+        # drift is at most (h^5/144) * (integral of E^6 dt + h*max(E)^6).
         h_stab = policy.step_bound_factor / bound if bound > 0.0 else t_total
-        q = _drift_budget(schedule, h_i.norm_bound(), h_p.norm_bound(), h_stab)
-        h_drift = (72.0 * policy.norm_tol / q) ** 0.2 if q > 0.0 else t_total
+
+        def drift_step(h_guard: float) -> float:
+            q = _drift_budget(schedule, r_i, r_p, h_guard)
+            return min((72.0 * policy.norm_tol / q) ** 0.2, t_total) if q > 0.0 else t_total
+
+        # the guard term's h need only bound the final step from above: the
+        # cap from the integral alone does, and unlike h_stab it does not move
+        # when an operator is shifted by a constant
+        h_drift = drift_step(drift_step(0.0))
         n_steps = max(1, math.ceil(t_total / min(h_stab, h_drift)))
     h = t_total / n_steps
 
     sample_steps = _sample_steps(n_steps, policy.samples_per_run)
     track = policy.track_ground_overlap and h_i.basis.dim <= _OVERLAP_DENSE_LIMIT
-
-    # stage schedule values precomputed for the whole run (stages at t, t+h/2, t+h)
-    t_lo = np.arange(n_steps) * h
-    f1s, g1s = (a.tolist() for a in schedule._fg_table(t_lo))
-    f2s, g2s = (a.tolist() for a in schedule._fg_table(t_lo + 0.5 * h))
-    f4s, g4s = (a.tolist() for a in schedule._fg_table(t_lo + h))
 
     psi = psi0.amps.astype(np.complex128, copy=True)
     times, norms, overlaps = [], [], []
@@ -246,18 +256,21 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         norms.append(nrm)
         overlaps.append(_ground_overlap(h_i, h_p, schedule, t, psi) if track else math.nan)
 
-    def h_apply(ft: float, gt: float, v: np.ndarray) -> np.ndarray:
-        return ft * h_i.apply_amps(v) + gt * h_p.apply_amps(v)
+    def h_apply(ft: float, gt: float, shift: float, v: np.ndarray) -> np.ndarray:
+        out = ft * h_i.apply_amps(v)  # a fresh array, so updating it in place is safe
+        out += gt * h_p.apply_amps(v)
+        out -= shift * v
+        return out
 
     if 0 in sample_steps:
         record(0)
     c_half, c_full, c_out = -0.5j * h, -1j * h, (-1j * h) / 6.0
-    for step in range(n_steps):
-        f2, g2 = f2s[step], g2s[step]
-        m1 = h_apply(f1s[step], g1s[step], psi)
-        m2 = h_apply(f2, g2, psi + c_half * m1)
-        m3 = h_apply(f2, g2, psi + c_half * m2)
-        m4 = h_apply(f4s[step], g4s[step], psi + c_full * m3)
+    stages = _stage_table(schedule, n_steps, h, c_i, c_p)
+    for step, (f1, g1, s1, f2, g2, s2, f4, g4, s4) in enumerate(stages):
+        m1 = h_apply(f1, g1, s1, psi)
+        m2 = h_apply(f2, g2, s2, psi + c_half * m1)
+        m3 = h_apply(f2, g2, s2, psi + c_half * m2)
+        m4 = h_apply(f4, g4, s4, psi + c_full * m3)
         m1 += m4
         m2 += m3
         m1 += 2.0 * m2
@@ -272,6 +285,8 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
                 f"{step + 1}/{n_steps}; shrink step_bound_factor")
         if (step + 1) in sample_steps:
             record(step + 1)
+    psi *= np.exp(-1j * (c_i * schedule_integral(schedule, "f")
+                         + c_p * schedule_integral(schedule, "g")))
 
     return EvolutionResult(
         state=StateVector(h_i.basis, psi, unnormalized=True),
@@ -286,9 +301,36 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     )
 
 
+def _centering(op: HamiltonianOp) -> tuple[float, float, float]:
+    """(center, half-width, norm bound) of the operator's known spectral range.
+
+    A constant shift changes the evolved state only by a global phase, so the
+    integrator evolves op - center, whose norm is at most the half-width.
+    """
+    hi = op.norm_bound()
+    lo = max(op.lower_bound(), -hi)
+    return 0.5 * (hi + lo), 0.5 * (hi - lo), hi
+
+
+def _stage_table(schedule: Schedule, n_steps: int, h: float, c_i: float, c_p: float):
+    """(f, g, f*c_i + g*c_p) at the RK4 stages t, t+h/2 and t+h of every step.
+
+    Built in chunks of ``_STAGE_CHUNK`` steps, so memory stays flat however
+    many steps the run takes; the floats match a whole-run table exactly.
+    """
+    for lo in range(0, n_steps, _STAGE_CHUNK):
+        t_lo = np.arange(lo, min(lo + _STAGE_CHUNK, n_steps)) * h
+        cols = []
+        for t in (t_lo, t_lo + 0.5 * h, t_lo + h):
+            f, g = schedule._fg_table(t)
+            cols += [f.tolist(), g.tolist(), (c_i * f + c_p * g).tolist()]
+        yield from zip(*cols)
+
+
 def _drift_budget(schedule: Schedule, b_i: float, b_p: float, h_cap: float) -> float:
     """Upper bound on integral of E(t)^6 plus an h*max(E)^6 Riemann-sum guard,
-    where E(t) = f(t) b_i + g(t) b_p dominates the instantaneous spectrum."""
+    where E(t) = f(t) b_i + g(t) b_p dominates the instantaneous spectrum
+    (b_i, b_p are the half-widths of the centered operators)."""
     t = schedule.t_total
     if schedule.kind == "linear":
         # E runs linearly from b_i to b_p

@@ -2,7 +2,8 @@
 
 Operators never materialize their full matrix during normal use; each
 representation knows how to act on an amplitude vector and how to bound its
-own operator norm.  ``to_dense`` exists for small-dimension scans and tests.
+own spectrum: ``norm_bound`` from above in absolute value, ``lower_bound``
+from below.  ``to_dense`` exists for small-dimension scans and tests.
 
 Mode ordering convention: for a multi-mode basis the flat index is the
 little-endian mixed-radix number of the per-mode occupations, i.e. mode 1
@@ -187,6 +188,10 @@ class HamiltonianOp:
         """Cheap upper bound on the operator 2-norm."""
         raise NotImplementedError
 
+    def lower_bound(self) -> float:
+        """Cheap lower bound on the smallest eigenvalue."""
+        return -self.norm_bound()
+
 
 @dataclass(frozen=True)
 class Diagonal(HamiltonianOp):
@@ -208,6 +213,9 @@ class Diagonal(HamiltonianOp):
 
     def norm_bound(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    def lower_bound(self) -> float:
+        return float(np.min(self.values))
 
 
 @dataclass(frozen=True)
@@ -232,6 +240,9 @@ class ProjectorComplement(HamiltonianOp):
 
     def norm_bound(self) -> float:
         return 1.0
+
+    def lower_bound(self) -> float:
+        return 0.0
 
 
 def _ladder_factors(dim: int) -> np.ndarray:
@@ -274,6 +285,9 @@ class CoherentQuadratic(HamiltonianOp):
     def norm_bound(self) -> float:
         return (math.sqrt(self.basis.n_max) + abs(self.alpha)) ** 2
 
+    def lower_bound(self) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class ModeSum(HamiltonianOp):
@@ -307,6 +321,9 @@ class ModeSum(HamiltonianOp):
         root = math.sqrt(self.basis.n_max)
         return sum((root + abs(a)) ** 2 for a in self.alphas)
 
+    def lower_bound(self) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class LinearCombination(HamiltonianOp):
@@ -332,6 +349,10 @@ class LinearCombination(HamiltonianOp):
 
     def norm_bound(self) -> float:
         return sum(abs(c) * op.norm_bound() for c, op in self.terms)
+
+    def lower_bound(self) -> float:
+        # a negative coefficient flips the term, so its floor is -|c| * ||op||
+        return sum(c * (op.lower_bound() if c >= 0 else op.norm_bound()) for c, op in self.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,28 @@ def test_validate_rejects_out_of_range(tmp_path, capsys):
     assert "outside exact-enumeration range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"experiment": "grover-sweep", "n_values": [4], "t_values": [-1]},
+     "total time must be positive"),
+    ({"experiment": "grover-sweep", "n_values": [4], "schedule": {"kind": "bogus"}},
+     "unknown schedule kind 'bogus'"),
+    ({"experiment": "grover-sweep", "n_values": [4], "schedule": {"eps": "fast"}},
+     "schedule.eps must be a number"),
+    ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "t_total": -1.0},
+     "total time must be positive"),
+    ({"experiment": "fraction-decay", "m_values": [0]}, "must be >= 1"),
+])
+def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert main(["validate", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main([payload["experiment"], "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()  # rejected before any output directory is made
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from adiabound import (
     success_probability,
     uniform_state,
 )
+from adiabound import evolution
 
 SEED = 20260825
 
@@ -282,6 +283,35 @@ def test_reparameterization_invariance():
     assert np.max(np.abs(slow.state.amps - fast.state.amps)) <= 1e-12
 
 
+def test_shifted_problem_operator_moves_only_the_global_phase():
+    # H_P + 100 changes psi(T) by exp(-i 100 int g) only; with the stability
+    # cap slack, the centered drift budget plans the same steps for both
+    rng = np.random.default_rng(SEED)
+    basis = BasisSpec.flat(6)
+    start = uniform_state(basis)
+    h_i = ProjectorComplement(basis, start.amps)
+    values = rng.uniform(0.0, 30.0, size=6)
+    pol = StepPolicy(step_bound_factor=1.0, track_ground_overlap=False)
+    for sch in (Schedule("linear", 10.0), Schedule("das_wei", 10.0, n=6)):
+        base = evolve(h_i, Diagonal(basis, values), sch, pol, psi0=start)
+        shifted = evolve(h_i, Diagonal(basis, values + 100.0), sch, pol, psi0=start)
+        assert shifted.n_steps == base.n_steps
+        want = np.exp(-100j * schedule_integral(sch, "g")) * base.state.amps
+        assert np.max(np.abs(shifted.state.amps - want)) <= 1e-10
+
+
+def test_chunked_stage_tables_match_bit_for_bit(monkeypatch):
+    h_i, h_p, start = _grover_ops(4)
+    pol = StepPolicy(n_steps_override=1000, samples_per_run=16, track_ground_overlap=False)
+    for sch in (Schedule("linear", 7.0), Schedule("local_adiabatic_grover", 7.0, n=4)):
+        whole = evolve(h_i, h_p, sch, pol, psi0=start)
+        monkeypatch.setattr(evolution, "_STAGE_CHUNK", 7)  # 1000 = 142 * 7 + 6
+        chunked = evolve(h_i, h_p, sch, pol, psi0=start)
+        monkeypatch.undo()
+        assert np.array_equal(chunked.state.amps, whole.state.amps)
+        assert np.array_equal(chunked.norms, whole.norms)
+
+
 def test_integrator_is_fourth_order():
     h_i, h_p, start = _grover_ops(4)
     sch = Schedule("linear", 5.0)
@@ -307,14 +337,15 @@ def test_norm_drift_stays_within_tolerance():
 
 def test_norm_drift_violation_raises():
     h_i, h_p, _ = _grover_ops(4)
-    pol = StepPolicy(n_steps_override=50, track_ground_overlap=False)
+    pol = StepPolicy(n_steps_override=40, track_ground_overlap=False)
     with pytest.raises(RuntimeError, match="norm drift"):
         evolve(h_i, h_p, Schedule("linear", 10.0), pol)
 
 
 def test_explicit_renormalization_is_recorded():
     h_i, h_p, _ = _grover_ops(4)
-    pol = StepPolicy(n_steps_override=50, renormalize=True, track_ground_overlap=False)
+    # 40 steps: with both spectra centered, 50 steps drift only ~7e-9
+    pol = StepPolicy(n_steps_override=40, renormalize=True, track_ground_overlap=False)
     res = evolve(h_i, h_p, Schedule("linear", 10.0), pol)
     assert res.renormalized
     assert res.max_drift > 1e-8  # would have aborted without renormalization

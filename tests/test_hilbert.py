@@ -265,6 +265,30 @@ def test_norm_bound_dominates_spectrum():
         assert op.norm_bound() >= top - 1e-10
 
 
+def test_lower_bound_sits_below_spectrum():
+    class _Plain(hilbert.HamiltonianOp):  # only norm_bound: base-class floor
+        def __init__(self, op):
+            self.op, self.basis = op, op.basis
+
+        def apply_amps(self, amps):
+            return self.op.apply_amps(amps)
+
+        def norm_bound(self):
+            return self.op.norm_bound()
+
+    rng = np.random.default_rng(SEED)
+    zoo = _operator_zoo(rng)
+    diag, proj = zoo[0], zoo[1]
+    zoo.append(LinearCombination(diag.basis, ((0.6, diag), (-1.7, proj), (-0.2, diag))))
+    zoo.append(_Plain(diag))
+    for op in zoo:
+        bottom = float(np.linalg.eigvalsh(to_dense(op))[0])
+        assert op.lower_bound() <= bottom + 1e-10
+        assert op.lower_bound() >= -op.norm_bound()
+    assert diag.lower_bound() == float(np.min(diag.values))
+    assert zoo[-1].lower_bound() == -diag.norm_bound()
+
+
 # ---------------------------------------------------------------------------
 # apply / expectation / variance
 # ---------------------------------------------------------------------------
