@@ -5,10 +5,11 @@ Usage:
     adiabound validate --config <path>
 
 Experiments: grover-sweep, tsp-run, bound-audit, sigma-scan, gap-scan,
-fraction-decay.  Configs are JSON with a documented schema (see README);
-unknown keys are hard errors.  All outputs are written atomically and listed
-in a manifest.json carrying a deterministic content hash, so reruns of the
-same config can be byte-audited.  Exit codes: 0 success, 1 usage error,
+fraction-decay.  Configs are JSON checked against one typed schema per
+experiment (see README); unknown keys and wrong JSON types are hard errors.
+All outputs are written atomically and listed in a manifest.json carrying a
+deterministic content hash, so reruns of the same config can be
+byte-audited.  Exit codes: 0 success, 1 usage error,
 2 invariant violation detected during the run.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,8 +62,6 @@ from .tsp import (
 
 __all__ = ["main", "run_experiment", "UsageError", "InvariantViolation"]
 
-EXPERIMENTS = ("grover-sweep", "tsp-run", "bound-audit", "sigma-scan",
-               "gap-scan", "fraction-decay")
 #: special beta spellings resolved against the built model
 BETA_WORDS = ("mean", "mean+delta", "mean-delta")
 
@@ -75,50 +75,94 @@ class InvariantViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config loading and key checking
+# config schema: one typed table per experiment, checked by one walker
 # ---------------------------------------------------------------------------
 
-_STEP_SCHEMA = {"step_bound_factor": None, "norm_tol": None, "samples_per_run": None}
-_SCHEDULE_SCHEMA = {"kind": None, "eps": None}
-_SAMPLER_SCHEMA = {"kind": None, "low": None, "high": None, "value": None, "symmetric": None}
-_MODEL_SCHEMA = {"model": None, "n": None, "marked": None, "alpha_scale": None,
-                 "n_max_override": None, "dsq_policy": None, "sigma_d": None, "seed": None}
-_INSTANCE_SCHEMA = {"path": None, "format": None, "cities": None, "seed": None,
-                    "stream": None, "name": None, "sampler": _SAMPLER_SCHEMA}
-_COMMON = {"experiment": None, "out_dir": None, "seed": None, "threads": None}
+#: schema default of a key that the config must give
+_REQUIRED = object()
 
-_SCHEMAS = {
-    "grover-sweep": {**_COMMON, "n_values": None, "marked": None,
-                     "schedule": _SCHEDULE_SCHEMA, "t_multipliers": None,
-                     "t_values": None, "betas": None, "step_policy": _STEP_SCHEMA},
-    "tsp-run": {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA,
-                "schedule": _SCHEDULE_SCHEMA, "t_multipliers": None, "t_values": None,
-                "betas": None, "step_policy": _STEP_SCHEMA},
-    "bound-audit": {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA,
-                    "schedule": _SCHEDULE_SCHEMA, "t_multipliers": None, "t_values": None,
-                    "betas": None, "step_policy": _STEP_SCHEMA},
-    "sigma-scan": {**_COMMON, "m_values": None, "samples": None, "sampler": _SAMPLER_SCHEMA},
-    "gap-scan": {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA,
-                 "schedule": _SCHEDULE_SCHEMA, "t_total": None, "grid": None,
-                 "refine_rounds": None},
-    "fraction-decay": {**_COMMON, "m_values": None},
-}
+# A leaf is (type, default) or (type, default, low).  [type] is a nonempty
+# list of that type, a tuple of types accepts any one of them, and a dict is
+# a nested object whose absent keys take their own defaults.
+_STEP_SCHEMA = {"step_bound_factor": (float, 0.1), "norm_tol": (float, 1e-8),
+                "samples_per_run": (int, 256)}
+_SCHEDULE_SCHEMA = {"kind": (str, "linear"), "eps": (float, None)}
+_SAMPLER_SCHEMA = {"kind": (str, "uniform"), "low": (float, 0.0), "high": (float, 1.0),
+                   "value": (float, 1.0), "symmetric": (bool, False)}
+_MODEL_SCHEMA = {"model": (str, _REQUIRED), "n": (int, None), "marked": (int, 0),
+                 "alpha_scale": (float, 1.0), "n_max_override": (int, None),
+                 "dsq_policy": (str, "parity"), "sigma_d": (float, 1.0), "seed": (int, 0, 0)}
+_INSTANCE_SCHEMA = {"path": (str, None), "format": (str, "tsplib"), "cities": (int, None),
+                    "seed": (int, None, 0), "stream": (int, 0), "name": (str, None),
+                    "sampler": _SAMPLER_SCHEMA}
+_COMMON = {"experiment": (str, None), "out_dir": (str, None), "seed": (int, 0, 0),
+           "threads": (int, 1, 1)}
+_TIMED = {"schedule": _SCHEDULE_SCHEMA, "t_multipliers": ([float], None),
+          "t_values": ([float], None), "betas": ([(float, str)], ["mean"]),
+          "step_policy": _STEP_SCHEMA}
+_AUDIT_SCHEMA = {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA, **_TIMED}
+
+#: python type -> (JSON values it accepts, name in error messages)
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string"), bool: (bool, "true or false")}
 
 
-def _check_keys(obj, schema, path: str) -> None:
-    """Reject any dict key not present in the schema tree."""
+def _leaf(value, typ, low: list, where: str):
+    """One checked config value, converted to ``typ``; a bool is never a number."""
+    if isinstance(typ, list):
+        if not isinstance(value, list) or not value:
+            raise UsageError(f"{where} must be a nonempty list, got {json.dumps(value)}")
+        return [_leaf(v, typ[0], low, f"{where}[{i}]") for i, v in enumerate(value)]
+    kinds = typ if isinstance(typ, tuple) else (typ,)
+    kind = next((k for k in kinds if isinstance(value, _JSON_TYPES[k][0])
+                 and (k is bool or not isinstance(value, bool))), None)
+    if kind is None:
+        names = " or ".join(_JSON_TYPES[k][1] for k in kinds)
+        raise UsageError(f"{where} must be {names}, got {json.dumps(value)}")
+    if low and value < low[0]:
+        raise UsageError(f"{where} must be >= {low[0]}, got {value}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise UsageError(f"{where} is too large for a number") from None
+
+
+def _typed(obj, schema: dict, path: str = "") -> dict:
+    """Check a config object against its schema and return a typed copy.
+
+    Unknown keys, wrong JSON types and missing required keys raise
+    :class:`UsageError`.  Absent keys take their defaults; an explicit null
+    counts as absent only where the default is None.
+    """
     if not isinstance(obj, dict):
-        return
-    for key, value in obj.items():
+        raise UsageError(f"{path[:-1] or 'config'} must be an object, got {json.dumps(obj)}")
+    for key in obj:
         if key not in schema:
             allowed = ", ".join(sorted(schema))
             raise UsageError(f"unknown key {path + key!r}; allowed keys: {allowed}")
-        sub = schema[key]
-        if sub is not None:
-            _check_keys(value, sub, f"{path}{key}.")
+    out = {}
+    for key, spec in schema.items():
+        where = path + key
+        if isinstance(spec, dict):
+            out[key] = _typed(obj.get(key, {}), spec, where + ".")
+            continue
+        typ, default, *low = spec
+        if key in obj and not (obj[key] is None and default is None):
+            out[key] = _leaf(obj[key], typ, low, where)
+        elif default is _REQUIRED:
+            raise UsageError(f"config needs {where!r}")
+        else:
+            out[key] = default
+    return out
 
 
-def load_config(path, experiment: str) -> dict:
+def load_config(path, experiment: str | None = None) -> dict:
+    """Read a JSON config and return it as parsed.
+
+    With no ``experiment`` given, the config's own ``experiment`` key names
+    it.  Keys and types are checked by the preflight that ``validate`` and
+    every run share.
+    """
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
@@ -128,188 +172,75 @@ def load_config(path, experiment: str) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object at top level")
-    if experiment not in _SCHEMAS:
-        raise UsageError(f"unknown experiment {experiment!r}")
-    _check_keys(cfg, _SCHEMAS[experiment], "")
     declared = cfg.get("experiment")
-    if declared is not None and declared != experiment:
+    if experiment is None:
+        if not (isinstance(declared, str) and declared in EXPERIMENTS):
+            raise UsageError(f"config must declare its experiment; got {declared!r}")
+    elif experiment not in EXPERIMENTS:
+        raise UsageError(f"unknown experiment {experiment!r}")
+    elif declared is not None and declared != experiment:
         raise UsageError(f"config declares experiment {declared!r} but "
                          f"{experiment!r} was requested")
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# config -> domain objects
+# typed config -> domain objects
 # ---------------------------------------------------------------------------
 
-def _require(cfg: dict, key: str, experiment: str):
-    if key not in cfg:
-        raise UsageError(f"{experiment} config needs {key!r}")
-    return cfg[key]
-
-
-def _int_list(values, what: str, low: int | None = None) -> list[int]:
-    if not isinstance(values, list) or not values:
-        raise UsageError(f"{what} must be a nonempty list")
-    out = []
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise UsageError(f"{what} entries must be integers, got {v!r}")
-        if low is not None and v < low:
-            raise UsageError(f"{what} entries must be >= {low}, got {v}")
-        out.append(v)
-    return out
-
-
-def _float_list(values, what: str) -> list[float]:
-    if not isinstance(values, list) or not values:
-        raise UsageError(f"{what} must be a nonempty list")
-    out = []
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise UsageError(f"{what} entries must be numbers, got {v!r}")
-        out.append(float(v))
-    return out
-
-
-def _sampler_from(cfg) -> DistanceSampler:
-    if cfg is None:
-        return DistanceSampler()
-    try:
-        return DistanceSampler(
-            kind=cfg.get("kind", "uniform"),
-            low=float(cfg.get("low", 0.0)),
-            high=float(cfg.get("high", 1.0)),
-            value=float(cfg.get("value", 1.0)),
-            symmetric=bool(cfg.get("symmetric", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad sampler config: {exc}") from exc
-
-
-def _dsq_policy_from(model_cfg: dict) -> DsqPolicy:
-    try:
-        return DsqPolicy(
-            kind=model_cfg.get("dsq_policy", "parity"),
-            sigma_d=float(model_cfg.get("sigma_d", 1.0)),
-            seed=int(model_cfg.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad d^2 policy config: {exc}") from exc
-
-
-def _step_policy_from(cfg) -> StepPolicy:
-    if cfg is None:
-        return StepPolicy(track_ground_overlap=False)
-    try:
-        return StepPolicy(
-            step_bound_factor=float(cfg.get("step_bound_factor", 0.1)),
-            norm_tol=float(cfg.get("norm_tol", 1e-8)),
-            samples_per_run=int(cfg.get("samples_per_run", 256)),
-            track_ground_overlap=False,
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad step policy config: {exc}") from exc
-
-
-def _instance_from(cfg, default_seed: int) -> TspInstance:
-    if cfg is None:
-        raise UsageError("this model needs an 'instance' section")
-    if "path" in cfg:
+def _instance_from(cfg: dict, default_seed: int) -> TspInstance:
+    if cfg["path"] is not None:
         path = Path(cfg["path"])
         if not path.exists():
             raise UsageError(f"instance file not found: {path}")
         try:
-            return parse_instance(path, cfg.get("format", "tsplib"))
+            return parse_instance(path, cfg["format"])
         except TspFormatError as exc:
             raise UsageError(f"could not parse {path}: {exc}") from exc
-    if "cities" in cfg:
-        m = cfg["cities"]
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise UsageError("instance.cities must be an integer")
-        try:
-            return random_instance(
-                m, int(cfg.get("seed", default_seed)), _sampler_from(cfg.get("sampler")),
-                stream=int(cfg.get("stream", 0)), name=cfg.get("name"))
-        except ValueError as exc:
-            raise UsageError(f"bad instance config: {exc}") from exc
-    raise UsageError("instance config needs either 'path' or 'cities'")
+    if cfg["cities"] is None:
+        raise UsageError("instance config needs either 'path' or 'cities'")
+    seed = default_seed if cfg["seed"] is None else cfg["seed"]
+    return random_instance(cfg["cities"], seed, DistanceSampler(**cfg["sampler"]),
+                           stream=cfg["stream"], name=cfg["name"])
 
 
-def _model_from(model_cfg, instance_cfg, default_seed: int) -> ModelBundle:
-    if model_cfg is None:
-        raise UsageError("config needs a 'model' section")
-    kind = model_cfg.get("model")
-    try:
-        if kind == "grover":
-            n = model_cfg.get("n")
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise UsageError("grover model needs integer 'n'")
-            return build_grover(n, int(model_cfg.get("marked", 0)))
-        if kind in ("tsp-rank", "tsp-tuple", "tsp-finite"):
-            inst = _instance_from(instance_cfg, default_seed)
-            scale = float(model_cfg.get("alpha_scale", 1.0))
-            n_max = model_cfg.get("n_max_override")
-            if n_max is not None and (not isinstance(n_max, int) or isinstance(n_max, bool)):
-                raise UsageError("n_max_override must be an integer")
-            if kind == "tsp-rank":
-                return build_tsp_rank(inst, alpha_sq=scale * math.factorial(inst.M),
-                                      n_max=n_max)
-            policy = _dsq_policy_from(model_cfg)
-            if kind == "tsp-tuple":
-                return build_tsp_tuple(inst, alpha_sq_per_mode=scale * inst.M,
-                                       n_max=n_max, policy=policy)
-            return build_tsp_finite(inst, policy=policy)
-    except ValueError as exc:
-        raise UsageError(f"bad model config: {exc}") from exc
-    raise UsageError(f"model must be one of grover, tsp-rank, tsp-tuple, tsp-finite; "
-                     f"got {kind!r}")
+def _model_from(cfg: dict) -> ModelBundle:
+    model = cfg["model"]
+    kind = model["model"]
+    if kind == "grover":
+        if model["n"] is None:
+            raise UsageError("grover model needs integer 'n'")
+        return build_grover(model["n"], model["marked"])
+    if kind not in ("tsp-rank", "tsp-tuple", "tsp-finite"):
+        raise UsageError(f"model must be one of grover, tsp-rank, tsp-tuple, tsp-finite; "
+                         f"got {kind!r}")
+    inst = _instance_from(cfg["instance"], cfg["seed"])
+    scale, n_max = model["alpha_scale"], model["n_max_override"]
+    if kind == "tsp-rank":
+        return build_tsp_rank(inst, alpha_sq=scale * math.factorial(inst.M), n_max=n_max)
+    policy = DsqPolicy(kind=model["dsq_policy"], sigma_d=model["sigma_d"], seed=model["seed"])
+    if kind == "tsp-tuple":
+        return build_tsp_tuple(inst, alpha_sq_per_mode=scale * inst.M, n_max=n_max,
+                               policy=policy)
+    return build_tsp_finite(inst, policy=policy)
 
 
-def _schedule_spec(cfg) -> tuple[str, float | None]:
-    if cfg is None:
-        return "linear", None
-    kind = cfg.get("kind", "linear")
-    eps = cfg.get("eps")
-    if eps is not None and (not isinstance(eps, (int, float)) or isinstance(eps, bool)):
-        raise UsageError(f"schedule.eps must be a number, got {eps!r}")
-    return kind, (float(eps) if eps is not None else None)
-
-
-def _resolve_betas(raw, mean: float, delta: float) -> list[float]:
-    if raw is None:
-        return [mean]
-    if not isinstance(raw, list) or not raw:
-        raise UsageError("betas must be a nonempty list")
-    out = []
+def _resolve_betas(raw: list, mean: float, delta: float) -> list[float]:
+    words = dict(zip(BETA_WORDS, (mean, mean + delta, mean - delta)))
     for b in raw:
-        if isinstance(b, str):
-            if b == "mean":
-                out.append(mean)
-            elif b == "mean+delta":
-                out.append(mean + delta)
-            elif b == "mean-delta":
-                out.append(mean - delta)
-            else:
-                raise UsageError(f"unknown beta word {b!r}; use {', '.join(BETA_WORDS)} "
-                                 "or a number")
-        elif isinstance(b, (int, float)) and not isinstance(b, bool):
-            out.append(float(b))
-        else:
-            raise UsageError(f"beta entries must be numbers or words, got {b!r}")
-    return out
+        if isinstance(b, str) and b not in words:
+            raise UsageError(f"unknown beta word {b!r}; use {', '.join(BETA_WORDS)} "
+                             "or a number")
+    return [words[b] if isinstance(b, str) else b for b in raw]
 
 
-def _t_grid(cfg: dict, experiment: str, base: float) -> list[tuple[str, float]]:
+def _t_grid(cfg: dict, base: float) -> list[tuple[str, float]]:
     """Resolve the run times: explicit t_values, or t_multipliers of t_min."""
-    has_values = "t_values" in cfg
-    has_mult = "t_multipliers" in cfg
-    if has_values and has_mult:
-        raise UsageError(f"{experiment} config must give t_values or t_multipliers, not both")
-    if has_values:
-        return [(f"T={t:g}", t) for t in _float_list(cfg["t_values"], "t_values")]
-    mults = _float_list(cfg["t_multipliers"], "t_multipliers") if has_mult else [1.0]
-    return [(f"{m:g}*t_min", m * base) for m in mults]
+    if cfg["t_values"] is not None and cfg["t_multipliers"] is not None:
+        raise UsageError("config must give t_values or t_multipliers, not both")
+    if cfg["t_values"] is not None:
+        return [(f"T={t:g}", t) for t in cfg["t_values"]]
+    return [(f"{m:g}*t_min", m * base) for m in cfg["t_multipliers"] or [1.0]]
 
 
 @dataclass(frozen=True)
@@ -325,19 +256,16 @@ class _Cell:
     betas: list[float]
 
 
-def _audit_cells(bundle: ModelBundle, cfg: dict, experiment: str) -> list[_Cell]:
+def _audit_cells(bundle: ModelBundle, cfg: dict) -> list[_Cell]:
     """Every run of one model: its schedule, t_min and resolved betas."""
-    kind, eps = _schedule_spec(cfg.get("schedule"))
+    kind, eps = cfg["schedule"]["kind"], cfg["schedule"]["eps"]
     n = bundle.h_p.basis.dim
     delta = delta_ie(bundle.g_i, bundle.h_p)
     mean = expectation(bundle.h_p, bundle.g_i)
-    betas = _resolve_betas(cfg.get("betas"), mean, delta)
-    try:
-        base = t_min(kind, delta, n=n, eps=eps)
-        return [_Cell(bundle, label, make_schedule(kind, t, n=n, eps=eps), delta, base, mean, betas)
-                for label, t in _t_grid(cfg, experiment, base)]
-    except ValueError as exc:
-        raise UsageError(f"bad schedule config for {bundle.name}: {exc}") from exc
+    betas = _resolve_betas(cfg["betas"], mean, delta)
+    base = t_min(kind, delta, n=n, eps=eps)
+    return [_Cell(bundle, label, make_schedule(kind, t, n=n, eps=eps), delta, base, mean, betas)
+            for label, t in _t_grid(cfg, base)]
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +503,6 @@ def _run_fraction_decay(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     return rows
 
 
-_RUNNERS = {
-    "grover-sweep": _run_grover_sweep,
-    "tsp-run": _run_model_audit,
-    "bound-audit": _run_model_audit,
-    "sigma-scan": _run_sigma_scan,
-    "gap-scan": _run_gap_scan,
-    "fraction-decay": _run_fraction_decay,
-}
-
-
 # ---------------------------------------------------------------------------
 # preflight: everything a run needs, built before any output exists
 # ---------------------------------------------------------------------------
@@ -600,93 +518,101 @@ def _run_times(cells: list[_Cell]) -> tuple[str, str]:
     return "run times", ", ".join(f"{c.schedule.t_total:.4g}" for c in cells)
 
 
-def _plan_grover_sweep(cfg: dict, seed: int) -> dict:
-    n_values = _int_list(_require(cfg, "n_values", "grover-sweep"), "n_values")
-    marked = cfg.get("marked", 0)
-    if not isinstance(marked, int) or isinstance(marked, bool):
-        raise UsageError(f"marked must be an integer, got {marked!r}")
+def _plan_grover_sweep(cfg: dict) -> dict:
     cells = []
-    for n in n_values:
-        try:
-            bundle = build_grover(n, marked)
-        except ValueError as exc:
-            raise UsageError(f"bad grover cell n={n}: {exc}") from exc
-        cells += _audit_cells(bundle, cfg, "grover-sweep")
-    return {"cells": cells, "step": _step_policy_from(cfg.get("step_policy")),
-            "checks": [("grover cells", f"ok ({len(n_values)} models)"), _run_times(cells)]}
+    for n in cfg["n_values"]:
+        cells += _audit_cells(build_grover(n, cfg["marked"]), cfg)
+    return {"cells": cells, "step": StepPolicy(**cfg["step_policy"], track_ground_overlap=False),
+            "checks": [("grover cells", f"ok ({len(cfg['n_values'])} models)"),
+                       _run_times(cells)]}
 
 
-def _plan_model_audit(cfg: dict, seed: int, experiment: str) -> dict:
-    bundle = _model_from(cfg.get("model"), cfg.get("instance"), seed)
-    cells = _audit_cells(bundle, cfg, experiment)
-    return {"cells": cells, "step": _step_policy_from(cfg.get("step_policy")),
+def _plan_model_audit(cfg: dict) -> dict:
+    bundle = _model_from(cfg)
+    cells = _audit_cells(bundle, cfg)
+    return {"cells": cells, "step": StepPolicy(**cfg["step_policy"], track_ground_overlap=False),
             "checks": [*_model_checks(bundle), _run_times(cells)]}
 
 
-def _plan_sigma_scan(cfg: dict, seed: int) -> dict:
-    m_values = _int_list(_require(cfg, "m_values", "sigma-scan"), "m_values")
-    for m in m_values:
+def _plan_sigma_scan(cfg: dict) -> dict:
+    for m in cfg["m_values"]:
         if not 3 <= m <= MAX_ENUM_CITIES:
             raise UsageError(f"sigma-scan m={m} outside exact-enumeration range "
                              f"3..{MAX_ENUM_CITIES}")
-    samples = cfg.get("samples", 200)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise UsageError("samples must be a positive integer")
-    return {"m_values": m_values, "samples": samples, "seed": seed,
-            "sampler": _sampler_from(cfg.get("sampler")), "checks": [("m range", "ok")]}
+    return {"m_values": cfg["m_values"], "samples": cfg["samples"], "seed": cfg["seed"],
+            "sampler": DistanceSampler(**cfg["sampler"]), "checks": [("m range", "ok")]}
 
 
-def _plan_gap_scan(cfg: dict, seed: int) -> dict:
-    bundle = _model_from(cfg.get("model"), cfg.get("instance"), seed)
-    kind, eps = _schedule_spec(cfg.get("schedule"))
-    t_total = cfg.get("t_total", 1.0)
-    grid = cfg.get("grid", 201)
-    rounds = cfg.get("refine_rounds", 3)
-    if not isinstance(t_total, (int, float)) or isinstance(t_total, bool):
-        raise UsageError(f"t_total must be a number, got {t_total!r}")
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
-        raise UsageError("grid must be an integer >= 3")
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:
-        raise UsageError("refine_rounds must be a nonnegative integer")
-    try:
-        schedule = make_schedule(kind, float(t_total), n=bundle.h_p.basis.dim, eps=eps)
-    except ValueError as exc:
-        raise UsageError(f"bad schedule config for {bundle.name}: {exc}") from exc
-    return {"bundle": bundle, "schedule": schedule, "grid": grid, "rounds": rounds,
+def _plan_gap_scan(cfg: dict) -> dict:
+    bundle = _model_from(cfg)
+    kind, eps = cfg["schedule"]["kind"], cfg["schedule"]["eps"]
+    schedule = make_schedule(kind, cfg["t_total"], n=bundle.h_p.basis.dim, eps=eps)
+    return {"bundle": bundle, "schedule": schedule, "grid": cfg["grid"],
+            "rounds": cfg["refine_rounds"],
             "checks": [*_model_checks(bundle), ("schedule", f"{kind}, T={schedule.t_total:g}")]}
 
 
-def _plan_fraction_decay(cfg: dict, seed: int) -> dict:
-    m_values = _int_list(_require(cfg, "m_values", "fraction-decay"), "m_values", low=1)
-    return {"m_values": m_values, "checks": [("m values", "ok")]}
+def _plan_fraction_decay(cfg: dict) -> dict:
+    return {"m_values": cfg["m_values"], "checks": [("m values", "ok")]}
 
 
-_PREFLIGHTS = {
-    "grover-sweep": _plan_grover_sweep,
-    "tsp-run": lambda cfg, seed: _plan_model_audit(cfg, seed, "tsp-run"),
-    "bound-audit": lambda cfg, seed: _plan_model_audit(cfg, seed, "bound-audit"),
-    "sigma-scan": _plan_sigma_scan,
-    "gap-scan": _plan_gap_scan,
-    "fraction-decay": _plan_fraction_decay,
+@dataclass(frozen=True)
+class _Experiment:
+    """One subcommand: its config schema, its preflight and its runner."""
+
+    schema: dict
+    plan: Callable[[dict], dict]
+    run: Callable[[dict, OutputDir, int], list[dict]]
+
+
+EXPERIMENTS = {
+    "grover-sweep": _Experiment(
+        {**_COMMON, "n_values": ([int], _REQUIRED), "marked": (int, 0), **_TIMED},
+        _plan_grover_sweep, _run_grover_sweep),
+    "tsp-run": _Experiment(_AUDIT_SCHEMA, _plan_model_audit, _run_model_audit),
+    "bound-audit": _Experiment(_AUDIT_SCHEMA, _plan_model_audit, _run_model_audit),
+    "sigma-scan": _Experiment(
+        {**_COMMON, "m_values": ([int], _REQUIRED), "samples": (int, 200, 1),
+         "sampler": _SAMPLER_SCHEMA},
+        _plan_sigma_scan, _run_sigma_scan),
+    "gap-scan": _Experiment(
+        {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA,
+         "schedule": _SCHEDULE_SCHEMA, "t_total": (float, 1.0), "grid": (int, 201, 3),
+         "refine_rounds": (int, 3, 0)},
+        _plan_gap_scan, _run_gap_scan),
+    "fraction-decay": _Experiment({**_COMMON, "m_values": ([int], _REQUIRED, 1)},
+                                  _plan_fraction_decay, _run_fraction_decay),
 }
 
 
-def run_experiment(experiment: str, cfg: dict, out_dir, threads: int, seed: int) -> dict:
+def _preflight(experiment: str, raw: dict, **flags) -> tuple[dict, dict]:
+    """Type-check a raw config and the flags given over its keys, then build
+    everything its run needs.  No output exists yet, so every config error
+    leaves nothing behind; a domain constructor's ValueError is a usage error.
+    """
+    spec = EXPERIMENTS[experiment]
+    given = {k: v for k, v in flags.items() if v is not None}
+    cfg = {**_typed(raw, spec.schema), **_typed(given, {k: _COMMON[k] for k in given})}
+    try:
+        return cfg, spec.plan(cfg)
+    except ValueError as exc:
+        raise UsageError(f"bad {experiment} config: {exc}") from exc
+
+
+def run_experiment(experiment: str, cfg: dict, out_dir=None, threads: int | None = None,
+                   seed: int | None = None) -> dict:
     """Execute one experiment config and return its manifest.
 
-    The same preflight as ``validate`` runs first, so a config error raises
-    :class:`UsageError` before the output directory is created.
+    ``out_dir``, ``threads`` and ``seed``, when given, override the config's
+    keys.  The same preflight as ``validate`` runs first, so a config error
+    raises :class:`UsageError` before the output directory is created.
     """
-    plan = _PREFLIGHTS[experiment](cfg, seed)
-    out = OutputDir(Path(out_dir))
-    rows = _RUNNERS[experiment](plan, out, threads)
+    typed, plan = _preflight(experiment, cfg, out_dir=out_dir, threads=threads, seed=seed)
+    if typed["out_dir"] is None:
+        raise UsageError("give --out or set out_dir in the config")
+    out = OutputDir(Path(typed["out_dir"]))
+    rows = EXPERIMENTS[experiment].run(plan, out, typed["threads"])
     return _finish_manifest(out, experiment, cfg, rows)
-
-
-def _validate(experiment: str, cfg: dict, seed: int) -> None:
-    """Dry run: the run's own preflight, then its checks as a table."""
-    plan = _PREFLIGHTS[experiment](cfg, seed)
-    _print_table(["check", "result"], [["config keys", "ok"], *plan["checks"]])
 
 
 # ---------------------------------------------------------------------------
@@ -714,59 +640,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(flag: int | None, cfg: dict) -> int:
-    if flag is not None:
-        value = flag
-    elif os.environ.get("ADIABOUND_THREADS"):
-        try:
-            value = int(os.environ["ADIABOUND_THREADS"])
-        except ValueError as exc:
-            raise UsageError(f"ADIABOUND_THREADS must be an integer: "
-                             f"{os.environ['ADIABOUND_THREADS']!r}") from exc
-    else:
-        value = cfg.get("threads", 1)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError("config 'threads' must be an integer")
-    if value < 1:
-        raise UsageError(f"threads must be >= 1, got {value}")
-    return value
-
-
-def _resolve_seed(flag: int | None, cfg: dict) -> int:
-    if flag is not None:
-        return flag
-    value = cfg.get("seed", 0)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError("config 'seed' must be an integer")
-    return value
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.experiment is None:
             raise UsageError("pick an experiment: " + ", ".join((*EXPERIMENTS, "validate")))
-        if args.experiment == "validate":
-            cfg_path = Path(args.config)
-            if not cfg_path.exists():
-                raise UsageError(f"config file not found: {cfg_path}")
+        validate = args.experiment == "validate"
+        cfg = load_config(args.config, None if validate else args.experiment)
+        experiment = cfg["experiment"] if validate else args.experiment
+        threads, env = args.threads, os.environ.get("ADIABOUND_THREADS")
+        if threads is None and env:
             try:
-                declared = json.loads(cfg_path.read_text()).get("experiment")
-            except (json.JSONDecodeError, AttributeError) as exc:
-                raise UsageError(f"config {cfg_path} is not a valid JSON object: {exc}") from exc
-            if declared not in _SCHEMAS:
-                raise UsageError(f"config must declare its experiment; got {declared!r}")
-            cfg = load_config(cfg_path, declared)
-            _validate(declared, cfg, _resolve_seed(args.seed, cfg))
-            return 0
-        cfg = load_config(args.config, args.experiment)
-        threads = _resolve_threads(args.threads, cfg)
-        seed = _resolve_seed(args.seed, cfg)
-        out_dir = args.out or cfg.get("out_dir")
-        if out_dir is None:
-            raise UsageError("give --out or set out_dir in the config")
-        run_experiment(args.experiment, cfg, out_dir, threads, seed)
+                threads = int(env)
+            except ValueError as exc:
+                raise UsageError(f"ADIABOUND_THREADS must be an integer: {env!r}") from exc
+        flags = {"out_dir": args.out or None, "threads": threads, "seed": args.seed}
+        if validate:
+            _, plan = _preflight(experiment, cfg, **flags)
+            _print_table(["check", "result"], [["config keys", "ok"], *plan["checks"]])
+        else:
+            run_experiment(experiment, cfg, **flags)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

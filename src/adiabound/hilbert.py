@@ -44,7 +44,8 @@ __all__ = [
 
 #: states must carry unit norm within this unless explicitly flagged
 NORM_TOL = 1e-10
-#: two eigenvalues this close (relative) count as degenerate
+#: two energies (eigenvalues, diagonal entries, tour lengths) this close, relative
+#: to 1 + |lower|, count as degenerate; the one rule for every argmin set
 DEGENERACY_RTOL = 1e-9
 #: hard cap on matrix-vector products per iterative eigensolve
 MATVEC_BUDGET = 10_000
@@ -453,15 +454,19 @@ class GroundState:
     matvecs: int = 0
 
 
+def argmin_set(values: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Minimum of ``values`` and every position within DEGENERACY_RTOL of it."""
+    e0 = float(np.min(values))
+    tol = DEGENERACY_RTOL * (1.0 + abs(e0))
+    return tuple(int(i) for i in np.nonzero(values <= e0 + tol)[0]), e0
+
+
 def ground_state(op: HamiltonianOp) -> GroundState:
     """Lowest eigenpair. Structured cases are exact; everything else runs an
     iterative Lanczos-type solve against the matrix-free apply."""
     if isinstance(op, Diagonal):
-        values = op.values
-        pos = int(np.argmin(values))
-        e0 = float(values[pos])
-        tol = DEGENERACY_RTOL * (1.0 + abs(e0))
-        ties = tuple(int(i) for i in np.nonzero(values <= e0 + tol)[0])
+        ties, e0 = argmin_set(op.values)
+        pos = int(np.argmin(op.values))
         return GroundState(energy=e0, state=basis_vector(op.basis, pos), residual=0.0,
                            degenerate=len(ties) > 1, degenerate_indices=ties)
     if isinstance(op, ProjectorComplement):

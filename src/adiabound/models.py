@@ -32,6 +32,7 @@ from .hilbert import (
     ModeSum,
     ProjectorComplement,
     StateVector,
+    argmin_set,
     coherent_state,
     default_fock_cutoff,
     mode_digits,
@@ -51,8 +52,6 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("grover", "tsp-rank", "tsp-tuple", "tsp-finite")
-#: diagonal entries within this relative distance of the minimum count as targets
-DEGENERACY_RTOL = 1e-9
 #: tuple-model product dimension guard
 _TUPLE_DIM_BUDGET = 4_000_000
 _GROVER_MAX_N = 1 << 20
@@ -107,13 +106,6 @@ class ModelBundle:
         return tsp.index_to_tuple(index + 1, m)
 
 
-def _argmin_set(values: np.ndarray) -> tuple[tuple[int, ...], float]:
-    e0 = float(np.min(values))
-    tol = DEGENERACY_RTOL * (1.0 + abs(e0))
-    idx = tuple(int(i) for i in np.nonzero(values <= e0 + tol)[0])
-    return idx, e0
-
-
 def build_grover(n: int, marked: int = 0) -> ModelBundle:
     """Marked-state search over n flat labels."""
     if not 2 <= n <= _GROVER_MAX_N:
@@ -156,7 +148,7 @@ def build_tsp_rank(inst: tsp.TspInstance, alpha_sq: float | None = None,
     values[:nfact] = tsp.tour_lengths_by_rank(inst)
     h_p = Diagonal(basis, values)
     h_i = CoherentQuadratic(basis, alpha)
-    target_idx, e0 = _argmin_set(values)
+    target_idx, e0 = argmin_set(values)
     return ModelBundle(
         kind="tsp-rank", name=f"tsp-rank-{inst.name}", h_i=h_i, h_p=h_p,
         g_i=prep.state, e_i0=0.0,
@@ -209,7 +201,7 @@ def build_tsp_tuple(inst: tsp.TspInstance, alpha_sq_per_mode: float | None = Non
         # mode 1 must vary fastest, so each new ladder goes on the slow side
         amps = np.kron(prep.state.amps, amps)
     g_i = StateVector(basis, amps)
-    target_idx, e0 = _argmin_set(values)
+    target_idx, e0 = argmin_set(values)
     return ModelBundle(
         kind="tsp-tuple", name=f"tsp-tuple-{inst.name}", h_i=h_i, h_p=h_p,
         g_i=g_i, e_i0=0.0,
@@ -232,7 +224,7 @@ def build_tsp_finite(inst: tsp.TspInstance,
     h_p = Diagonal(basis, values)
     g_i = uniform_state(basis)
     h_i = ProjectorComplement(basis, g_i.amps.copy())
-    target_idx, e0 = _argmin_set(values)
+    target_idx, e0 = argmin_set(values)
     return ModelBundle(
         kind="tsp-finite", name=f"tsp-finite-{inst.name}", h_i=h_i, h_p=h_p,
         g_i=g_i, e_i0=0.0,

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .hilbert import DEGENERACY_RTOL, argmin_set
+
 __all__ = [
     "Tour",
     "TspFormatError",
@@ -47,8 +49,6 @@ __all__ = [
 
 Tour = tuple[int, ...]
 
-#: relative tolerance under which two tour lengths count as degenerate
-DEGENERACY_RTOL = 1e-9
 #: 20! is the largest factorial that fits a signed 64-bit rank
 MAX_RANK_CITIES = 20
 #: full tour enumeration budget (11! ~ 4.0e7 rows)
@@ -347,18 +347,21 @@ def _digit_table(m: int) -> np.ndarray:
     return digits
 
 
+def _tour_rows(digits: np.ndarray) -> np.ndarray:
+    """True for each digit-table row that is a permutation of 0..M-1."""
+    return (np.sort(digits, axis=1) == np.arange(digits.shape[1], dtype=np.int8)).all(axis=1)
+
+
 def tour_index_mask(m: int) -> np.ndarray:
     """Boolean mask over s = 1..M^M (position s-1): True where s encodes a tour."""
-    digits = _digit_table(m)
-    return (np.sort(digits, axis=1) == np.arange(m, dtype=np.int8)).all(axis=1)
+    return _tour_rows(_digit_table(m))
 
 
 def effective_lengths_all(inst: TspInstance, policy: DsqPolicy) -> np.ndarray:
     """Vector of effective lengths for s = 1..M^M (index s at position s-1)."""
-    m = inst.M
-    digits = _digit_table(m)
+    digits = _digit_table(inst.M)
     count = digits.shape[0]
-    tour_mask = (np.sort(digits, axis=1) == np.arange(m, dtype=np.int8)).all(axis=1)
+    tour_mask = _tour_rows(digits)
     out = np.empty(count)
     out[tour_mask] = _lengths_of(digits[tour_mask], inst.d)
     non_idx = np.nonzero(~tour_mask)[0]
@@ -400,11 +403,9 @@ def brute_force_shortest(inst: TspInstance) -> BruteForceResult:
     if m <= 9:
         lengths = _lengths_of(_all_perms(m), inst.d)
         best_pos = int(np.argmin(lengths))
-        best = float(lengths[best_pos])
-        tol = DEGENERACY_RTOL * (1.0 + abs(best))
-        ties = np.nonzero(lengths <= best + tol)[0] + 1
+        ties, best = argmin_set(lengths)
         return BruteForceResult(tour=tuple(int(c) for c in _all_perms(m)[best_pos]),
-                                length=best, tied_ranks=tuple(int(r) for r in ties))
+                                length=best, tied_ranks=tuple(r + 1 for r in ties))
     # two passes keep memory flat for m in {10, 11}
     best = math.inf
     for lengths in _tour_length_chunks(inst.d):

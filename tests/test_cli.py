@@ -396,6 +396,10 @@ def test_validate_rejects_out_of_range(tmp_path, capsys):
     assert "outside exact-enumeration range" in capsys.readouterr().err
 
 
+TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
+           "instance": {"cities": 3}, "t_values": [1.0]}
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"experiment": "grover-sweep", "n_values": [4], "t_values": [-1]},
      "total time must be positive"),
@@ -406,6 +410,36 @@ def test_validate_rejects_out_of_range(tmp_path, capsys):
     ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "t_total": -1.0},
      "total time must be positive"),
     ({"experiment": "fraction-decay", "m_values": [0]}, "must be >= 1"),
+    # wrong JSON types and out-of-range values must not end in a traceback
+    ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4, "marked": [1]}},
+     "model.marked must be an integer, got [1]"),
+    ({"experiment": "gap-scan", "model": "grover"}, 'model must be an object, got "grover"'),
+    ({"experiment": "grover-sweep", "n_values": [4], "schedule": "linear"},
+     'schedule must be an object, got "linear"'),
+    ({**TSP_RUN, "instance": {"cities": 3, "seed": [1]}}, "instance.seed must be an integer"),
+    ({**TSP_RUN, "model": {"model": "tsp-rank", "alpha_scale": [1]}},
+     "model.alpha_scale must be a number"),
+    ({**TSP_RUN, "instance": {"path": 5}}, "instance.path must be a string, got 5"),
+    ({"experiment": "fraction-decay", "m_values": [8], "out_dir": 5},
+     "out_dir must be a string, got 5"),
+    ({"experiment": "sigma-scan", "m_values": [3], "samples": 2, "seed": -1},
+     "seed must be >= 0, got -1"),
+    ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "t_total": 10**400},
+     "t_total is too large for a number"),
+    # values that int(), float() or bool() would misread
+    ({"experiment": "sigma-scan", "m_values": [3], "sampler": {"symmetric": "false"}},
+     'sampler.symmetric must be true or false, got "false"'),
+    ({"experiment": "grover-sweep", "n_values": [4], "step_policy": {"samples_per_run": 2.9}},
+     "step_policy.samples_per_run must be an integer, got 2.9"),
+    ({"experiment": "grover-sweep", "n_values": [4], "step_policy": {"norm_tol": "1e-3"}},
+     'step_policy.norm_tol must be a number, got "1e-3"'),
+    ({**TSP_RUN, "instance": {"cities": 3, "seed": 2.7}},
+     "instance.seed must be an integer, got 2.7"),
+    ({"experiment": "sigma-scan", "m_values": [3], "sampler": {"low": "0.5"}},
+     'sampler.low must be a number, got "0.5"'),
+    # validate must reject what the run rejects
+    ({"experiment": "fraction-decay", "m_values": [8], "threads": True},
+     "threads must be an integer, got true"),
 ])
 def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message):
     cfg = _write_config(tmp_path, "c.json", payload)
@@ -416,6 +450,21 @@ def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()  # rejected before any output directory is made
+
+
+def _schema_keys(schema):
+    for key, spec in schema.items():
+        yield key
+        if isinstance(spec, dict):
+            yield from _schema_keys(spec)
+
+
+def test_readme_documents_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
+    keys = {key for exp in cli.EXPERIMENTS.values() for key in _schema_keys(exp.schema)}
+    assert len(keys) > 30
+    assert sorted(k for k in keys if f"`{k}`" not in section) == []
 
 
 # ---------------------------------------------------------------------------
