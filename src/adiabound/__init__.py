@@ -59,12 +59,14 @@ from .models import (
     AsymptoteReport,
     AsymptoteRow,
     EnergyBudget,
+    InvariantSector,
     ModelBundle,
     build_grover,
     build_tsp_finite,
     build_tsp_rank,
     build_tsp_tuple,
     delta_ie_asymptote_study,
+    invariant_sector,
 )
 from .tsp import (
     BruteForceResult,
@@ -123,5 +125,5 @@ __all__ = [
     # models
     "EnergyBudget", "ModelBundle", "AsymptoteRow", "AsymptoteReport",
     "build_grover", "build_tsp_rank", "build_tsp_tuple", "build_tsp_finite",
-    "delta_ie_asymptote_study",
+    "InvariantSector", "invariant_sector", "delta_ie_asymptote_study",
 ]

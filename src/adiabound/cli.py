@@ -47,7 +47,15 @@ from .evolution import (
     success_probability,
 )
 from .hilbert import expectation
-from .models import ModelBundle, build_grover, build_tsp_finite, build_tsp_rank, build_tsp_tuple
+from .models import (
+    InvariantSector,
+    ModelBundle,
+    build_grover,
+    build_tsp_finite,
+    build_tsp_rank,
+    build_tsp_tuple,
+    invariant_sector,
+)
 from .tsp import (
     MAX_ENUM_CITIES,
     DistanceSampler,
@@ -102,6 +110,9 @@ _TIMED = {"schedule": _SCHEDULE_SCHEMA, "t_multipliers": ([float], None),
           "step_policy": _STEP_SCHEMA}
 _AUDIT_SCHEMA = {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA, **_TIMED}
 
+#: keys that one config object may not give together
+_EXCLUSIVE = (("t_values", "t_multipliers"), ("path", "cities"))
+
 #: python type -> (JSON values it accepts, name in error messages)
 _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                str: (str, "a string"), bool: (bool, "true or false")}
@@ -130,9 +141,10 @@ def _leaf(value, typ, low: list, where: str):
 def _typed(obj, schema: dict, path: str = "") -> dict:
     """Check a config object against its schema and return a typed copy.
 
-    Unknown keys, wrong JSON types and missing required keys raise
-    :class:`UsageError`.  Absent keys take their defaults; an explicit null
-    counts as absent only where the default is None.
+    Unknown keys, wrong JSON types, missing required keys and an
+    ``_EXCLUSIVE`` pair given together raise :class:`UsageError`.  Absent
+    keys take their defaults; an explicit null counts as absent only where
+    the default is None.
     """
     if not isinstance(obj, dict):
         raise UsageError(f"{path[:-1] or 'config'} must be an object, got {json.dumps(obj)}")
@@ -153,6 +165,9 @@ def _typed(obj, schema: dict, path: str = "") -> dict:
             raise UsageError(f"config needs {where!r}")
         else:
             out[key] = default
+    for a, b in _EXCLUSIVE:
+        if out.get(a) is not None and out.get(b) is not None:
+            raise UsageError(f"config must give {path + a} or {path + b}, not both")
     return out
 
 
@@ -236,8 +251,6 @@ def _resolve_betas(raw: list, mean: float, delta: float) -> list[float]:
 
 def _t_grid(cfg: dict, base: float) -> list[tuple[str, float]]:
     """Resolve the run times: explicit t_values, or t_multipliers of t_min."""
-    if cfg["t_values"] is not None and cfg["t_multipliers"] is not None:
-        raise UsageError("config must give t_values or t_multipliers, not both")
     if cfg["t_values"] is not None:
         return [(f"T={t:g}", t) for t in cfg["t_values"]]
     return [(f"{m:g}*t_min", m * base) for m in cfg["t_multipliers"] or [1.0]]
@@ -245,9 +258,15 @@ def _t_grid(cfg: dict, base: float) -> list[tuple[str, float]]:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One evolve-and-audit run, resolved before any output is written."""
+    """One evolve-and-audit run, resolved before any output is written.
+
+    ``space`` is what the run evolves and audits: the model's invariant
+    sector where it has one, else the model itself.  Everything else comes
+    from the full model.
+    """
 
     bundle: ModelBundle
+    space: InvariantSector | ModelBundle
     label: str
     schedule: Schedule
     delta: float
@@ -264,7 +283,9 @@ def _audit_cells(bundle: ModelBundle, cfg: dict) -> list[_Cell]:
     mean = expectation(bundle.h_p, bundle.g_i)
     betas = _resolve_betas(cfg["betas"], mean, delta)
     base = t_min(kind, delta, n=n, eps=eps)
-    return [_Cell(bundle, label, make_schedule(kind, t, n=n, eps=eps), delta, base, mean, betas)
+    space = invariant_sector(bundle) or bundle
+    return [_Cell(bundle, space, label, make_schedule(kind, t, n=n, eps=eps), delta, base,
+                  mean, betas)
             for label, t in _t_grid(cfg, base)]
 
 
@@ -363,16 +384,16 @@ def _pool_map(fn, cells, threads: int):
 # ---------------------------------------------------------------------------
 
 def _audit_one(cell: _Cell, step: StepPolicy) -> tuple[BoundReport, dict]:
-    bundle, schedule = cell.bundle, cell.schedule
-    result = evolve(bundle.h_i, bundle.h_p, schedule, step)
-    margins = verify_distance_bound(result.state, bundle.g_i, bundle.e_i0,
-                                    bundle.h_p, schedule, cell.betas)
+    bundle, space, schedule = cell.bundle, cell.space, cell.schedule
+    result = evolve(space.h_i, space.h_p, schedule, step)
+    margins = verify_distance_bound(result.state, space.g_i, bundle.e_i0,
+                                    space.h_p, schedule, cell.betas)
     report = BoundReport(
         model=bundle.name, schedule_kind=schedule.kind, t_total=schedule.t_total,
         delta_ie=cell.delta, integral_g=schedule_integral(schedule, "g"),
         t_min=cell.t_min, beta_star=cell.mean, margins=margins,
     )
-    success = success_probability(result.state, bundle.target_indices)
+    success = success_probability(result.state, space.target_indices)
     row = {
         "model": bundle.name,
         "schedule": schedule.kind,
@@ -508,7 +529,9 @@ def _run_fraction_decay(plan: dict, out: OutputDir, threads: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _model_checks(bundle: ModelBundle) -> list[tuple[str, str]]:
-    return [("model build", f"ok ({bundle.name}, dim {bundle.h_p.basis.dim})"),
+    sector = invariant_sector(bundle)
+    size = f", sector {sector.h_p.basis.dim}" if sector else ""
+    return [("model build", f"ok ({bundle.name}, dim {bundle.h_p.basis.dim}{size})"),
             ("energy budget", f"alpha_cost {bundle.budget.alpha_cost:g}, "
                               f"path bound {bundle.budget.linear_path_norm_bound:g}"),
             ("spread", f"delta_ie {delta_ie(bundle.g_i, bundle.h_p):.6g}")]

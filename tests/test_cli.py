@@ -383,6 +383,40 @@ def test_validate_ok(tmp_path, capsys):
     assert "run times" in out
 
 
+@pytest.mark.parametrize("model, instance, expect", [
+    ({"model": "grover", "n": 4096}, {}, "(grover-n4096, dim 4096, sector 2)"),
+    ({"model": "tsp-finite"}, {"cities": 3, "sampler": {"kind": "constant"}},
+     # one tour length and the two parity penalties
+     "(tsp-finite-random-m3-s0-0, dim 27, sector 3)"),
+    ({"model": "tsp-rank"}, {"cities": 3}, "(tsp-rank-random-m3-s0-0, dim 42)"),
+])
+def test_validate_reports_the_sector(tmp_path, capsys, model, instance, expect):
+    payload = {"experiment": "bound-audit", "model": model, "instance": instance}
+    assert main(["validate", "--config", _write_config(tmp_path, "c.json", payload)]) == 0
+    assert expect in capsys.readouterr().out
+
+
+def test_grover_sweep_rows_come_from_the_full_model(tmp_path, capsys):
+    # the run evolves a 2-dimensional sector; n, the spread, t_min, the
+    # schedule and the step plan must still be the 64-label model's
+    payload = {"experiment": "grover-sweep", "n_values": [64], "schedule": {"kind": "das_wei"},
+               "t_multipliers": [1.0, 2.0], "step_policy": {"samples_per_run": 8}}
+    out = tmp_path / "out"
+    assert main(["grover-sweep", "--config", _write_config(tmp_path, "c.json", payload),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "manifest.json").read_text())["rows"]
+    bundle = adiabound.build_grover(64)
+    delta = adiabound.delta_ie(bundle.g_i, bundle.h_p)
+    base = adiabound.t_min("das_wei", delta, n=64)
+    policy = adiabound.StepPolicy(samples_per_run=8, track_ground_overlap=False)
+    for row, mult in zip(rows, [1.0, 2.0], strict=True):
+        schedule = adiabound.make_schedule("das_wei", mult * base, n=64)
+        full = adiabound.evolve(bundle.h_i, bundle.h_p, schedule, policy)
+        assert [row[k] for k in ("n", "delta_ie", "t_min", "t_total", "n_steps")] == \
+            [64, delta, base, schedule.t_total, full.n_steps]
+
+
 def test_validate_needs_declared_experiment(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", {"m_values": [3]})
     assert main(["validate", "--config", cfg]) == 1
@@ -440,6 +474,9 @@ TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
     # validate must reject what the run rejects
     ({"experiment": "fraction-decay", "m_values": [8], "threads": True},
      "threads must be an integer, got true"),
+    # a file and a city count name two different instances
+    ({**TSP_RUN, "instance": {"path": "i4.matrix", "format": "matrix", "cities": 3}},
+     "config must give instance.path or instance.cities, not both"),
 ])
 def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message):
     cfg = _write_config(tmp_path, "c.json", payload)
