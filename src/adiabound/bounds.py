@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .evolution import Schedule, make_schedule, reference_phase_state, schedule_integral
 from .hilbert import (
@@ -25,7 +24,7 @@ from .hilbert import (
     LinearCombination,
     StateVector,
     expectation,
-    to_dense,
+    lowest,
     variance,
 )
 
@@ -47,7 +46,6 @@ SLACK_TOL = -1e-7
 #: fixed annotation copied into every BoundReport
 THETA_NOTE = ("the intermediate time where g attains its mean value is not located; "
               "only T_min and the schedule integral are reported")
-_DENSE_LIMIT = 2048
 
 
 def delta_ie(g_i: StateVector, h_p: HamiltonianOp) -> float:
@@ -206,7 +204,7 @@ class GapReport:
     g_min: float
     s_at_min: float
     t_adb: float       # max ||dH/ds|| / g_min^2, the usual adiabatic time proxy
-    dh_norm: float     # ||H_P - H_I|| estimated by power iteration
+    dh_norm: float     # ||H_P - H_I||, from its lowest and highest eigenvalue
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, default=_json_default)
@@ -219,19 +217,19 @@ class GapReport:
 
 
 def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
-             grid: int = 201, refine_rounds: int = 3, refine_factor: int = 5,
-             dense_limit: int = _DENSE_LIMIT) -> GapReport:
+             grid: int = 201, refine_rounds: int = 3, refine_factor: int = 5) -> GapReport:
     """Lowest two levels of H(sT) over s in [0,1] with local refinement.
 
     The coarse grid is refined ``refine_rounds`` times around the running
-    minimum, each round shrinking the step by ``refine_factor``.  Dense
-    diagonalization below ``dense_limit`` dimensions, Lanczos-type
-    lowest-two extraction above.
+    minimum, each round shrinking the step by ``refine_factor``.  Every level
+    comes from :func:`hilbert.lowest`.
     """
     if grid < 3:
         raise ValueError("grid needs at least 3 points")
     if h_i.basis != h_p.basis:
         raise ValueError("operator bases differ")
+    if h_i.basis.dim < 2:
+        raise ValueError("need at least a 2-dimensional space")
     t_total = schedule.t_total
     cache: dict[float, tuple[float, float]] = {}
 
@@ -239,7 +237,8 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         if s not in cache:
             h_s = LinearCombination(h_i.basis, ((schedule.f(s * t_total), h_i),
                                                 (schedule.g(s * t_total), h_p)))
-            cache[s] = _lowest_two(h_s, dense_limit)
+            e = lowest(h_s, 2).values
+            cache[s] = (float(e[0]), float(e[1]))
         return cache[s]
 
     coarse = np.linspace(0.0, 1.0, grid)
@@ -260,55 +259,13 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     gaps = e1 - e0
     pos = int(np.argmin(gaps))
     g_min = float(gaps[pos])
-    diff = LinearCombination(h_i.basis, ((-1.0, h_i), (1.0, h_p)))
-    dh_norm = _spectral_norm(diff)
+    # ||H_P - H_I|| = max |lambda_min(+-(H_P - H_I))|
+    diffs = (LinearCombination(h_i.basis, ((-c, h_i), (c, h_p))) for c in (1.0, -1.0))
+    dh_norm = max(abs(float(lowest(d, 1).values[0])) for d in diffs)
     t_adb = dh_norm / g_min ** 2 if g_min > 0 else math.inf
     return GapReport(schedule_kind=schedule.kind, t_total=t_total,
                      s_grid=s_sorted, e0=e0, e1=e1, g_min=g_min,
                      s_at_min=float(s_sorted[pos]), t_adb=t_adb, dh_norm=dh_norm)
-
-
-def _lowest_two(op: HamiltonianOp, dense_limit: int) -> tuple[float, float]:
-    dim = op.basis.dim
-    if dim < 2:
-        raise ValueError("need at least a 2-dimensional space")
-    if dim <= dense_limit:
-        evals = np.linalg.eigvalsh(to_dense(op, limit=max(dense_limit, dim)))
-        return float(evals[0]), float(evals[1])
-    linop = LinearOperator((dim, dim), matvec=lambda x: op.apply_amps(np.asarray(x).reshape(-1)),
-                           dtype=np.complex128)
-    rng = np.random.default_rng(13)
-    last: Exception | None = None
-    for _ in range(3):
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        try:
-            evals = eigsh(linop, k=2, which="SA", v0=v0, tol=1e-10,
-                          return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            last = exc
-            continue
-        evals = np.sort(evals)
-        return float(evals[0]), float(evals[1])
-    raise RuntimeError(f"lowest-two extraction failed to converge: {last}")
-
-
-def _spectral_norm(op: HamiltonianOp, iters: int = 500, tol: float = 1e-10,
-                   seed: int = 11) -> float:
-    """Power iteration on a Hermitian operator; converges to max |eigenvalue|."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.basis.dim) + 1j * rng.standard_normal(op.basis.dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = op.apply_amps(v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        if abs(nw - est) <= tol * max(1.0, nw):
-            return nw
-        est = nw
-        v = w / nw
-    return est
 
 
 def _json_default(obj):

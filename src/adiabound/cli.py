@@ -385,7 +385,7 @@ def _pool_map(fn, cells, threads: int):
 
 def _audit_one(cell: _Cell, step: StepPolicy) -> tuple[BoundReport, dict]:
     bundle, space, schedule = cell.bundle, cell.space, cell.schedule
-    result = evolve(space.h_i, space.h_p, schedule, step)
+    result = evolve(space.h_i, space.h_p, schedule, step, psi0=space.g_i)
     margins = verify_distance_bound(result.state, space.g_i, bundle.e_i0,
                                     space.h_p, schedule, cell.betas)
     report = BoundReport(

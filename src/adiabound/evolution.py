@@ -18,7 +18,7 @@ from .hilbert import (
     LinearCombination,
     StateVector,
     ground_state,
-    to_dense,
+    lowest,
 )
 
 __all__ = [
@@ -357,8 +357,7 @@ def _sample_steps(n_steps: int, samples: int) -> set[int]:
 
 def _ground_overlap(h_i, h_p, schedule, t, psi) -> float:
     h_t = LinearCombination(h_i.basis, ((schedule.f(t), h_i), (schedule.g(t), h_p)))
-    evals, evecs = np.linalg.eigh(to_dense(h_t))
-    return float(abs(np.vdot(evecs[:, 0], psi)) ** 2)
+    return float(abs(np.vdot(lowest(h_t, 1).vectors[:, 0], psi)) ** 2)
 
 
 # ---------------------------------------------------------------------------

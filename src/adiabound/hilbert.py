@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "ModeSum",
     "LinearCombination",
     "GroundState",
+    "Eigenpairs",
     "CoherentPrep",
     "basis_vector",
     "uniform_state",
@@ -39,6 +42,7 @@ __all__ = [
     "coherent_state",
     "default_fock_cutoff",
     "ground_state",
+    "lowest",
     "to_dense",
 ]
 
@@ -49,6 +53,11 @@ NORM_TOL = 1e-10
 DEGENERACY_RTOL = 1e-9
 #: hard cap on matrix-vector products per iterative eigensolve
 MATVEC_BUDGET = 10_000
+#: :func:`lowest` diagonalizes the dense matrix at or below this dimension
+DENSE_LIMIT = 2048
+#: every eigenpair from :func:`lowest` has ||H v - lambda v|| below this times
+#: max(1, norm_bound)
+RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -462,8 +471,8 @@ def argmin_set(values: np.ndarray) -> tuple[tuple[int, ...], float]:
 
 
 def ground_state(op: HamiltonianOp) -> GroundState:
-    """Lowest eigenpair. Structured cases are exact; everything else runs an
-    iterative Lanczos-type solve against the matrix-free apply."""
+    """Lowest eigenpair. Structured cases are exact; everything else comes
+    from :func:`lowest`."""
     if isinstance(op, Diagonal):
         ties, e0 = argmin_set(op.values)
         pos = int(np.argmin(op.values))
@@ -473,54 +482,82 @@ def ground_state(op: HamiltonianOp) -> GroundState:
         # |v> is the unique zero mode; the rest of the spectrum sits at 1
         return GroundState(energy=0.0, state=StateVector(op.basis, op.vector.copy()),
                            residual=0.0, degenerate=False)
-    return _iterative_ground(op)
+    pairs = lowest(op, 2)
+    e = pairs.values
+    gap = e[1] - e[0] if e.size > 1 else math.inf
+    return GroundState(energy=float(e[0]), state=StateVector(op.basis, pairs.vectors[:, 0]),
+                       residual=float(pairs.residuals[0]),
+                       degenerate=bool(gap <= DEGENERACY_RTOL * (1.0 + abs(e[0]))),
+                       matvecs=pairs.matvecs)
 
 
-def _iterative_ground(op: HamiltonianOp) -> GroundState:
+class Eigenpairs(NamedTuple):
+    values: np.ndarray     # ascending, shape (k,)
+    vectors: np.ndarray    # unit columns, shape (dim, k)
+    residuals: np.ndarray  # ||H v - lambda v|| of each pair
+    matvecs: int
+
+
+def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
+    """The k lowest eigenpairs of ``op`` (fewer only when dim < k).
+
+    Up to ``DENSE_LIMIT`` dimensions this diagonalizes the dense matrix.  Above
+    it, ARPACK's implicitly restarted Lanczos (eigsh) runs matrix-free from a
+    seeded start vector, starting afresh if it stalls, all under
+    ``MATVEC_BUDGET``; a Rayleigh-Ritz step then refines its vectors together
+    with the exact ground vectors of every ``Diagonal``/``ProjectorComplement``
+    term, a level Lanczos can miss (the zero mode of Grover's H_P at s = 1).
+    Every returned pair must satisfy
+    ||H v - lambda v|| <= RESIDUAL_RTOL * max(1, norm_bound), else RuntimeError.
+    """
     dim = op.basis.dim
-    count = 0
+    # asked for one pair, ARPACK's complex driver can settle on the second level
+    # (it does on CoherentQuadratic), so it always computes two or more, and it
+    # needs dim > n_ritz + 1
+    n_ritz = max(k, 2)
+    if dim <= max(DENSE_LIMIT, n_ritz + 1):
+        basis, h_basis, matvecs = None, to_dense(op), dim
+    else:
+        count = 0
 
-    def matvec(x):
-        nonlocal count
-        count += 1
-        if count > MATVEC_BUDGET:
-            raise _BudgetExceeded
-        return op.apply_amps(np.asarray(x, dtype=np.complex128).reshape(-1))
+        def matvec(x):
+            nonlocal count
+            count += 1
+            if count > MATVEC_BUDGET:
+                raise _BudgetExceeded
+            return op.apply_amps(np.asarray(x, dtype=np.complex128).reshape(-1))
 
-    if dim <= 16:
-        # ARPACK wants k < dim and a healthy Krylov basis; tiny spaces go dense
-        dense = to_dense(op)
-        evals, evecs = np.linalg.eigh(dense)
-        e0 = float(evals[0])
-        vec = evecs[:, 0]
-        gap = float(evals[1] - evals[0]) if dim > 1 else math.inf
-        residual = float(np.linalg.norm(op.apply_amps(vec) - e0 * vec))
-        return GroundState(energy=e0, state=StateVector(op.basis, vec), residual=residual,
-                           degenerate=gap <= DEGENERACY_RTOL * (1.0 + abs(e0)), matvecs=dim)
-
-    linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
-    rng = np.random.default_rng(7)
-    last_err: Exception | None = None
-    for attempt in range(3):
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        try:
-            evals, evecs = eigsh(linop, k=2, which="SA", v0=v0,
-                                 tol=1e-10, maxiter=MATVEC_BUDGET)
-        except _BudgetExceeded:
-            raise RuntimeError(f"iterative ground state exceeded {MATVEC_BUDGET} matvecs") from None
-        except ArpackNoConvergence as exc:
-            last_err = exc  # stagnated; restart from a fresh vector
-            continue
-        order = np.argsort(evals)
-        e0 = float(evals[order[0]])
-        e1 = float(evals[order[1]])
-        vec = evecs[:, order[0]]
-        vec = vec / np.linalg.norm(vec)
-        residual = float(np.linalg.norm(op.apply_amps(vec) - e0 * vec))
-        return GroundState(energy=e0, state=StateVector(op.basis, vec), residual=residual,
-                           degenerate=(e1 - e0) <= DEGENERACY_RTOL * (1.0 + abs(e0)),
-                           matvecs=count)
-    raise RuntimeError(f"iterative ground state failed to converge after restarts: {last_err}")
+        linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            try:
+                _, ritz = eigsh(linop, k=n_ritz, which="SA", v0=v0, tol=1e-10,
+                                maxiter=MATVEC_BUDGET)
+                break
+            except _BudgetExceeded:
+                raise RuntimeError(f"eigensolve exceeded {MATVEC_BUDGET} matvecs") from None
+            except ArpackNoConvergence as exc:
+                stalled = exc  # restart from a fresh vector
+        else:
+            raise RuntimeError(f"eigensolve failed to converge after restarts: {stalled}")
+        terms = op.terms if isinstance(op, LinearCombination) else ((1.0, op),)
+        exact = [ground_state(t).state.amps for _, t in terms
+                 if isinstance(t, (Diagonal, ProjectorComplement))]
+        basis = np.linalg.qr(np.column_stack([ritz, *exact]))[0]
+        h_basis = np.column_stack([op.apply_amps(q) for q in basis.T])
+        matvecs = count + basis.shape[1]
+    small = h_basis if basis is None else basis.conj().T @ h_basis
+    if not small.imag.any():
+        small = small.real  # LAPACK's real symmetric driver takes about half the time
+    k = min(k, small.shape[0])
+    values, coeffs = eigh(small, subset_by_index=[0, k - 1])
+    vectors = coeffs if basis is None else basis @ coeffs
+    residuals = np.linalg.norm(h_basis @ coeffs - vectors * values, axis=0)
+    tol = RESIDUAL_RTOL * max(1.0, op.norm_bound())
+    if np.any(residuals > tol):
+        raise RuntimeError(f"eigenpair residual {residuals.max():.3e} above {tol:.3e}")
+    return Eigenpairs(values, vectors, residuals, matvecs)
 
 
 class _BudgetExceeded(Exception):

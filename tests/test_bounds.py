@@ -14,11 +14,14 @@ from adiabound import (
     StepPolicy,
     basis_vector,
     beta_minimum,
+    build_grover,
+    build_tsp_finite,
     delta_ie,
     evolve,
     expectation,
     gap_scan,
     make_schedule,
+    random_instance,
     residual_norm,
     schedule_integral,
     t_min,
@@ -26,7 +29,7 @@ from adiabound import (
     uniform_state,
     verify_distance_bound,
 )
-from adiabound import bounds
+from adiabound import bounds, hilbert
 
 SEED = 20260825
 
@@ -247,14 +250,43 @@ def test_gap_scan_matches_dense_oracle_pointwise():
         assert b == pytest.approx(float(evals[1]), abs=1e-10)
 
 
-def test_gap_scan_iterative_path_matches_dense():
+def test_gap_scan_iterative_path_matches_dense(monkeypatch):
     h_i, h_p, _ = _grover_pieces(8)
     sch = Schedule("linear", 1.0)
     dense = gap_scan(h_i, h_p, sch, grid=9, refine_rounds=1)
-    lanczos = gap_scan(h_i, h_p, sch, grid=9, refine_rounds=1, dense_limit=2)
+    monkeypatch.setattr(hilbert, "DENSE_LIMIT", 2)
+    lanczos = gap_scan(h_i, h_p, sch, grid=9, refine_rounds=1)
     assert lanczos.g_min == pytest.approx(dense.g_min, abs=1e-8)
     assert np.allclose(lanczos.e0, dense.e0, atol=1e-8)
     assert np.allclose(lanczos.e1, dense.e1, atol=1e-8)
+
+
+def test_gap_scan_finds_the_grover_zero_mode_at_s1():
+    # eigsh alone returns (1, 1) at s = 1; the Rayleigh-Ritz step with H_P's
+    # exact ground vector recovers the zero mode
+    bundle = build_grover(4096)
+    rep = gap_scan(bundle.h_i, bundle.h_p, make_schedule("linear", 1.0), grid=41)
+    assert rep.s_grid[-1] == 1.0
+    assert abs(rep.e0[-1]) <= 1e-10
+    assert abs(rep.e1[-1] - 1.0) <= 1e-10
+    assert rep.g_min == pytest.approx(1.0 / 64.0, abs=1e-10)
+
+
+def test_gap_scan_point_obeys_the_matvec_budget(monkeypatch):
+    h_i, h_p, _ = _grover_pieces(64)
+    monkeypatch.setattr(hilbert, "DENSE_LIMIT", 2)
+    monkeypatch.setattr(hilbert, "MATVEC_BUDGET", 5)
+    with pytest.raises(RuntimeError, match="exceeded 5 matvecs"):
+        gap_scan(h_i, h_p, Schedule("linear", 1.0), grid=3, refine_rounds=0)
+
+
+@pytest.mark.parametrize("bundle", [build_grover(4), build_tsp_finite(random_instance(4, 1))],
+                         ids=["grover-n4", "tsp-finite-m4"])
+def test_gap_scan_dh_norm_is_exact(bundle):
+    rep = gap_scan(bundle.h_i, bundle.h_p, Schedule("linear", 1.0), grid=3, refine_rounds=0)
+    levels = np.linalg.eigvalsh(to_dense(bundle.h_p) - to_dense(bundle.h_i))
+    exact = max(abs(levels[0]), abs(levels[-1]))
+    assert abs(rep.dh_norm - exact) <= 1e-12 * exact
 
 
 def test_gap_scan_validation_and_serialization():

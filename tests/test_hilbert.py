@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,7 +440,8 @@ def test_ground_state_dense_path():
     assert gs.matvecs == 16
 
 
-def test_ground_state_iterative_matches_dense_oracle():
+def test_ground_state_iterative_matches_dense_oracle(monkeypatch):
+    monkeypatch.setattr(hilbert, "DENSE_LIMIT", 16)
     op = CoherentQuadratic(BasisSpec.fock(40), 1.5)
     gs = ground_state(op)
     evals, evecs = np.linalg.eigh(to_dense(op))
@@ -448,9 +452,108 @@ def test_ground_state_iterative_matches_dense_oracle():
     assert 0 < gs.matvecs <= hilbert.MATVEC_BUDGET
 
 
-def test_ground_state_iterative_mode_sum():
+def test_ground_state_iterative_mode_sum(monkeypatch):
+    monkeypatch.setattr(hilbert, "DENSE_LIMIT", 16)
     op = ModeSum(BasisSpec.modes(2, 5), (0.9, 1.4))
     gs = ground_state(op)
     evals, evecs = np.linalg.eigh(to_dense(op))
     assert gs.energy == pytest.approx(float(evals[0]), abs=1e-8)
     assert abs(np.vdot(evecs[:, 0], gs.state.amps)) ** 2 >= 1.0 - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the eigensolver helper
+# ---------------------------------------------------------------------------
+
+def _lowest_cases():
+    rng = np.random.default_rng(SEED)
+    flat = BasisSpec.flat(30)
+    diag = Diagonal(flat, rng.standard_normal(30))
+    proj = ProjectorComplement(flat, _random_state(rng, flat).amps)
+    return {
+        "diagonal": diag,
+        "projector": proj,
+        "coherent": CoherentQuadratic(BasisSpec.fock(29), 1.2 + 0.5j),
+        "modesum": ModeSum(BasisSpec.modes(2, 5), (0.9, 1.4j)),
+        "combination": LinearCombination(flat, ((0.3, diag), (0.7, proj))),
+        "negative-term": LinearCombination(flat, ((1.0, proj), (-0.5, diag))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_lowest_cases()))
+@pytest.mark.parametrize("path", ["dense", "eigsh"])
+def test_lowest_matches_dense_oracle(monkeypatch, name, path):
+    if path == "eigsh":
+        monkeypatch.setattr(hilbert, "DENSE_LIMIT", 8)
+    op = _lowest_cases()[name]
+    oracle = np.linalg.eigvalsh(to_dense(op))
+    for k in (1, 3):
+        pairs = hilbert.lowest(op, k)
+        scale = max(1.0, op.norm_bound())
+        assert np.allclose(pairs.values, oracle[:k], rtol=0.0, atol=1e-9 * scale)
+        assert np.allclose(pairs.vectors.conj().T @ pairs.vectors, np.eye(k), atol=1e-10)
+        applied = np.column_stack([op.apply_amps(v) for v in pairs.vectors.T])
+        residuals = np.linalg.norm(applied - pairs.vectors * pairs.values, axis=0)
+        assert np.all(residuals <= hilbert.RESIDUAL_RTOL * scale)
+        assert np.allclose(pairs.residuals, residuals, atol=1e-12 * scale)
+        if path == "dense":
+            assert pairs.matvecs == op.basis.dim
+        else:
+            assert op.basis.dim > hilbert.DENSE_LIMIT and pairs.matvecs > 0
+
+
+def test_lowest_rejects_a_bad_eigsh_pair(monkeypatch):
+    # an eigensolver that hands back a non-eigenvector must not pass
+    monkeypatch.setattr(hilbert, "DENSE_LIMIT", 8)
+    op = CoherentQuadratic(BasisSpec.fock(29), 1.2)
+    rng = np.random.default_rng(SEED)
+
+    def bad_eigsh(linop, k, **kwargs):
+        vecs = np.linalg.qr(rng.standard_normal((op.basis.dim, k)) + 0j)[0]
+        return np.zeros(k), vecs
+
+    monkeypatch.setattr(hilbert, "eigsh", bad_eigsh)
+    with pytest.raises(RuntimeError, match="residual"):
+        hilbert.lowest(op, 1)
+
+
+def test_lowest_restarts_a_stalled_eigsh(monkeypatch):
+    monkeypatch.setattr(hilbert, "DENSE_LIMIT", 8)
+    op = CoherentQuadratic(BasisSpec.fock(29), 1.2)
+    real_eigsh = hilbert.eigsh
+    starts = []
+
+    def stalls_twice(linop, k, **kwargs):
+        starts.append(kwargs["v0"])
+        if len(starts) <= 2:
+            raise hilbert.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((op.basis.dim, 0)))
+        return real_eigsh(linop, k, **kwargs)
+
+    monkeypatch.setattr(hilbert, "eigsh", stalls_twice)
+    pairs = hilbert.lowest(op, 1)
+    assert len(starts) == 3 and not np.allclose(starts[0], starts[1])
+    assert pairs.values[0] == pytest.approx(np.linalg.eigvalsh(to_dense(op))[0], abs=1e-9)
+
+    def always_stalls(linop, k, **kwargs):
+        raise hilbert.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((op.basis.dim, 0)))
+
+    monkeypatch.setattr(hilbert, "eigsh", always_stalls)
+    with pytest.raises(RuntimeError, match="converge"):
+        hilbert.lowest(op, 1)
+
+
+def test_one_eigensolver_call_site():
+    # every eigensolve in the package runs inside hilbert.lowest, which verifies it
+    solver = re.compile(r"\beig(?:h|sh|valsh)\b")
+    for path in Path(hilbert.__file__).parent.glob("*.py"):
+        if path.name != "hilbert.py":
+            assert not solver.search(path.read_text()), path.name
+    tree = ast.parse(Path(hilbert.__file__).read_text())
+
+    def solver_calls(node):
+        return {id(c) for c in ast.walk(node) if isinstance(c, ast.Call)
+                and solver.fullmatch(getattr(c.func, "attr", getattr(c.func, "id", "")))}
+
+    lowest = next(n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == "lowest")
+    assert solver_calls(tree) == solver_calls(lowest) != set()
