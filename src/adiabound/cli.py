@@ -57,7 +57,7 @@ from .models import (
     invariant_sector,
 )
 from .tsp import (
-    MAX_ENUM_CITIES,
+    MAX_SPREAD_CITIES,
     DistanceSampler,
     DsqPolicy,
     TspFormatError,
@@ -559,9 +559,8 @@ def _plan_model_audit(cfg: dict) -> dict:
 
 def _plan_sigma_scan(cfg: dict) -> dict:
     for m in cfg["m_values"]:
-        if not 3 <= m <= MAX_ENUM_CITIES:
-            raise UsageError(f"sigma-scan m={m} outside exact-enumeration range "
-                             f"3..{MAX_ENUM_CITIES}")
+        if not 3 <= m <= MAX_SPREAD_CITIES:
+            raise UsageError(f"sigma-scan m={m} outside 3..{MAX_SPREAD_CITIES}")
     return {"m_values": cfg["m_values"], "samples": cfg["samples"], "seed": cfg["seed"],
             "sampler": DistanceSampler(**cfg["sampler"]), "checks": [("m range", "ok")]}
 

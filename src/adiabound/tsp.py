@@ -7,6 +7,7 @@ instance has exactly M! tours and ties between rotated copies are expected.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,13 +54,12 @@ Tour = tuple[int, ...]
 MAX_RANK_CITIES = 20
 #: full tour enumeration budget (11! ~ 4.0e7 rows)
 MAX_ENUM_CITIES = 11
+#: closed-form spread bound: d is 32 MB at 2048 cities
+MAX_SPREAD_CITIES = 2048
 #: safety factor of the penalty ceiling over the worst tour
 LMAX_SAFETY = 1.1
 #: above this M the penalty ceiling falls back to M * max(d)
 _EXACT_LMAX_MAX_M = 10
-_CHUNK = 1 << 20
-
-_PERM_CACHE: dict[int, np.ndarray] = {}
 
 
 class TspFormatError(ValueError):
@@ -125,7 +125,7 @@ class TspInstance:
         d = _validate_distances(d)
         M = d.shape[0]
         if M <= _EXACT_LMAX_MAX_M:
-            worst = max(float(np.max(lengths)) for lengths in _tour_length_chunks(d))
+            worst = max(float(np.max(_lengths_of(perms, d))) for perms in _perm_chunks(M))
         else:
             worst = M * float(np.max(d))
         return cls(d=d, l_max=LMAX_SAFETY * worst, name=name)
@@ -182,16 +182,11 @@ def _check_tour(tour, m: int) -> None:
 def tour_length(inst: TspInstance, tour) -> float:
     """Length of the closed tour, including the return leg to the start city."""
     _check_tour(tour, inst.M)
-    d = inst.d
-    m = inst.M
-    total = 0.0
-    for j in range(m):
-        total += float(d[tour[j], tour[(j + 1) % m]])
-    return total
+    return float(_lengths_of(np.array([tour]), inst.d)[0])
 
 
 def _lengths_of(perms: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # same ascending-leg accumulation as tour_length, so values agree bit for bit
+    # every tour length, scalar or tabled, is this ascending-leg sum
     n, m = perms.shape
     out = np.zeros(n)
     for j in range(m):
@@ -199,33 +194,31 @@ def _lengths_of(perms: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block(prefix: tuple[int, ...], m: int) -> np.ndarray:
+    """Every permutation of range(m) that starts with ``prefix``, in rank order."""
+    tails = _all_perms(m - len(prefix))
+    if not prefix:
+        return tails
+    rest = np.array([c for c in range(m) if c not in prefix], dtype=np.int8)
+    return np.hstack([np.tile(np.array(prefix, dtype=np.int8), (len(tails), 1)), rest[tails]])
+
+
+@functools.cache
 def _all_perms(m: int) -> np.ndarray:
     """All permutations of range(m) in lexicographic (rank) order, cached for m <= 9."""
     if m > 9:
-        raise ValueError("permutation table capped at 9! rows; use the chunked scan")
-    if m not in _PERM_CACHE:
-        arr = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-        arr.setflags(write=False)
-        _PERM_CACHE[m] = arr
-    return _PERM_CACHE[m]
+        raise ValueError("permutation table capped at 9 cities")
+    if m == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    arr = np.concatenate([_block((first,), m) for first in range(m)])
+    arr.setflags(write=False)
+    return arr
 
 
 def _perm_chunks(m: int):
-    it = itertools.permutations(range(m))
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int8)
-
-
-def _tour_length_chunks(d: np.ndarray):
-    m = d.shape[0]
-    if m <= 9:
-        yield _lengths_of(_all_perms(m), d)
-        return
-    for perms in _perm_chunks(m):
-        yield _lengths_of(perms, d)
+    """The m! permutations in rank order, in one block per (m-9)-city prefix."""
+    for prefix in itertools.permutations(range(m), max(m - 9, 0)):
+        yield _block(prefix, m)
 
 
 def rank_to_tour(k: int, m: int) -> Tour:
@@ -319,11 +312,24 @@ class DsqPolicy:
             raise ValueError("random policy needs sigma_d > 0")
 
     def dsq(self, s: int, l_max: float) -> float:
+        return float(self._dsq_all([s], l_max)[0])
+
+    def _dsq_all(self, s_values, l_max: float) -> np.ndarray:
+        """Surcharges of the indices ``s_values``.  One Philox generator serves
+        every random draw: it is reset to its fresh state (empty buffer) with
+        the counter at s, so each draw is bit-identical to one from a fresh
+        ``Philox(key=seed, counter=s)``."""
         if self.kind == "parity":
-            return 0.0 if s % 2 == 0 else 2.0 * l_max
-        gen = np.random.Generator(np.random.Philox(key=self.seed, counter=s))
-        draw = float(gen.normal(0.0, self.sigma_d))
-        return draw * draw
+            return np.where(np.asarray(s_values) % 2 == 0, 0.0, 2.0 * l_max)
+        bits = np.random.Philox(key=self.seed)
+        gen, fresh = np.random.Generator(bits), bits.state
+        out = np.empty(len(s_values))
+        for k, s in enumerate(s_values):
+            # the 256-bit counter as four little-endian 64-bit words
+            fresh["state"]["counter"][:] = [int(s) >> 64 * w & (1 << 64) - 1 for w in range(4)]
+            bits.state = fresh
+            out[k] = gen.normal(0.0, self.sigma_d)
+        return out * out
 
 
 def effective_length(inst: TspInstance, s: int, policy: DsqPolicy) -> float:
@@ -365,18 +371,12 @@ def effective_lengths_all(inst: TspInstance, policy: DsqPolicy) -> np.ndarray:
     out = np.empty(count)
     out[tour_mask] = _lengths_of(digits[tour_mask], inst.d)
     non_idx = np.nonzero(~tour_mask)[0]
-    if policy.kind == "parity":
-        s_non = non_idx + 1
-        out[non_idx] = np.where(s_non % 2 == 0, 0.0, 2.0 * inst.l_max) + inst.l_max
-    else:
-        out[non_idx] = [policy.dsq(int(i) + 1, inst.l_max) + inst.l_max for i in non_idx]
+    out[non_idx] = policy._dsq_all(non_idx + 1, inst.l_max) + inst.l_max
     return out
 
 
 def tour_lengths_by_rank(inst: TspInstance) -> np.ndarray:
-    """Tour lengths ordered by 1-based rank (position k-1 holds rank k)."""
-    if inst.M > 9:
-        raise ValueError("rank-ordered length table capped at 9 cities")
+    """Tour lengths ordered by 1-based rank (position k-1 holds rank k); M <= 9."""
     return _lengths_of(_all_perms(inst.M), inst.d)
 
 
@@ -402,47 +402,47 @@ def brute_force_shortest(inst: TspInstance) -> BruteForceResult:
         raise ValueError(f"brute force capped at {MAX_ENUM_CITIES} cities")
     if m <= 9:
         lengths = _lengths_of(_all_perms(m), inst.d)
-        best_pos = int(np.argmin(lengths))
         ties, best = argmin_set(lengths)
-        return BruteForceResult(tour=tuple(int(c) for c in _all_perms(m)[best_pos]),
+        return BruteForceResult(tour=tuple(int(c) for c in _all_perms(m)[np.argmin(lengths)]),
                                 length=best, tied_ranks=tuple(r + 1 for r in ties))
-    # two passes keep memory flat for m in {10, 11}
-    best = math.inf
-    for lengths in _tour_length_chunks(inst.d):
-        best = min(best, float(np.min(lengths)))
-    tol = DEGENERACY_RTOL * (1.0 + abs(best))
-    ties: list[int] = []
-    offset = 0
-    for perms in _perm_chunks(m):
-        lengths = _lengths_of(perms, inst.d)
-        for pos in np.nonzero(lengths <= best + tol)[0]:
-            ties.append(offset + int(pos) + 1)
-        offset += len(perms)
-    best_tour = rank_to_tour(ties[0], m)
-    return BruteForceResult(tour=best_tour, length=best, tied_ranks=tuple(ties))
+    # one pass for m in {10, 11}: keep each length within the tolerance of the best so
+    # far; that only shrinks as the best falls, so the rule applied at the end is exact
+    best, ranks, lengths = math.inf, [], []
+    for k, perms in enumerate(_perm_chunks(m)):
+        block = _lengths_of(perms, inst.d)
+        best = min(best, float(np.min(block)))
+        keep = np.nonzero(block <= best + DEGENERACY_RTOL * (1.0 + abs(best)))[0]
+        ranks.append(k * len(perms) + keep + 1)  # every block holds 9! rows
+        lengths.append(block[keep])
+    pos, best = argmin_set(np.concatenate(lengths))
+    ties = tuple(int(r) for r in np.concatenate(ranks)[list(pos)])
+    return BruteForceResult(tour=rank_to_tour(ties[0], m), length=best, tied_ranks=ties)
 
 
 def _sigma_from_d(d: np.ndarray) -> float:
     m = d.shape[0]
-    if m <= 9:
-        return float(np.std(_lengths_of(_all_perms(m), d)))
-    # chunked two-pass population std
-    total = 0.0
-    count = 0
-    for lengths in _tour_length_chunks(d):
-        total += float(np.sum(lengths))
-        count += len(lengths)
-    mean = total / count
-    sq = 0.0
-    for lengths in _tour_length_chunks(d):
-        sq += float(np.sum((lengths - mean) ** 2))
-    return math.sqrt(sq / count)
+    # legs centred on their mean: the variance is shift-invariant, and the sums cancel less
+    c = d - np.sum(d) / (m * (m - 1))
+    np.fill_diagonal(c, 0.0)
+    row, col = c.sum(axis=1), c.sum(axis=0)
+    sq = float(np.sum(c * c))                    # same leg twice
+    back = float(np.sum(c * c.T))                # a leg and its reverse
+    # sums of c_ab c_be over distinct a, b, e and of c_ab c_ce over distinct
+    # a, b, c, e, by inclusion-exclusion over the shared cities (sum(c) = 0)
+    adjacent = float(row @ col) - back
+    disjoint = sq + back - float(np.sum((row + col) ** 2)) if m > 3 else 0.0
+    var = (sq + (2.0 * adjacent + disjoint) / (m - 2)) / (m - 1)
+    return math.sqrt(max(var, 0.0))
 
 
 def sigma_m(inst: TspInstance) -> float:
-    """Population standard deviation of all M! closed-tour lengths."""
-    if inst.M > MAX_ENUM_CITIES:
-        raise ValueError(f"exact spread capped at {MAX_ENUM_CITIES} cities")
+    """Population standard deviation of all M! closed-tour lengths, in closed form:
+    Var(L) = M Var(leg) + 2M Cov(adjacent legs) + M(M-3) Cov(legs with no city
+    in common).  Where the true spread is 0 (any symmetric M = 3 instance) the
+    variance cancels only to roundoff: it reads up to about sqrt(eps) * max(d).
+    """
+    if inst.M > MAX_SPREAD_CITIES:
+        raise ValueError(f"spread capped at {MAX_SPREAD_CITIES} cities")
     return _sigma_from_d(inst.d)
 
 
@@ -479,8 +479,8 @@ def sigma_scaling_study(sampler: DistanceSampler, m_values, samples: int,
         raise ValueError("need at least one sample per size")
     rows = []
     for m in m_values:
-        if not 3 <= m <= MAX_ENUM_CITIES:
-            raise ValueError(f"sizes must be in [3, {MAX_ENUM_CITIES}], got {m}")
+        if not 3 <= m <= MAX_SPREAD_CITIES:
+            raise ValueError(f"sizes must be in [3, {MAX_SPREAD_CITIES}], got {m}")
         sigmas = np.empty(samples)
         for idx in range(samples):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, idx)))

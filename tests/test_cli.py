@@ -441,9 +441,19 @@ def test_validate_needs_declared_experiment(tmp_path, capsys):
 
 def test_validate_rejects_out_of_range(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", {"experiment": "sigma-scan",
-                                             "m_values": [30]})
+                                             "m_values": [2049]})
     assert main(["validate", "--config", cfg]) == 1
-    assert "outside exact-enumeration range" in capsys.readouterr().err
+    assert "sigma-scan m=2049 outside 3..2048" in capsys.readouterr().err
+
+
+def test_sigma_scan_runs_past_the_enumeration_cap(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", {"experiment": "sigma-scan",
+                                             "m_values": [12, 64], "samples": 3})
+    out = tmp_path / "out"
+    assert main(["sigma-scan", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "sigma.csv").read_text().strip().split("\n")[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [12, 64]
 
 
 TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
@@ -493,6 +503,8 @@ TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
     # a file and a city count name two different instances
     ({**TSP_RUN, "instance": {"path": "i4.matrix", "format": "matrix", "cities": 3}},
      "config must give instance.path or instance.cities, not both"),
+    # the closed-form spread has one bound, checked before any output exists
+    ({"experiment": "sigma-scan", "m_values": [3, 2049]}, "sigma-scan m=2049 outside 3..2048"),
 ])
 def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message):
     cfg = _write_config(tmp_path, "c.json", payload)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adiabound import tsp
 from adiabound import (
     DistanceSampler,
     DsqPolicy,
@@ -70,6 +72,12 @@ def test_l_max_large_m_uses_max_leg():
     d = np.abs(np.subtract.outer(np.arange(float(m)), np.arange(float(m))))
     inst = TspInstance.from_distances(d)
     assert inst.l_max == 1.1 * m * d.max()
+
+
+def test_l_max_m10_frozen():
+    # the exact 10! scan; values frozen from the tuple-list enumeration it replaced
+    assert random_instance(10, 1).l_max == 9.627617773133679
+    assert random_instance(10, 2).l_max == 9.421913790285764
 
 
 def test_random_instance_reproducible():
@@ -162,6 +170,32 @@ def test_brute_force_matches_enumeration():
     assert brute_force_shortest(inst).length == best
 
 
+def test_brute_force_m10_frozen():
+    # the chunked one-pass scan; values frozen from the two-pass scan it replaced
+    res = brute_force_shortest(random_instance(10, 2))
+    assert res.length == 1.2111442962742656
+    assert res.tied_ranks == (73327, 496443, 1032658, 1315649, 1595560, 2144461,
+                              2420492, 2549259, 3141065, 3323234)
+    assert res.tour == rank_to_tour(res.tied_ranks[0], 10)
+
+
+def test_all_perms_is_the_lexicographic_table():
+    for m in range(1, 10):
+        want = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+        assert np.array_equal(tsp._all_perms(m), want)
+
+
+def test_perm_chunks_follow_rank_order():
+    offsets = {0, 1, 362_879, 362_880, math.factorial(10) - 1}
+    offsets |= set(np.random.default_rng(SEED).integers(0, math.factorial(10), 40).tolist())
+    start = 0
+    for block in tsp._perm_chunks(10):
+        for off in sorted(o for o in offsets if start <= o < start + len(block)):
+            assert tuple(int(c) for c in block[off - start]) == rank_to_tour(off + 1, 10)
+        start += len(block)
+    assert start == math.factorial(10)
+
+
 # ---------------------------------------------------------------------------
 # tuple codec
 # ---------------------------------------------------------------------------
@@ -246,6 +280,22 @@ def test_effective_lengths_all_matches_scalar():
             assert vec[s - 1] == effective_length(inst, s, policy)  # bit-identical
 
 
+def test_random_effective_lengths_match_a_fresh_philox_per_index():
+    for m in range(3, 7):
+        inst = random_instance(m, SEED)
+        policy = DsqPolicy("random", sigma_d=0.7, seed=m)
+        vec = effective_lengths_all(inst, policy)
+        non_tours = np.nonzero(~tour_index_mask(m))[0] + 1
+        draws = [np.random.Generator(np.random.Philox(key=m, counter=int(s))).normal(0.0, 0.7)
+                 for s in non_tours]
+        assert np.array_equal(vec[non_tours - 1], np.square(draws) + inst.l_max)  # bit-identical
+    # counters above 2**64 split into the generator's four 64-bit words
+    s = 7 ** 25
+    gen = np.random.Generator(np.random.Philox(key=3, counter=s))
+    draw = float(gen.normal(0.0, 1.0))
+    assert DsqPolicy("random", seed=3).dsq(s, 1.0) == draw * draw
+
+
 def test_effective_lengths_tours_below_penalties():
     inst = random_instance(4, SEED)
     vec = effective_lengths_all(inst, DsqPolicy("random", sigma_d=0.5, seed=1))
@@ -272,6 +322,70 @@ def test_sigma_m_matches_enumeration():
     inst = random_instance(5, SEED)
     lengths = [tour_length(inst, p) for p in itertools.permutations(range(5))]
     assert sigma_m(inst) == pytest.approx(np.std(lengths), rel=1e-13)
+
+
+@functools.lru_cache
+def _itertools_table(m):
+    return np.array(list(itertools.permutations(range(m))))
+
+
+def _enumerated_lengths(d):
+    m = d.shape[0]
+    perms = _itertools_table(m)
+    return sum(d[perms[:, j], perms[:, (j + 1) % m]] for j in range(m))
+
+
+def _exact_sigma(d):
+    m = d.shape[0]
+    e = [[Fraction(float(x)) for x in row] for row in d]
+    lengths = [sum((e[p[j]][p[(j + 1) % m]] for j in range(m)), Fraction(0))
+               for p in itertools.permutations(range(m))]
+    mean = sum(lengths, Fraction(0)) / len(lengths)
+    return math.sqrt(sum((x - mean) ** 2 for x in lengths) / len(lengths))
+
+
+SAMPLERS = (DistanceSampler(), DistanceSampler(symmetric=True),
+            DistanceSampler(low=100.0, high=101.0))
+
+
+def test_sigma_closed_form_matches_exact_enumeration():
+    for m in range(4, 8):
+        for k, sampler in enumerate(SAMPLERS):
+            d = sampler.sample(m, np.random.default_rng([SEED, m, k]))
+            exact = _exact_sigma(d)
+            assert abs(tsp._sigma_from_d(d) / exact - 1.0) <= 2e-15
+
+
+def test_sigma_closed_form_matches_float_enumeration():
+    for m in range(3, 10):
+        for k, sampler in enumerate(SAMPLERS):
+            d = sampler.sample(m, np.random.default_rng([SEED, m, k]))
+            if m == 3 and sampler.symmetric:
+                continue  # every tour has the same length: see the next test
+            ref = float(np.std(_enumerated_lengths(d)))
+            assert sigma_m(TspInstance.from_distances(d)) == pytest.approx(ref, rel=1e-12)
+
+
+def test_sigma_zero_spread_reads_at_most_sqrt_eps():
+    for seed in range(50):
+        d = DistanceSampler(symmetric=True).sample(3, np.random.default_rng(seed))
+        assert np.ptp(_enumerated_lengths(d)) <= 1e-15
+        assert 0.0 <= tsp._sigma_from_d(d) <= 1e-7 * d.max()
+
+
+def test_sigma_needs_no_enumeration(monkeypatch):
+    inst = random_instance(9, SEED)
+
+    def forbidden(*args):
+        raise AssertionError("spread computed by enumerating tours")
+
+    monkeypatch.setattr(tsp, "_all_perms", forbidden)
+    monkeypatch.setattr(tsp, "_lengths_of", forbidden)
+    assert sigma_m(inst) > 0.0
+    rep = sigma_scaling_study(DistanceSampler(), [9, 12, 300], samples=2, seed=0)
+    assert [r.m for r in rep.rows] == [9, 12, 300]
+    with pytest.raises(ValueError, match="2048"):
+        sigma_scaling_study(DistanceSampler(), [2049], samples=1, seed=0)
 
 
 def test_sigma_scaling_study_reproducible():
