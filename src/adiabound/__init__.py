@@ -35,7 +35,6 @@ from .evolution import (
 from .hilbert import (
     BasisSpec,
     CoherentPrep,
-    CoherentQuadratic,
     Diagonal,
     GroundState,
     HamiltonianOp,
@@ -109,7 +108,7 @@ __all__ = [
     "sigma_m", "sigma_scaling_study", "tour_fraction_decay",
     # hilbert
     "BasisSpec", "StateVector", "HamiltonianOp", "Diagonal",
-    "ProjectorComplement", "CoherentQuadratic", "ModeSum", "LinearCombination",
+    "ProjectorComplement", "ModeSum", "LinearCombination",
     "CoherentPrep", "GroundState",
     "basis_vector", "uniform_state", "coherent_state", "default_fock_cutoff",
     "mode_digits", "mode_flat", "apply", "expectation", "variance",

@@ -7,8 +7,8 @@ energy budget.  Encodings:
 
   grover       flat N-dimensional search, H_I = 1-|u><u|, H_P = 1-|m><m|
   tsp-rank     one fock ladder; level n < M! carries the length of the tour
-               with rank n+1, levels beyond carry l_max; H_I displaces a
-               single mode by alpha with |alpha|^2 = M! by default
+               with rank n+1, levels beyond carry l_max; H_I is a one-mode
+               ModeSum displaced by alpha with |alpha|^2 = M! by default
   tsp-tuple    M fock ladders; in-range occupation tuples (all digits < M)
                carry effective lengths, out-of-range levels carry l_max;
                H_I sums per-mode displacements with |alpha_i|^2 = M
@@ -26,7 +26,6 @@ from . import tsp
 from .hilbert import (
     BasisSpec,
     CoherentPrep,
-    CoherentQuadratic,
     Diagonal,
     HamiltonianOp,
     ModeSum,
@@ -149,7 +148,7 @@ def build_tsp_rank(inst: tsp.TspInstance, alpha_sq: float | None = None,
     values = np.full(n_max + 1, inst.l_max)
     values[:nfact] = tsp.tour_lengths_by_rank(inst)
     h_p = Diagonal(basis, values)
-    h_i = CoherentQuadratic(basis, alpha)
+    h_i = ModeSum(basis, (alpha,))
     target_idx, e0 = argmin_set(values)
     return ModelBundle(
         kind="tsp-rank", name=f"tsp-rank-{inst.name}", h_i=h_i, h_p=h_p,

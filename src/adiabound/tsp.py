@@ -400,19 +400,14 @@ def brute_force_shortest(inst: TspInstance) -> BruteForceResult:
     m = inst.M
     if m > MAX_ENUM_CITIES:
         raise ValueError(f"brute force capped at {MAX_ENUM_CITIES} cities")
-    if m <= 9:
-        lengths = _lengths_of(_all_perms(m), inst.d)
-        ties, best = argmin_set(lengths)
-        return BruteForceResult(tour=tuple(int(c) for c in _all_perms(m)[np.argmin(lengths)]),
-                                length=best, tied_ranks=tuple(r + 1 for r in ties))
-    # one pass for m in {10, 11}: keep each length within the tolerance of the best so
-    # far; that only shrinks as the best falls, so the rule applied at the end is exact
+    # one pass: keep each length within the tolerance of the best so far; that
+    # only shrinks as the best falls, so the rule applied at the end is exact
     best, ranks, lengths = math.inf, [], []
     for k, perms in enumerate(_perm_chunks(m)):
         block = _lengths_of(perms, inst.d)
         best = min(best, float(np.min(block)))
         keep = np.nonzero(block <= best + DEGENERACY_RTOL * (1.0 + abs(best)))[0]
-        ranks.append(k * len(perms) + keep + 1)  # every block holds 9! rows
+        ranks.append(k * len(perms) + keep + 1)  # one m!-row block, or 9!-row blocks
         lengths.append(block[keep])
     pos, best = argmin_set(np.concatenate(lengths))
     ties = tuple(int(r) for r in np.concatenate(ranks)[list(pos)])

@@ -8,7 +8,6 @@ import pytest
 
 from adiabound import (
     BasisSpec,
-    CoherentQuadratic,
     Diagonal,
     LinearCombination,
     ModeSum,
@@ -65,8 +64,8 @@ def test_basis_properties():
     assert (flat.dim, flat.n_modes) == (6, 1)
     with pytest.raises(ValueError):
         flat.n_max  # no occupation cutoff on a flat basis
-    fock = BasisSpec.fock(9)
-    assert (fock.dim, fock.n_max) == (10, 9)
+    ladder = BasisSpec.modes(1, 9)
+    assert (ladder.dim, ladder.n_modes, ladder.n_max) == (10, 1, 9)
     modes = BasisSpec.modes(4, 2)
     assert (modes.dim, modes.n_modes, modes.n_max) == (81, 4, 2)
 
@@ -153,9 +152,7 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         ProjectorComplement(basis, np.array([1.0, 1.0, 0.0]))  # not unit
     with pytest.raises(ValueError):
-        CoherentQuadratic(basis, 1.0)  # needs a fock basis
-    with pytest.raises(ValueError):
-        ModeSum(BasisSpec.fock(3), (1.0,))  # needs a modes basis
+        ModeSum(basis, (1.0,))  # needs a modes basis
     with pytest.raises(ValueError):
         ModeSum(BasisSpec.modes(3, 2), (1.0, 2.0))  # alpha count mismatch
     diag = Diagonal(basis, np.arange(3.0))
@@ -184,7 +181,7 @@ def test_dense_matches_hand_matrices():
     proj = to_dense(ProjectorComplement(basis, v))
     assert np.allclose(proj, np.eye(4) - np.outer(v, v.conj()), atol=1e-14)
 
-    op = CoherentQuadratic(BasisSpec.fock(7), 1.3 - 0.4j)
+    op = ModeSum(BasisSpec.modes(1, 7), (1.3 - 0.4j,))
     assert np.allclose(to_dense(op), _dense_single_mode(1.3 - 0.4j, 8), atol=1e-12)
 
 
@@ -221,6 +218,71 @@ def test_dense_refuses_large_dims():
         to_dense(Diagonal(BasisSpec.flat(5000), np.zeros(5000)))
 
 
+class _CountingOp(hilbert.HamiltonianOp):
+    """Pass-through that counts apply_amps calls and keeps the base lower_bound."""
+
+    def __init__(self, op):
+        self.op, self.basis, self.calls = op, op.basis, 0
+
+    def apply_amps(self, amps):
+        self.calls += 1
+        return self.op.apply_amps(amps)
+
+    def norm_bound(self):
+        return self.op.norm_bound()
+
+
+def _dense_by_columns(op):
+    # the per-column reference that the block build must reproduce bit for bit
+    dim = op.basis.dim
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for j in range(dim):
+        e = np.zeros(dim, dtype=np.complex128)
+        e[j] = 1.0
+        out[:, j] = op.apply_amps(e)
+    return out
+
+
+@pytest.mark.parametrize("dim", [84, 256, 600])
+def test_to_dense_blocks_match_the_column_build(dim):
+    rng = np.random.default_rng(SEED)
+    flat = BasisSpec.flat(dim)
+    diag = Diagonal(flat, rng.standard_normal(dim))
+    proj = ProjectorComplement(flat, _random_state(rng, flat).amps)
+    ops = [diag, proj, LinearCombination(flat, ((0.6, diag), (-1.3, proj))),
+           ModeSum(BasisSpec.modes(1, dim - 1), (1.2 - 0.7j,))]
+    if dim == 256:
+        ops.append(ModeSum(BasisSpec.modes(2, 15), (0.8, -1.1 + 0.3j)))
+    for op in ops:
+        counted = _CountingOp(op)
+        assert np.array_equal(to_dense(counted), _dense_by_columns(op)), type(op).__name__
+        assert counted.calls == math.ceil(dim / 256)
+
+
+def test_apply_amps_acts_on_the_last_axis():
+    rng = np.random.default_rng(SEED)
+    flat = BasisSpec.flat(27)
+    diag = Diagonal(flat, rng.standard_normal(27))
+    proj = ProjectorComplement(flat, _random_state(rng, flat).amps)
+    modes = BasisSpec.modes(3, 2)
+    exact = [diag, ModeSum(BasisSpec.modes(1, 26), (1.2 + 0.7j,)),
+             ModeSum(modes, (0.9, -0.4 + 0.2j, 1.1j)),
+             LinearCombination(modes, ((0.5, ModeSum(modes, (0.3, 0.2, -0.1j))),
+                                       (-0.7, Diagonal(modes, rng.standard_normal(27)))))]
+    roundoff = [proj, LinearCombination(flat, ((0.4, diag), (-1.3, proj)))]
+    block = rng.standard_normal((2, 3, 27)) + 1j * rng.standard_normal((2, 3, 27))
+    rows = block.reshape(-1, 27)
+    for op, bitwise in [(op, True) for op in exact] + [(op, False) for op in roundoff]:
+        out = op.apply_amps(block)
+        assert out.shape == block.shape
+        by_row = np.stack([op.apply_amps(row) for row in rows])
+        if bitwise:
+            assert np.array_equal(out.reshape(-1, 27), by_row), type(op).__name__
+        else:
+            err = np.max(np.abs(out.reshape(-1, 27) - by_row), axis=1)
+            assert np.all(err <= 1e-15 * np.linalg.norm(rows, axis=1)), type(op).__name__
+
+
 def _operator_zoo(rng):
     flat = BasisSpec.flat(12)
     v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -228,7 +290,7 @@ def _operator_zoo(rng):
     return [
         Diagonal(flat, rng.standard_normal(12)),
         ProjectorComplement(flat, v),
-        CoherentQuadratic(BasisSpec.fock(11), 1.2 + 0.7j),
+        ModeSum(BasisSpec.modes(1, 11), (1.2 + 0.7j,)),
         ModeSum(BasisSpec.modes(2, 5), (0.8, -1.1 + 0.3j)),
         LinearCombination(flat, ((0.4, Diagonal(flat, rng.standard_normal(12))),
                                  (1.3, ProjectorComplement(flat, v)))),
@@ -251,7 +313,7 @@ def test_positive_semidefinite_loop():
     rng = np.random.default_rng(SEED)
     psd = [
         ProjectorComplement(BasisSpec.flat(9), basis_vector(BasisSpec.flat(9), 2).amps),
-        CoherentQuadratic(BasisSpec.fock(11), 1.2 + 0.7j),
+        ModeSum(BasisSpec.modes(1, 11), (1.2 + 0.7j,)),
         ModeSum(BasisSpec.modes(2, 5), (0.8, -1.1 + 0.3j)),
     ]
     for op in psd:
@@ -269,21 +331,11 @@ def test_norm_bound_dominates_spectrum():
 
 
 def test_lower_bound_sits_below_spectrum():
-    class _Plain(hilbert.HamiltonianOp):  # only norm_bound: base-class floor
-        def __init__(self, op):
-            self.op, self.basis = op, op.basis
-
-        def apply_amps(self, amps):
-            return self.op.apply_amps(amps)
-
-        def norm_bound(self):
-            return self.op.norm_bound()
-
     rng = np.random.default_rng(SEED)
     zoo = _operator_zoo(rng)
     diag, proj = zoo[0], zoo[1]
     zoo.append(LinearCombination(diag.basis, ((0.6, diag), (-1.7, proj), (-0.2, diag))))
-    zoo.append(_Plain(diag))
+    zoo.append(_CountingOp(diag))  # only norm_bound: base-class floor
     for op in zoo:
         bottom = float(np.linalg.eigvalsh(to_dense(op))[0])
         assert op.lower_bound() <= bottom + 1e-10
@@ -374,7 +426,7 @@ def test_coherent_state_phases():
 
 def test_coherent_state_zero_alpha():
     prep = coherent_state(0.0, n_max=5)
-    assert np.array_equal(prep.state.amps, basis_vector(BasisSpec.fock(5), 0).amps)
+    assert np.array_equal(prep.state.amps, basis_vector(BasisSpec.modes(1, 5), 0).amps)
     assert prep.tail_mass == 0.0
 
 
@@ -400,7 +452,7 @@ def test_default_cutoff_keeps_tail_small():
 def test_coherent_state_near_null_of_quadratic():
     # (a† - conj(alpha))(a - alpha) annihilates its own coherent state up to truncation
     prep = coherent_state(1.5)
-    op = CoherentQuadratic(prep.state.basis, 1.5)
+    op = ModeSum(prep.state.basis, (1.5,))
     assert expectation(op, prep.state) <= 1e-8
 
 
@@ -433,7 +485,7 @@ def test_ground_state_projector():
 
 def test_ground_state_dense_path():
     # dim 16 stays on the dense branch; cross-check against eigh directly
-    op = CoherentQuadratic(BasisSpec.fock(15), 0.5)
+    op = ModeSum(BasisSpec.modes(1, 15), (0.5,))
     gs = ground_state(op)
     evals = np.linalg.eigvalsh(to_dense(op))
     assert gs.energy == pytest.approx(float(evals[0]), abs=1e-12)
@@ -442,7 +494,7 @@ def test_ground_state_dense_path():
 
 def test_ground_state_iterative_matches_dense_oracle(monkeypatch):
     monkeypatch.setattr(hilbert, "DENSE_LIMIT", 16)
-    op = CoherentQuadratic(BasisSpec.fock(40), 1.5)
+    op = ModeSum(BasisSpec.modes(1, 40), (1.5,))
     gs = ground_state(op)
     evals, evecs = np.linalg.eigh(to_dense(op))
     assert gs.energy == pytest.approx(float(evals[0]), abs=1e-6)
@@ -473,7 +525,7 @@ def _lowest_cases():
     return {
         "diagonal": diag,
         "projector": proj,
-        "coherent": CoherentQuadratic(BasisSpec.fock(29), 1.2 + 0.5j),
+        "coherent": ModeSum(BasisSpec.modes(1, 29), (1.2 + 0.5j,)),
         "modesum": ModeSum(BasisSpec.modes(2, 5), (0.9, 1.4j)),
         "combination": LinearCombination(flat, ((0.3, diag), (0.7, proj))),
         "negative-term": LinearCombination(flat, ((1.0, proj), (-0.5, diag))),
@@ -505,7 +557,7 @@ def test_lowest_matches_dense_oracle(monkeypatch, name, path):
 def test_lowest_rejects_a_bad_eigsh_pair(monkeypatch):
     # an eigensolver that hands back a non-eigenvector must not pass
     monkeypatch.setattr(hilbert, "DENSE_LIMIT", 8)
-    op = CoherentQuadratic(BasisSpec.fock(29), 1.2)
+    op = ModeSum(BasisSpec.modes(1, 29), (1.2,))
     rng = np.random.default_rng(SEED)
 
     def bad_eigsh(linop, k, **kwargs):
@@ -519,7 +571,7 @@ def test_lowest_rejects_a_bad_eigsh_pair(monkeypatch):
 
 def test_lowest_restarts_a_stalled_eigsh(monkeypatch):
     monkeypatch.setattr(hilbert, "DENSE_LIMIT", 8)
-    op = CoherentQuadratic(BasisSpec.fock(29), 1.2)
+    op = ModeSum(BasisSpec.modes(1, 29), (1.2,))
     real_eigsh = hilbert.eigsh
     starts = []
 

@@ -170,6 +170,14 @@ def test_brute_force_matches_enumeration():
     assert brute_force_shortest(inst).length == best
 
 
+def test_brute_force_tour_is_the_smallest_tied_rank():
+    # rotations of the optimum differ by a few ULPs; the tour is tied_ranks[0] at
+    # every M, not the first row at the exact float minimum
+    for m, seed in ((8, 1), (8, 2), (9, 0)):
+        res = brute_force_shortest(random_instance(m, seed))
+        assert res.tour == rank_to_tour(res.tied_ranks[0], m)
+
+
 def test_brute_force_m10_frozen():
     # the chunked one-pass scan; values frozen from the two-pass scan it replaced
     res = brute_force_shortest(random_instance(10, 2))
