@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .evolution import Schedule, make_schedule, reference_phase_state, schedule_integral
 from .hilbert import (
@@ -89,28 +88,15 @@ def beta_minimum(g_i: StateVector, h_p: HamiltonianOp,
 
 def t_min(kind: str, delta: float, *, n: int | None = None,
           eps: float | None = None) -> float:
-    """Smallest T with integral_0^T g = 2/delta for the given schedule family."""
+    """Smallest T with integral_0^T g = 2/delta for the given schedule family.
+
+    g(t) = G(t/T) for every kind, so the integral is T times the mean of g
+    and T_min = (2/delta) / mean.  ``eps`` is accepted for call compatibility
+    with :func:`make_schedule`; it does not affect T_min.
+    """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    target = 2.0 / delta
-    if kind == "linear":
-        return 2.0 * target
-    if kind == "das_wei":
-        if n is None or n < 2:
-            raise ValueError("das_wei needs n >= 2")
-        return target / (0.5 + math.sqrt(n) / 6.0)
-    # generic schedules: the integral grows monotonically with T, so bracket and solve
-
-    def shortfall(t: float) -> float:
-        return schedule_integral(make_schedule(kind, t, n=n, eps=eps), "g") - target
-
-    hi = target
-    while shortfall(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12 * target:
-            raise RuntimeError("failed to bracket t_min")
-    lo = 1e-12 * target
-    return float(brentq(shortfall, lo, hi, xtol=1e-300, rtol=1e-14))
+    return (2.0 / delta) / make_schedule(kind, 1.0, n=n).mean_g()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +198,7 @@ class GapReport:
     def to_csv(self) -> str:
         lines = ["s,e0,e1,gap"]
         for s, a, b in zip(self.s_grid, self.e0, self.e1):
-            lines.append(f"{s!r},{a!r},{b!r},{b - a!r}")
+            lines.append(f"{float(s)!r},{float(a)!r},{float(b)!r},{float(b - a)!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -94,7 +94,7 @@ _REQUIRED = object()
 # a nested object whose absent keys take their own defaults.
 _STEP_SCHEMA = {"step_bound_factor": (float, 0.1), "norm_tol": (float, 1e-8),
                 "samples_per_run": (int, 256)}
-_SCHEDULE_SCHEMA = {"kind": (str, "linear"), "eps": (float, None)}
+_SCHEDULE_SCHEMA = {"kind": (str, "linear")}
 _SAMPLER_SCHEMA = {"kind": (str, "uniform"), "low": (float, 0.0), "high": (float, 1.0),
                    "value": (float, 1.0), "symmetric": (bool, False)}
 _MODEL_SCHEMA = {"model": (str, _REQUIRED), "n": (int, None), "marked": (int, 0),
@@ -277,15 +277,14 @@ class _Cell:
 
 def _audit_cells(bundle: ModelBundle, cfg: dict) -> list[_Cell]:
     """Every run of one model: its schedule, t_min and resolved betas."""
-    kind, eps = cfg["schedule"]["kind"], cfg["schedule"]["eps"]
+    kind = cfg["schedule"]["kind"]
     n = bundle.h_p.basis.dim
     delta = delta_ie(bundle.g_i, bundle.h_p)
     mean = expectation(bundle.h_p, bundle.g_i)
     betas = _resolve_betas(cfg["betas"], mean, delta)
-    base = t_min(kind, delta, n=n, eps=eps)
+    base = t_min(kind, delta, n=n)
     space = invariant_sector(bundle) or bundle
-    return [_Cell(bundle, space, label, make_schedule(kind, t, n=n, eps=eps), delta, base,
-                  mean, betas)
+    return [_Cell(bundle, space, label, make_schedule(kind, t, n=n), delta, base, mean, betas)
             for label, t in _t_grid(cfg, base)]
 
 
@@ -567,8 +566,8 @@ def _plan_sigma_scan(cfg: dict) -> dict:
 
 def _plan_gap_scan(cfg: dict) -> dict:
     bundle = _model_from(cfg)
-    kind, eps = cfg["schedule"]["kind"], cfg["schedule"]["eps"]
-    schedule = make_schedule(kind, cfg["t_total"], n=bundle.h_p.basis.dim, eps=eps)
+    kind = cfg["schedule"]["kind"]
+    schedule = make_schedule(kind, cfg["t_total"], n=bundle.h_p.basis.dim)
     return {"bundle": bundle, "schedule": schedule, "grid": cfg["grid"],
             "rounds": cfg["refine_rounds"],
             "checks": [*_model_checks(bundle), ("schedule", f"{kind}, T={schedule.t_total:g}")]}

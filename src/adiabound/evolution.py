@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hilbert import (
     HamiltonianOp,
@@ -56,7 +55,6 @@ class Schedule:
     kind: str
     t_total: float
     n: int | None = None
-    eps: float | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -66,46 +64,29 @@ class Schedule:
         if self.kind in ("das_wei", "local_adiabatic_grover"):
             if self.n is None or self.n < 2:
                 raise ValueError(f"{self.kind} needs n >= 2")
-        for name, val, want in (("f(0)", self.f(0.0), 1.0), ("f(T)", self.f(self.t_total), 0.0),
-                                ("g(0)", self.g(0.0), 0.0), ("g(T)", self.g(self.t_total), 1.0)):
+        (f0, f1), (g0, g1) = self._fg(np.array([0.0, self.t_total]))
+        for name, val, want in (("f(0)", f0, 1.0), ("f(T)", f1, 0.0),
+                                ("g(0)", g0, 0.0), ("g(T)", g1, 1.0)):
             if abs(val - want) > BOUNDARY_TOL:
-                raise ValueError(f"schedule boundary {name} = {val!r}, expected {want}")
+                raise ValueError(f"schedule boundary {name} = {float(val)!r}, expected {want}")
 
-    # -- shape ----------------------------------------------------------
-
-    def _x(self, t: float) -> float:
-        return t / self.t_total
-
-    def _s_local(self, t: float) -> float:
-        root = math.sqrt(self.n - 1.0)
-        theta0 = math.atan(root)
-        theta = -theta0 + self._x(t) * 2.0 * theta0
-        return 0.5 + math.tan(theta) / (2.0 * root)
-
-    def f(self, t: float) -> float:
-        if self.kind == "local_adiabatic_grover":
-            return 1.0 - self._s_local(t)
-        return 1.0 - self._x(t)
-
-    def g(self, t: float) -> float:
-        x = self._x(t)
+    def _fg(self, t):
+        """(f, g) at a time or an array of times; the one shape of every kind."""
+        x = np.asarray(t, dtype=float) / self.t_total
         if self.kind == "linear":
-            return x
-        if self.kind == "das_wei":
-            return x + math.sqrt(self.n) * x * (1.0 - x)
-        return self._s_local(t)
-
-    def _fg_table(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (f, g) at many times; same closed forms as f and g."""
-        x = times / self.t_total
-        if self.kind == "linear":
-            return 1.0 - x, x.copy()
+            return 1.0 - x, x
         if self.kind == "das_wei":
             return 1.0 - x, x + math.sqrt(self.n) * x * (1.0 - x)
         root = math.sqrt(self.n - 1.0)
         theta0 = math.atan(root)
         s = 0.5 + np.tan(-theta0 + x * (2.0 * theta0)) / (2.0 * root)
         return 1.0 - s, s
+
+    def f(self, t):
+        return self._fg(t)[0]
+
+    def g(self, t):
+        return self._fg(t)[1]
 
     def max_f(self) -> float:
         return 1.0  # f decreases from 1 for every kind
@@ -116,6 +97,13 @@ class Schedule:
             r = math.sqrt(self.n)
             return (1.0 + r) ** 2 / (4.0 * r)
         return 1.0
+
+    def mean_g(self) -> float:
+        """Mean of g over [0, T].  The local_adiabatic_grover s - 1/2 is odd
+        about T/2, so its mean is 1/2 as for the linear ramp."""
+        if self.kind == "das_wei":
+            return 0.5 + math.sqrt(self.n) / 6.0
+        return 0.5
 
 
 def make_schedule(kind: str, t_total: float | None = None, *, n: int | None = None,
@@ -129,26 +117,17 @@ def make_schedule(kind: str, t_total: float | None = None, *, n: int | None = No
             raise ValueError("eps must be positive")
         root = math.sqrt(n - 1.0)
         t_total = n * math.atan(root) / (eps * root)
-    return Schedule(kind=kind, t_total=float(t_total), n=n, eps=eps)
+    return Schedule(kind=kind, t_total=float(t_total), n=n)
 
 
 def schedule_integral(schedule: Schedule, component: str = "g") -> float:
-    """Integral of f or g over [0, T]; closed form where one exists, adaptive
-    quadrature otherwise."""
+    """Integral of f or g over [0, T], in closed form: f - 1/2 is odd about
+    T/2 for every kind, so int f = T/2, and int g = T * mean of g."""
     if component not in ("f", "g"):
         raise ValueError("component must be 'f' or 'g'")
-    t = schedule.t_total
-    if schedule.kind == "linear":
-        return 0.5 * t
-    if schedule.kind == "das_wei":
-        if component == "f":
-            return 0.5 * t
-        return t * (0.5 + math.sqrt(schedule.n) / 6.0)
-    func = schedule.g if component == "g" else schedule.f
-    val, err = quad(func, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise RuntimeError(f"schedule quadrature error {err:.3e} too large")
-    return float(val)
+    if component == "f":
+        return 0.5 * schedule.t_total
+    return schedule.t_total * schedule.mean_g()
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +301,7 @@ def _stage_table(schedule: Schedule, n_steps: int, h: float, c_i: float, c_p: fl
         t_lo = np.arange(lo, min(lo + _STAGE_CHUNK, n_steps)) * h
         cols = []
         for t in (t_lo, t_lo + 0.5 * h, t_lo + h):
-            f, g = schedule._fg_table(t)
+            f, g = schedule._fg(t)
             cols += [f.tolist(), g.tolist(), (c_i * f + c_p * g).tolist()]
         yield from zip(*cols)
 

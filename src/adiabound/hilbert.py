@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.special import pdtrc
 
 __all__ = [
     "BasisSpec",
@@ -401,10 +401,10 @@ def coherent_state(alpha: complex, n_max: int | None = None,
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     mu = abs(alpha) ** 2
-    tail = float(stats.poisson.sf(n_max, mu)) if mu > 0 else 0.0
+    tail = float(pdtrc(n_max, mu)) if mu > 0 else 0.0
     if tail > tail_tol:
         needed = n_max
-        while float(stats.poisson.sf(needed, mu)) > tail_tol:
+        while float(pdtrc(needed, mu)) > tail_tol:
             needed = max(needed + 1, int(needed * 1.25))
         raise ValueError(
             f"coherent tail mass {tail:.3e} above {tail_tol:.1e} at n_max={n_max}; "
@@ -450,8 +450,7 @@ def ground_state(op: HamiltonianOp) -> GroundState:
     from :func:`lowest`."""
     if isinstance(op, Diagonal):
         ties, e0 = argmin_set(op.values)
-        pos = int(np.argmin(op.values))
-        return GroundState(energy=e0, state=basis_vector(op.basis, pos), residual=0.0,
+        return GroundState(energy=e0, state=basis_vector(op.basis, ties[0]), residual=0.0,
                            degenerate=len(ties) > 1, degenerate_indices=ties)
     if isinstance(op, ProjectorComplement):
         # |v> is the unique zero mode; the rest of the spectrum sits at 1

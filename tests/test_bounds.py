@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from adiabound import (
     BasisSpec,
@@ -23,7 +24,6 @@ from adiabound import (
     make_schedule,
     random_instance,
     residual_norm,
-    schedule_integral,
     t_min,
     to_dense,
     uniform_state,
@@ -126,12 +126,21 @@ def test_t_min_validation():
 
 def test_t_min_generic_solves_the_integral_equation():
     delta = math.sqrt(3.0) / 4.0
-    got = t_min("local_adiabatic_grover", delta, n=4)
-    sch = make_schedule("local_adiabatic_grover", got, n=4)
-    assert schedule_integral(sch, "g") == pytest.approx(2.0 / delta, rel=1e-9)
-    # same solver on a kind with a known closed form agrees with it
-    lin = t_min("linear", delta)
-    assert schedule_integral(Schedule("linear", lin), "g") == pytest.approx(2.0 / delta, rel=1e-12)
+    for kind, n in (("linear", None), ("das_wei", 16), ("local_adiabatic_grover", 4)):
+        got = t_min(kind, delta, n=n)
+        sch = make_schedule(kind, got, n=n)
+        want, _ = quad(sch.g, 0.0, got, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert want == pytest.approx(2.0 / delta, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, delta, frozen", [
+    # the Grover spread sqrt(n-1)/n; T_min from the earlier brentq root solve
+    (4, 0.4330127018922193, 9.237604307034013),
+    (64, 0.12401959270615269, 32.25296836345405),
+    (4096, 0.015623092534937653, 256.0312557232103),
+])
+def test_t_min_local_adiabatic_grover_matches_the_root_solve(n, delta, frozen):
+    assert t_min("local_adiabatic_grover", delta, n=n) == pytest.approx(frozen, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

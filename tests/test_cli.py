@@ -317,6 +317,11 @@ def test_gap_scan_outputs(tmp_path, capsys):
     assert gap_rows[0] == "# s gap"
     s0, gap0 = map(float, gap_rows[1].split())
     assert (s0, gap0) == (0.0, pytest.approx(1.0, abs=1e-12))
+    # every gap.csv field is a plain number that round-trips the JSON values
+    csv_lines = (out / "gap.csv").read_text().strip().split("\n")
+    assert csv_lines[0] == "s,e0,e1,gap"
+    rows = [tuple(map(float, line.split(","))) for line in csv_lines[1:]]
+    assert rows == [(s, a, b, b - a) for s, a, b in zip(blob["s_grid"], blob["e0"], blob["e1"])]
 
 
 def test_gap_scan_from_instance_file(tmp_path, capsys):
@@ -466,7 +471,7 @@ TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
     ({"experiment": "grover-sweep", "n_values": [4], "schedule": {"kind": "bogus"}},
      "unknown schedule kind 'bogus'"),
     ({"experiment": "grover-sweep", "n_values": [4], "schedule": {"eps": "fast"}},
-     "schedule.eps must be a number"),
+     "unknown key 'schedule.eps'"),
     ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "t_total": -1.0},
      "total time must be positive"),
     ({"experiment": "fraction-decay", "m_values": [0]}, "must be >= 1"),
@@ -574,6 +579,16 @@ def _assert_unknown_experiment(proc):
 def decay_cfg(tmp_path):
     return _write_config(tmp_path, "c.json", {"experiment": "fraction-decay",
                                               "m_values": [8]})
+
+
+def test_import_leaves_out_unused_scipy_packages():
+    # the package uses scipy.linalg, scipy.sparse.linalg and scipy.special only
+    code = "import sys, adiabound, adiabound.cli; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), check=True)
+    loaded = set(proc.stdout.split())
+    assert "adiabound.cli" in loaded
+    assert not loaded & {"scipy.stats", "scipy.optimize", "scipy.integrate"}
 
 
 def test_console_script_installed(decay_cfg):

@@ -104,6 +104,9 @@ def test_schedule_integral_closed_forms():
     assert schedule_integral(Schedule("linear", 10.0)) == 5.0
     assert schedule_integral(Schedule("das_wei", 1.0, n=9)) == pytest.approx(1.0, rel=1e-12)
     assert schedule_integral(Schedule("das_wei", 3.0, n=9), "f") == 1.5
+    # s - 1/2 is odd about T/2, so both integrals are T/2
+    lag = Schedule("local_adiabatic_grover", 3.0, n=9)
+    assert (schedule_integral(lag, "f"), schedule_integral(lag, "g")) == (1.5, 1.5)
     with pytest.raises(ValueError):
         schedule_integral(Schedule("linear", 1.0), "h")
 
@@ -111,7 +114,9 @@ def test_schedule_integral_closed_forms():
 def test_schedule_integral_quadrature_cross_check():
     for sch in (Schedule("linear", 7.0),
                 Schedule("das_wei", 7.0, n=16),
-                Schedule("local_adiabatic_grover", 7.0, n=16)):
+                Schedule("local_adiabatic_grover", 7.0, n=2),
+                Schedule("local_adiabatic_grover", 7.0, n=16),
+                Schedule("local_adiabatic_grover", 7.0, n=4096)):
         for comp in ("f", "g"):
             func = sch.f if comp == "f" else sch.g
             want, _ = quad(func, 0.0, sch.t_total, epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -135,10 +140,9 @@ def test_vectorized_schedule_table_matches_scalar():
                 Schedule("das_wei", 5.0, n=25),
                 Schedule("local_adiabatic_grover", 5.0, n=25)):
         ts = rng.uniform(0.0, sch.t_total, size=200)
-        fs, gs = sch._fg_table(ts)
-        for t, fv, gv in zip(ts, fs, gs):
-            assert fv == pytest.approx(sch.f(t), abs=1e-12)
-            assert gv == pytest.approx(sch.g(t), abs=1e-12)
+        # one array call gives the same bits as a scalar call per element
+        assert sch.f(ts).tolist() == [float(sch.f(t)) for t in ts]
+        assert sch.g(ts).tolist() == [float(sch.g(t)) for t in ts]
 
 
 # ---------------------------------------------------------------------------

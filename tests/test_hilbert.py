@@ -21,7 +21,9 @@ from adiabound import (
     ground_state,
     mode_digits,
     mode_flat,
+    random_instance,
     to_dense,
+    tour_lengths_by_rank,
     uniform_state,
     variance,
 )
@@ -472,6 +474,14 @@ def test_ground_state_diagonal():
     gs2 = ground_state(Diagonal(basis, np.arange(5.0)))
     assert not gs2.degenerate
     assert gs2.degenerate_indices == (0,)
+
+    # tour lengths whose exact float minimum (rank 216) is not the first
+    # member of the tolerance set: the state follows the set
+    lengths = tour_lengths_by_rank(random_instance(6, 1))
+    gs3 = ground_state(Diagonal(BasisSpec.flat(lengths.size), lengths))
+    assert gs3.degenerate_indices == (32, 216, 303, 442, 522, 609)
+    assert int(np.argmin(lengths)) == 216
+    assert gs3.state.amps.tolist() == basis_vector(gs3.state.basis, 32).amps.tolist()
 
 
 def test_ground_state_projector():
