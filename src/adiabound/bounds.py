@@ -22,6 +22,7 @@ from .hilbert import (
     HamiltonianOp,
     LinearCombination,
     StateVector,
+    degeneracy_tol,
     expectation,
     lowest,
     variance,
@@ -166,7 +167,7 @@ class BoundReport:
         return min(vals) if vals else math.inf
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=_json_default)
+        return strict_json(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         lines = ["beta,denominator,distance,lhs,rhs,slack,cap_slack,applicable"]
@@ -193,7 +194,7 @@ class GapReport:
     dh_norm: float     # ||H_P - H_I||, from its lowest and highest eigenvalue
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=_json_default)
+        return strict_json(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         lines = ["s,e0,e1,gap"]
@@ -248,15 +249,26 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     # ||H_P - H_I|| = max |lambda_min(+-(H_P - H_I))|
     diffs = (LinearCombination(h_i.basis, ((-c, h_i), (c, h_p))) for c in (1.0, -1.0))
     dh_norm = max(abs(float(lowest(d, 1).values[0])) for d in diffs)
-    t_adb = dh_norm / g_min ** 2 if g_min > 0 else math.inf
+    # a gap inside the degeneracy rule is closed, whatever roundoff it shows
+    t_adb = math.inf if g_min <= degeneracy_tol(e0[pos]) else dh_norm / g_min ** 2
     return GapReport(schedule_kind=schedule.kind, t_total=t_total,
                      s_grid=s_sorted, e0=e0, e1=e1, g_min=g_min,
                      s_at_min=float(s_sorted[pos]), t_adb=t_adb, dh_norm=dh_norm)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def strict_json(obj, **dump_args) -> str:
+    """RFC 8259 JSON text of ``obj``: numpy values become plain ones and every
+    non-finite float becomes null, which ``allow_nan=False`` then enforces."""
+    return json.dumps(_plain(obj), allow_nan=False, **dump_args)
+
+
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj

@@ -35,6 +35,7 @@ from .bounds import (
     BoundReport,
     delta_ie,
     gap_scan,
+    strict_json,
     t_min,
     verify_distance_bound,
 )
@@ -292,22 +293,8 @@ def _audit_cells(bundle: ModelBundle, cfg: dict) -> list[_Cell]:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
-
-
 def _canonical_json(obj) -> str:
-    return json.dumps(_json_ready(obj), sort_keys=True, separators=(",", ":"))
+    return strict_json(obj, sort_keys=True, separators=(",", ":"))
 
 
 class OutputDir:
@@ -335,7 +322,7 @@ class OutputDir:
         print(f"wrote {dest}", file=sys.stderr)
 
     def write_json(self, rel: str, obj) -> None:
-        self.write_text(rel, json.dumps(_json_ready(obj), indent=2) + "\n")
+        self.write_text(rel, strict_json(obj, indent=2) + "\n")
 
     def write_series(self, rel: str, header: str, columns) -> None:
         """Whitespace-separated plot data with a self-describing '#' header."""

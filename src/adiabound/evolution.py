@@ -115,6 +115,7 @@ def make_schedule(kind: str, t_total: float | None = None, *, n: int | None = No
             raise ValueError("t_total is required unless eps fixes it for local_adiabatic_grover")
         if eps <= 0:
             raise ValueError("eps must be positive")
+        Schedule(kind=kind, t_total=1.0, n=n)  # checks n before T divides by sqrt(n - 1)
         root = math.sqrt(n - 1.0)
         t_total = n * math.atan(root) / (eps * root)
     return Schedule(kind=kind, t_total=float(t_total), n=n)

@@ -438,11 +438,15 @@ class GroundState:
     matvecs: int = 0
 
 
+def degeneracy_tol(e: float) -> float:
+    """How far above ``e`` a value may sit and still tie with it."""
+    return DEGENERACY_RTOL * (1.0 + abs(e))
+
+
 def argmin_set(values: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Minimum of ``values`` and every position within DEGENERACY_RTOL of it."""
     e0 = float(np.min(values))
-    tol = DEGENERACY_RTOL * (1.0 + abs(e0))
-    return tuple(int(i) for i in np.nonzero(values <= e0 + tol)[0]), e0
+    return tuple(int(i) for i in np.nonzero(values <= e0 + degeneracy_tol(e0))[0]), e0
 
 
 def ground_state(op: HamiltonianOp) -> GroundState:
@@ -461,7 +465,7 @@ def ground_state(op: HamiltonianOp) -> GroundState:
     gap = e[1] - e[0] if e.size > 1 else math.inf
     return GroundState(energy=float(e[0]), state=StateVector(op.basis, pairs.vectors[:, 0]),
                        residual=float(pairs.residuals[0]),
-                       degenerate=bool(gap <= DEGENERACY_RTOL * (1.0 + abs(e[0]))),
+                       degenerate=bool(gap <= degeneracy_tol(e[0])),
                        matvecs=pairs.matvecs)
 
 

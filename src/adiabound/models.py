@@ -184,15 +184,8 @@ def build_tsp_tuple(inst: tsp.TspInstance, alpha_sq_per_mode: float | None = Non
     # every in-range tuple (all digits < M) carries its effective length;
     # everything touching levels >= M carries the plain ceiling
     values = np.full(basis.dim, inst.l_max)
-    eff = tsp.effective_lengths_all(inst, policy)
-    d = n_max + 1
-    flats = np.zeros(m ** m, dtype=np.int64)
-    scale = 1
-    digits = tsp._digit_table(m).astype(np.int64)
-    for i in range(m):
-        flats += digits[:, i] * scale
-        scale *= d
-    values[flats] = eff
+    digits, _, eff = tsp._effective_table(inst, policy)
+    values[digits @ (n_max + 1) ** np.arange(m)] = eff  # mode_flat of every digit row
     h_p = Diagonal(basis, values)
 
     prep = coherent_state(alpha, n_max)
@@ -322,8 +315,7 @@ def delta_ie_asymptote_study(m_values, policy: tsp.DsqPolicy = tsp.DsqPolicy(),
     rows = []
     for m in m_values:
         inst = tsp.random_instance(m, seed, sampler, stream=0)
-        eff = tsp.effective_lengths_all(inst, policy)
-        mask = tsp.tour_index_mask(m)
+        _, mask, eff = tsp._effective_table(inst, policy)
         # uniform start state: the spread is the population std of the diagonal
         delta = float(np.std(eff))
         non_tour = float(np.std(eff[~mask]))

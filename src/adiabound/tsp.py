@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import DEGENERACY_RTOL, argmin_set
+from .hilbert import argmin_set, degeneracy_tol
 
 __all__ = [
     "Tour",
@@ -365,14 +365,18 @@ def tour_index_mask(m: int) -> np.ndarray:
 
 def effective_lengths_all(inst: TspInstance, policy: DsqPolicy) -> np.ndarray:
     """Vector of effective lengths for s = 1..M^M (index s at position s-1)."""
+    return _effective_table(inst, policy)[2]
+
+
+def _effective_table(inst: TspInstance, policy: DsqPolicy):
+    """The digit table, its tour mask and the effective lengths, from one table."""
     digits = _digit_table(inst.M)
-    count = digits.shape[0]
     tour_mask = _tour_rows(digits)
-    out = np.empty(count)
+    out = np.empty(digits.shape[0])
     out[tour_mask] = _lengths_of(digits[tour_mask], inst.d)
     non_idx = np.nonzero(~tour_mask)[0]
     out[non_idx] = policy._dsq_all(non_idx + 1, inst.l_max) + inst.l_max
-    return out
+    return digits, tour_mask, out
 
 
 def tour_lengths_by_rank(inst: TspInstance) -> np.ndarray:
@@ -406,7 +410,7 @@ def brute_force_shortest(inst: TspInstance) -> BruteForceResult:
     for k, perms in enumerate(_perm_chunks(m)):
         block = _lengths_of(perms, inst.d)
         best = min(best, float(np.min(block)))
-        keep = np.nonzero(block <= best + DEGENERACY_RTOL * (1.0 + abs(best)))[0]
+        keep = np.nonzero(block <= best + degeneracy_tol(best))[0]
         ranks.append(k * len(perms) + keep + 1)  # one m!-row block, or 9!-row blocks
         lengths.append(block[keep])
     pos, best = argmin_set(np.concatenate(lengths))
@@ -544,17 +548,23 @@ def tour_fraction_decay(m_values) -> FractionReport:
 # ---------------------------------------------------------------------------
 
 def parse_instance(path, fmt: str = "tsplib") -> TspInstance:
-    """Load an instance file.  fmt is 'tsplib' (subset) or 'matrix'."""
+    """Load an instance file.  fmt is 'tsplib' (subset) or 'matrix'.
+
+    Every fault in the file raises :class:`TspFormatError`.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise TspFormatError(f"cannot read {path}: {exc}") from exc
-    if fmt == "tsplib":
-        return _parse_tsplib(text, default_name=path.stem)
-    if fmt == "matrix":
-        return _parse_matrix(text, default_name=path.stem)
-    raise ValueError(f"unknown instance format {fmt!r}")
+    parsers = {"tsplib": _parse_tsplib, "matrix": _parse_matrix}
+    if fmt not in parsers:
+        raise ValueError(f"unknown instance format {fmt!r}")
+    d, name = parsers[fmt](text, path.stem)
+    try:
+        return TspInstance.from_distances(d, name=name)
+    except ValueError as exc:  # every entry passed, but l_max is 0 or overflows
+        raise TspFormatError(f"no usable penalty ceiling: {exc}") from None
 
 
 def serialize_instance(inst: TspInstance) -> str:
@@ -569,156 +579,119 @@ def serialize_instance(inst: TspInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_matrix(text: str, default_name: str = "matrix") -> TspInstance:
-    tokens: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        for tok in stripped.split():
-            tokens.append((tok, lineno))
-    if not tokens:
-        raise TspFormatError("empty matrix file")
-    head, head_line = tokens[0]
+def _city_count(tok: str, line: int, what: str) -> int:
     try:
-        m = int(head)
+        m = int(tok)
     except ValueError:
-        raise TspFormatError(f"first value must be the city count, got {head!r}",
-                             line=head_line) from None
+        raise TspFormatError(f"{what} must be an integer, got {tok!r}", line=line) from None
     if m < 3:
-        raise TspFormatError(f"city count must be >= 3, got {m}", line=head_line)
-    need = m * m
-    body = tokens[1:]
-    if len(body) != need:
-        where = body[-1][1] if body else head_line
-        raise TspFormatError(f"expected {need} matrix entries, found {len(body)}", line=where)
+        raise TspFormatError(f"{what} must be >= 3, got {m}", line=line)
+    return m
+
+
+def _matrix(pairs: list[tuple[str, int]], m: int, line: int) -> np.ndarray:
+    """The row-major M x M matrix of M*M (token, line) pairs; ``line`` is
+    blamed for a count fault when there are no pairs at all."""
+    if len(pairs) != m * m:
+        where = pairs[-1][1] if pairs else line
+        raise TspFormatError(f"expected {m * m} matrix entries, found {len(pairs)}", line=where)
     d = np.empty((m, m))
-    for pos, (tok, lineno) in enumerate(body):
+    for pos, (tok, n) in enumerate(pairs):
+        i, j = divmod(pos, m)
         try:
             val = float(tok)
         except ValueError:
-            raise TspFormatError(f"bad number {tok!r}", line=lineno) from None
-        i, j = divmod(pos, m)
+            raise TspFormatError(f"bad number {tok!r}", line=n) from None
+        if not math.isfinite(val):
+            raise TspFormatError(f"non-finite distance d[{i}][{j}] = {tok}", line=n)
         if val < 0:
-            raise TspFormatError(f"negative distance d[{i}][{j}] = {val}", line=lineno)
+            raise TspFormatError(f"negative distance d[{i}][{j}] = {val}", line=n)
         if i == j and val != 0.0:
-            raise TspFormatError(f"nonzero diagonal d[{i}][{i}] = {val}", line=lineno)
+            raise TspFormatError(f"nonzero diagonal d[{i}][{i}] = {val}", line=n)
         d[i, j] = val
-    return TspInstance.from_distances(d, name=default_name)
+    return d
 
 
-_TSPLIB_SECTIONS = ("EDGE_WEIGHT_SECTION", "NODE_COORD_SECTION", "EOF")
+def _parse_matrix(text: str, name: str) -> tuple[np.ndarray, str]:
+    pairs = [(tok, n) for n, raw in enumerate(text.splitlines(), start=1)
+             if not raw.strip().startswith("#") for tok in raw.split()]
+    if not pairs:
+        raise TspFormatError("empty matrix file")
+    (head, line), body = pairs[0], pairs[1:]
+    return _matrix(body, _city_count(head, line, "city count"), line), name
 
 
-def _parse_tsplib(text: str, default_name: str = "tsplib") -> TspInstance:
+#: the data section that each supported EDGE_WEIGHT_TYPE reads
+_TSPLIB_SECTIONS = {"EXPLICIT": "EDGE_WEIGHT_SECTION", "EUC_2D": "NODE_COORD_SECTION"}
+
+
+def _parse_tsplib(text: str, name: str) -> tuple[np.ndarray, str]:
     lines = text.splitlines()
     header: dict[str, tuple[str, int]] = {}
-    i = 0
     section = None
-    section_line = 0
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped:
-            i += 1
-            continue
-        keyword = stripped.split(":")[0].strip().upper()
-        if keyword in _TSPLIB_SECTIONS:
-            section = keyword
-            section_line = i + 1
-            i += 1
+    for start, raw in enumerate(lines, start=1):
+        key, colon, val = raw.partition(":")
+        key = key.strip().upper()
+        if key in (*_TSPLIB_SECTIONS.values(), "EOF"):
+            section = key
             break
-        if ":" not in stripped:
-            raise TspFormatError(f"expected 'KEY : value', got {stripped!r}", line=i + 1)
-        key, _, val = stripped.partition(":")
-        header[key.strip().upper()] = (val.strip(), i + 1)
-        i += 1
+        if colon:
+            header[key] = (val.strip(), start)
+        elif raw.strip():
+            raise TspFormatError(f"expected 'KEY : value', got {raw.strip()!r}", line=start)
 
-    def need(key: str) -> tuple[str, int]:
+    def need(key: str, allowed=None) -> tuple[str, int]:
         if key not in header:
             raise TspFormatError(f"missing required header {key}")
-        return header[key]
+        val, line = header[key]
+        if allowed and val.upper() not in allowed:
+            raise TspFormatError(f"unsupported {key} {val!r}", line=line)
+        return val, line
 
-    type_val, type_line = need("TYPE")
-    if type_val.upper() != "TSP":
-        raise TspFormatError(f"TYPE must be TSP, got {type_val!r}", line=type_line)
-    dim_val, dim_line = need("DIMENSION")
-    try:
-        m = int(dim_val)
-    except ValueError:
-        raise TspFormatError(f"DIMENSION must be an integer, got {dim_val!r}",
-                             line=dim_line) from None
-    if m < 3:
-        raise TspFormatError(f"DIMENSION must be >= 3, got {m}", line=dim_line)
-    ewt_val, ewt_line = need("EDGE_WEIGHT_TYPE")
-    ewt = ewt_val.upper()
-    if ewt not in ("EXPLICIT", "EUC_2D"):
-        raise TspFormatError(f"unsupported EDGE_WEIGHT_TYPE {ewt_val!r}", line=ewt_line)
-    name = header.get("NAME", (default_name, 0))[0] or default_name
-
+    need("TYPE", ("TSP",))
+    m = _city_count(*need("DIMENSION"), "DIMENSION")
+    ewt = need("EDGE_WEIGHT_TYPE", tuple(_TSPLIB_SECTIONS))[0].upper()
+    name = header.get("NAME", ("",))[0] or name
     if section is None:
         raise TspFormatError("no data section found")
-
     if ewt == "EXPLICIT":
-        fmt_val, fmt_line = need("EDGE_WEIGHT_FORMAT")
-        if fmt_val.upper() != "FULL_MATRIX":
-            raise TspFormatError(f"unsupported EDGE_WEIGHT_FORMAT {fmt_val!r}", line=fmt_line)
-        if section != "EDGE_WEIGHT_SECTION":
-            raise TspFormatError(f"EXPLICIT instance needs EDGE_WEIGHT_SECTION, got {section}",
-                                 line=section_line)
-        entries: list[tuple[float, int]] = []
-        while i < len(lines):
-            stripped = lines[i].strip()
-            if stripped.upper() == "EOF":
-                break
-            if stripped:
-                for tok in stripped.split():
-                    try:
-                        entries.append((float(tok), i + 1))
-                    except ValueError:
-                        raise TspFormatError(f"bad number {tok!r}", line=i + 1) from None
-            i += 1
-        if len(entries) != m * m:
-            where = entries[-1][1] if entries else section_line
-            raise TspFormatError(f"expected {m * m} weights, found {len(entries)}", line=where)
-        d = np.empty((m, m))
-        for pos, (val, lineno) in enumerate(entries):
-            r, c = divmod(pos, m)
-            if val < 0:
-                raise TspFormatError(f"negative distance d[{r}][{c}] = {val}", line=lineno)
-            if r == c and val != 0.0:
-                raise TspFormatError(f"nonzero diagonal d[{r}][{r}] = {val}", line=lineno)
-            d[r, c] = val
-        return TspInstance.from_distances(d, name=name)
-
-    # EUC_2D
-    if section != "NODE_COORD_SECTION":
-        raise TspFormatError(f"EUC_2D instance needs NODE_COORD_SECTION, got {section}",
-                             line=section_line)
-    coords: dict[int, tuple[float, float]] = {}
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if stripped.upper() == "EOF":
+        need("EDGE_WEIGHT_FORMAT", ("FULL_MATRIX",))
+    if section != _TSPLIB_SECTIONS[ewt]:
+        raise TspFormatError(f"{ewt} instance needs {_TSPLIB_SECTIONS[ewt]}, got {section}",
+                             line=start)
+    rows = []
+    for n, raw in enumerate(lines[start:], start=start + 1):
+        if raw.strip().upper() == "EOF":
             break
-        if stripped:
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise TspFormatError(f"expected 'index x y', got {stripped!r}", line=i + 1)
-            try:
-                idx = int(parts[0])
-                x, y = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise TspFormatError(f"bad node line {stripped!r}", line=i + 1) from None
-            if not 1 <= idx <= m:
-                raise TspFormatError(f"node index {idx} outside 1..{m}", line=i + 1)
-            if idx in coords:
-                raise TspFormatError(f"duplicate node index {idx}", line=i + 1)
-            coords[idx] = (x, y)
-        i += 1
+        rows.append((n, raw.strip()))
+    if ewt == "EXPLICIT":
+        return _matrix([(tok, n) for n, row in rows for tok in row.split()], m, start), name
+    coords: dict[int, tuple[float, float]] = {}
+    for n, row in rows:
+        parts = row.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise TspFormatError(f"expected 'index x y', got {row!r}", line=n)
+        try:
+            idx, xy = int(parts[0]), (float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise TspFormatError(f"bad node line {row!r}", line=n) from None
+        if not 1 <= idx <= m:
+            raise TspFormatError(f"node index {idx} outside 1..{m}", line=n)
+        if idx in coords:
+            raise TspFormatError(f"duplicate node index {idx}", line=n)
+        if not all(map(math.isfinite, xy)):
+            raise TspFormatError(f"non-finite coordinate in node line {row!r}", line=n)
+        coords[idx] = xy
     if len(coords) != m:
-        raise TspFormatError(f"expected {m} nodes, found {len(coords)}", line=section_line)
+        raise TspFormatError(f"expected {m} nodes, found {len(coords)}", line=start)
     pts = np.array([coords[k] for k in range(1, m + 1)])
-    diff = pts[:, None, :] - pts[None, :, :]
-    # nearest-integer rounding, floor(x + 0.5), as the format defines it
-    d = np.floor(np.sqrt(np.sum(diff * diff, axis=2)) + 0.5)
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        # nearest-integer rounding, floor(x + 0.5), as the format defines it
+        d = np.floor(np.sqrt(np.sum(diff * diff, axis=2)) + 0.5)
+    if not np.all(np.isfinite(d)):
+        raise TspFormatError("node coordinates too far apart for finite distances", line=start)
     np.fill_diagonal(d, 0.0)
-    return TspInstance.from_distances(d, name=name)
+    return d, name

@@ -34,6 +34,10 @@ from adiabound import bounds, hilbert
 SEED = 20260825
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 def _grover_pieces(n):
     basis = BasisSpec.flat(n)
     start = uniform_state(basis)
@@ -228,6 +232,10 @@ def test_worst_slack_skips_inapplicable_rows():
                          delta_ie=0.0, integral_g=0.5, t_min=math.inf,
                          beta_star=0.0, margins=margins)
     assert report.worst_slack() == math.inf
+    # strict JSON: the infinite t_min and the inapplicable row's NaN ratio are null
+    blob = json.loads(report.to_json(), parse_constant=_no_constant)
+    assert blob["t_min"] is None
+    assert (blob["margins"][0]["lhs"], blob["margins"][0]["slack"]) == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +295,27 @@ def test_gap_scan_point_obeys_the_matvec_budget(monkeypatch):
     monkeypatch.setattr(hilbert, "MATVEC_BUDGET", 5)
     with pytest.raises(RuntimeError, match="exceeded 5 matvecs"):
         gap_scan(h_i, h_p, Schedule("linear", 1.0), grid=3, refine_rounds=0)
+
+
+@pytest.mark.parametrize("ratio, closed", [(0.5, True), (3.0, False)])
+def test_gap_scan_closes_a_gap_within_the_degeneracy_rule(ratio, closed):
+    # H(s) = (1 - s) diag(0, 1) + s diag(0, gap): the gap is smallest at s = 1
+    basis = BasisSpec.flat(2)
+    gap = ratio * hilbert.DEGENERACY_RTOL
+    rep = gap_scan(Diagonal(basis, np.array([0.0, 1.0])), Diagonal(basis, np.array([0.0, gap])),
+                   Schedule("linear", 1.0), grid=5, refine_rounds=0)
+    assert (rep.g_min, rep.s_at_min) == (gap, 1.0)
+    assert rep.t_adb == (math.inf if closed else rep.dh_norm / gap ** 2)
+
+
+def test_gap_scan_reads_a_roundoff_gap_as_closed():
+    # eigsh path (dim 3125): the rotated optimal tours tie at s = 1, and the
+    # measured gap there is 0 only up to roundoff
+    bundle = build_tsp_finite(random_instance(5, 1))
+    rep = gap_scan(bundle.h_i, bundle.h_p, make_schedule("linear", 1.0), grid=5, refine_rounds=0)
+    assert rep.s_at_min == 1.0
+    assert 0.0 <= rep.g_min <= hilbert.degeneracy_tol(rep.e0[-1])
+    assert rep.t_adb == math.inf
 
 
 @pytest.mark.parametrize("bundle", [build_grover(4), build_tsp_finite(random_instance(4, 1))],

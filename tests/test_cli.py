@@ -324,6 +324,30 @@ def test_gap_scan_outputs(tmp_path, capsys):
     assert rows == [(s, a, b, b - a) for s, a, b in zip(blob["s_grid"], blob["e0"], blob["e1"])]
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("payload", [
+    {"experiment": "gap-scan", "model": {"model": "tsp-rank"}, "instance": {"cities": 3},
+     "grid": 11},
+    _tsp_run_cfg(),
+], ids=["gap-scan-closed-gap", "tsp-run"])
+def test_json_outputs_are_strict(tmp_path, capsys, payload):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main([payload["experiment"], "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    capsys.readouterr()
+    blobs = {path.relative_to(out).as_posix(): json.loads(path.read_text(),
+                                                          parse_constant=_no_constant)
+             for path in out.rglob("*.json")}
+    assert "manifest.json" in blobs and len(blobs) > 1
+    if "gap.json" in blobs:
+        # the closed end-of-path gap has an infinite adiabatic time, written as null
+        assert blobs["gap.json"]["t_adb"] is None
+        assert blobs["manifest.json"]["rows"][0]["t_adb"] is None
+
+
 def test_gap_scan_from_instance_file(tmp_path, capsys):
     inst = random_instance(3, SEED)
     inst_path = tmp_path / "inst.matrix"

@@ -67,6 +67,8 @@ def test_schedule_validation():
         Schedule("das_wei", 1.0)  # needs n
     with pytest.raises(ValueError):
         Schedule("local_adiabatic_grover", 1.0, n=1)  # n >= 2
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        make_schedule("local_adiabatic_grover", n=1, eps=0.1)  # checked before T is set
 
 
 def test_schedule_boundaries():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -539,3 +540,135 @@ def test_tsplib_rejects_unsupported(tmp_path):
 def test_parse_missing_file():
     with pytest.raises(TspFormatError):
         parse_instance("/nonexistent/foo.tsp")
+
+
+_EX_HEAD = ["NAME: ex", "TYPE: TSP", "DIMENSION: 3", "EDGE_WEIGHT_TYPE: EXPLICIT",
+            "EDGE_WEIGHT_FORMAT: FULL_MATRIX"]
+_EU_HEAD = ["NAME: tri", "TYPE: TSP", "DIMENSION: 3", "EDGE_WEIGHT_TYPE: EUC_2D"]
+
+
+def _tsplib(head, section, rows):
+    return "\n".join([*head, section, *rows, "EOF"]) + "\n"
+
+
+def _explicit(rows=("0 2 4", "2 0 6", "4 6 0"), head=_EX_HEAD, section="EDGE_WEIGHT_SECTION"):
+    return _tsplib(head, section, rows)
+
+
+def _euc(rows=("1 0.0 0.0", "2 3.0 0.0", "3 0.0 4.0"), head=_EU_HEAD,
+         section="NODE_COORD_SECTION"):
+    return _tsplib(head, section, rows)
+
+
+def _swap(head, pos, line):
+    return [*head[:pos], line, *head[pos + 1:]] if line else [*head[:pos], *head[pos + 1:]]
+
+
+# every rejection path of both readers, with the line each one names (None
+# where no line is at fault); frozen from the reader before the two formats
+# shared one matrix check.  The non-finite, far-apart and zero-ceiling cases
+# are new: the earlier reader let them through to a plain ValueError with no
+# line.  "explicit-count-before-syntax" pins the shared order of checks; the
+# earlier EXPLICIT reader reported its bad number on line 8.
+_REJECTED = {
+    "matrix-empty": ("matrix", "", None),
+    "matrix-only-comments": ("matrix", "# only a comment\n\n", None),
+    "matrix-bad-count": ("matrix", "# c\nthree\n0 1 2\n1 0 1\n2 1 0\n", 2),
+    "matrix-float-count": ("matrix", "3.0\n0 1 2\n1 0 1\n2 1 0\n", 1),
+    "matrix-small-count": ("matrix", "2\n0 1\n1 0\n", 1),
+    "matrix-bad-entry": ("matrix", "3\n0 1 x\n1 0 1\n2 1 0\n", 2),
+    "matrix-nan": ("matrix", "3\n0 1 2\n1 0 nan\n2 1 0\n", 3),
+    "matrix-inf": ("matrix", "3\n0 1 2\n1 0 1\n2 inf 0\n", 4),
+    "matrix-overflow": ("matrix", "3\n0 1e400 2\n1 0 1\n2 1 0\n", 2),
+    "matrix-negative": ("matrix", "3\n0 1 2\n1 0 -1\n2 1 0\n", 3),
+    "matrix-diagonal": ("matrix", "3\n0 1 2\n1 0.5 1\n2 1 0\n", 3),
+    "matrix-too-few": ("matrix", "# a comment\n3\n0 1 2\n1 0 1\n", 4),
+    "matrix-too-many": ("matrix", "3\n0 1 2\n1 0 1\n2 1 0\n\n7\n", 6),
+    "matrix-no-entries": ("matrix", "3\n", 1),
+    "matrix-zero-ceiling": ("matrix", "3\n0 0 0\n0 0 0\n0 0 0\n", None),
+    "tsplib-empty": ("tsplib", "", None),
+    "tsplib-no-colon": ("tsplib", _explicit(head=_swap(_EX_HEAD, 1, "COMMENT no colon")), 2),
+    "tsplib-no-type": ("tsplib", _explicit(head=_swap(_EX_HEAD, 1, None)), None),
+    "tsplib-atsp": ("tsplib", _explicit(head=_swap(_EX_HEAD, 1, "TYPE: ATSP")), 2),
+    "tsplib-no-dimension": ("tsplib", _explicit(head=_swap(_EX_HEAD, 2, None)), None),
+    "tsplib-bad-dimension": ("tsplib", _explicit(head=_swap(_EX_HEAD, 2, "DIMENSION: three")), 3),
+    "tsplib-small-dimension": ("tsplib", _explicit(head=_swap(_EX_HEAD, 2, "DIMENSION: 2")), 3),
+    "tsplib-no-weight-type": ("tsplib", _explicit(head=_swap(_EX_HEAD, 3, None)), None),
+    "tsplib-geo": ("tsplib", _explicit(head=_swap(_EX_HEAD, 3, "EDGE_WEIGHT_TYPE: GEO")), 4),
+    "tsplib-no-weight-format": ("tsplib", _explicit(head=_EX_HEAD[:4]), None),
+    "tsplib-upper-row": ("tsplib",
+                         _explicit(head=_swap(_EX_HEAD, 4, "EDGE_WEIGHT_FORMAT: UPPER_ROW")), 5),
+    "tsplib-no-section": ("tsplib", "\n".join(_EX_HEAD) + "\n", None),
+    "explicit-node-section": ("tsplib", _explicit(section="NODE_COORD_SECTION"), 6),
+    "explicit-eof-section": ("tsplib", "\n".join(_EX_HEAD) + "\nEOF\n", 6),
+    "euc-weight-section": ("tsplib", _euc(section="EDGE_WEIGHT_SECTION"), 5),
+    "explicit-bad-entry": ("tsplib", _explicit(rows=("0 2 4", "2 0 x", "4 6 0")), 8),
+    "explicit-nan": ("tsplib", _explicit(rows=("0 2 4", "2 0 nan", "4 6 0")), 8),
+    "explicit-minus-inf": ("tsplib", _explicit(rows=("0 2 4", "2 0 6", "-inf 6 0")), 9),
+    "explicit-overflow": ("tsplib", _explicit(rows=("0 2 1e400", "2 0 6", "4 6 0")), 7),
+    "explicit-negative": ("tsplib", _explicit(rows=("0 2 4", "2 0 -6", "4 6 0")), 8),
+    "explicit-diagonal": ("tsplib", _explicit(rows=("0 2 4", "2 3 6", "4 6 0")), 8),
+    "explicit-too-few": ("tsplib", _explicit(rows=("0 2 4", "2 0 6")), 8),
+    "explicit-no-entries": ("tsplib", _explicit(rows=()), 6),
+    "explicit-too-many": ("tsplib", _explicit(rows=("0 2 4", "2 0 6", "4 6 0 1")), 9),
+    "explicit-count-before-syntax": ("tsplib", _explicit(rows=("0 2 4", "2 0 x", "4 6 0", "1")),
+                                     10),
+    "euc-short-node": ("tsplib", _euc(rows=("1 0.0 0.0", "2 3.0", "3 0.0 4.0")), 7),
+    "euc-long-node": ("tsplib", _euc(rows=("1 0.0 0.0", "2 3.0 0.0 1", "3 0.0 4.0")), 7),
+    "euc-bad-coordinate": ("tsplib", _euc(rows=("1 0.0 0.0", "2 a 0.0", "3 0.0 4.0")), 7),
+    "euc-bad-index": ("tsplib", _euc(rows=("1 0.0 0.0", "x 3.0 0.0", "3 0.0 4.0")), 7),
+    "euc-index-above": ("tsplib", _euc(rows=("1 0.0 0.0", "2 3.0 0.0", "4 0.0 4.0")), 8),
+    "euc-index-zero": ("tsplib", _euc(rows=("0 0.0 0.0", "2 3.0 0.0", "3 0.0 4.0")), 6),
+    "euc-duplicate": ("tsplib", _euc(rows=("1 0.0 0.0", "1 3.0 0.0", "3 0.0 4.0")), 7),
+    "euc-nan": ("tsplib", _euc(rows=("1 0.0 0.0", "2 nan 0.0", "3 0.0 4.0")), 7),
+    "euc-inf": ("tsplib", _euc(rows=("1 0.0 0.0", "2 3.0 0.0", "3 0.0 inf")), 8),
+    "euc-overflow": ("tsplib", _euc(rows=("1 0.0 0.0", "2 3.0 0.0", "3 -1e400 4.0")), 8),
+    "euc-far-apart": ("tsplib", _euc(rows=("1 1e200 0.0", "2 -1e200 0.0", "3 0.0 4.0")), 5),
+    "euc-too-few": ("tsplib", _euc(rows=("1 0.0 0.0", "2 3.0 0.0")), 5),
+    "euc-zero-ceiling": ("tsplib", _euc(rows=("1 0.0 0.0", "2 0.0 0.0", "3 0.0 0.0")), None),
+}
+
+
+@pytest.mark.parametrize("fmt, text, line", _REJECTED.values(), ids=_REJECTED.keys())
+def test_parse_rejects_with_its_line(tmp_path, fmt, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(TspFormatError) as err:
+        parse_instance(path, fmt=fmt)
+    assert err.value.line == line
+    assert str(err.value).startswith("line ") == (line is not None)
+
+
+# sha256 prefix of d's bytes, and l_max, frozen from the reader before the two
+# formats shared one matrix check
+_ACCEPTED = {
+    "random-m3": ("ee908186a41d1221", 1.0285119895200925),
+    "random-m4": ("1a0ed8973c21c38d", 3.0883164368656315),
+    "random-m5": ("a6cf3ab4030b7972", 4.1260046552041345),
+    "random-m6": ("e026f8a61cd54f9b", 4.838861813422402),
+    "random-m7": ("40a721fbd82403a4", 6.271758088330908),
+    "random-m8": ("ce86c9fa55c1f156", 7.603668999078625),
+    "random-m9": ("80f8ef35a5a0f088", 8.163988819968987),
+    "random-m10": ("89fbca88c5366367", 8.737141498601067),
+    "ex": ("a12657aee38fd950", 13.200000000000001),
+    "quad": ("82fa232cba7e8052", 18.700000000000003),
+}
+
+
+@pytest.mark.parametrize("stem", _ACCEPTED)
+def test_parse_matches_frozen_instances(tmp_path, stem):
+    if stem.startswith("random"):
+        fmt, text = "matrix", serialize_instance(random_instance(int(stem[8:]), 0))
+    elif stem == "ex":
+        fmt, text = "tsplib", _explicit(rows=("0 2 4", "2 0 6", "4 6 0", "EOF", "junk after EOF"))
+    else:
+        fmt, text = "tsplib", _euc(rows=("1 0.0 0.0", "", "2 3.0 0.0", "3 0.0 4.0", "4 2.5 -1.5"),
+                                   head=["NAME : quad", "type: tsp", "DIMENSION : 4",
+                                         "EDGE_WEIGHT_TYPE : euc_2d"])
+    path = tmp_path / f"{stem}.txt"
+    path.write_text(text)
+    inst = parse_instance(path, fmt=fmt)
+    digest, l_max = _ACCEPTED[stem]
+    assert hashlib.sha256(inst.d.tobytes()).hexdigest()[:16] == digest
+    assert inst.l_max == l_max
+    assert inst.name == stem
