@@ -119,18 +119,27 @@ _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
                str: (str, "a string"), bool: (bool, "true or false")}
 
 
+def _shown(value) -> str:
+    """A config value as an error message shows it: its JSON text, or its
+    repr when JSON cannot encode it (a library caller's Path or numpy int)."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _leaf(value, typ, low: list, where: str):
     """One checked config value, converted to ``typ``; a bool is never a number."""
     if isinstance(typ, list):
         if not isinstance(value, list) or not value:
-            raise UsageError(f"{where} must be a nonempty list, got {json.dumps(value)}")
+            raise UsageError(f"{where} must be a nonempty list, got {_shown(value)}")
         return [_leaf(v, typ[0], low, f"{where}[{i}]") for i, v in enumerate(value)]
     kinds = typ if isinstance(typ, tuple) else (typ,)
     kind = next((k for k in kinds if isinstance(value, _JSON_TYPES[k][0])
                  and (k is bool or not isinstance(value, bool))), None)
     if kind is None:
         names = " or ".join(_JSON_TYPES[k][1] for k in kinds)
-        raise UsageError(f"{where} must be {names}, got {json.dumps(value)}")
+        raise UsageError(f"{where} must be {names}, got {_shown(value)}")
     if low and value < low[0]:
         raise UsageError(f"{where} must be >= {low[0]}, got {value}")
     try:
@@ -148,7 +157,7 @@ def _typed(obj, schema: dict, path: str = "") -> dict:
     the default is None.
     """
     if not isinstance(obj, dict):
-        raise UsageError(f"{path[:-1] or 'config'} must be an object, got {json.dumps(obj)}")
+        raise UsageError(f"{path[:-1] or 'config'} must be an object, got {_shown(obj)}")
     for key in obj:
         if key not in schema:
             allowed = ", ".join(sorted(schema))

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    Diagonal,
     HamiltonianOp,
     LinearCombination,
+    ProjectorComplement,
     StateVector,
     ground_state,
     lowest,
@@ -36,8 +38,8 @@ BOUNDARY_TOL = 1e-12
 SCHEDULE_KINDS = ("linear", "das_wei", "local_adiabatic_grover")
 #: densify H(t) for instantaneous-ground tracking only up to this dimension
 _OVERLAP_DENSE_LIMIT = 512
-#: steps per chunk of precomputed stage values; bounds evolve's table memory
-_STAGE_CHUNK = 4096
+#: bytes of precomputed RK4 stage rows per chunk of steps; bounds evolve's table memory
+_STAGE_TABLE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -236,35 +238,55 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         norms.append(nrm)
         overlaps.append(_ground_overlap(h_i, h_p, schedule, t, psi) if track else math.nan)
 
-    def h_apply(ft: float, gt: float, shift: float, v: np.ndarray) -> np.ndarray:
-        out = ft * h_i.apply_amps(v)  # a fresh array, so updating it in place is safe
-        out += gt * h_p.apply_amps(v)
-        out -= shift * v
-        return out
+    # Stage s returns K_s = -i h b_s H_c(t_s) y_s, b = (1/2, 1, 1, 1/2), where
+    # H_c = H(t) - f c_I - g c_P = diag(f (d_I - c_I) + g (d_P - c_P))
+    # - f |u_I><u_I| - g |u_P><u_P| + f rest_I + g rest_P.  Then
+    # y_2 = psi + K_1, y_3 = psi + K_2 / 2, y_4 = psi + K_3, and classic RK4
+    # is psi + (K_1 + K_2 + K_3 + K_4) / 3.  That sum avoids BLAS: a threaded
+    # gemv can change its last bits with the BLAS thread count.
+    (d_i, u_i, rest_i), (d_p, u_p, rest_p) = _diagonal_split(h_i), _diagonal_split(h_p)
+    axes = [(j, u) for j, u in ((0, u_i), (1, u_p)) if u is not None]
+    rests = [(j, op) for j, op in ((0, rest_i), (1, rest_p)) if op is not None]
+    k = np.empty((4, psi.size), dtype=np.complex128)
+    k1, k2, k3, k4 = k
+    y, tmp = np.empty_like(psi), np.empty_like(psi)
+
+    def stage(w: np.ndarray, fg: list, v: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(w, v, out=out)
+        for j, u in axes:
+            np.multiply(u, fg[j] * np.vdot(u, v), out=tmp)
+            out -= tmp
+        for j, op in rests:
+            np.multiply(op.apply_amps(v), fg[j], out=tmp)
+            out += tmp
 
     if 0 in sample_steps:
         record(0)
-    c_half, c_full, c_out = -0.5j * h, -1j * h, (-1j * h) / 6.0
-    stages = _stage_table(schedule, n_steps, h, c_i, c_p)
-    for step, (f1, g1, s1, f2, g2, s2, f4, g4, s4) in enumerate(stages):
-        m1 = h_apply(f1, g1, s1, psi)
-        m2 = h_apply(f2, g2, s2, psi + c_half * m1)
-        m3 = h_apply(f2, g2, s2, psi + c_half * m2)
-        m4 = h_apply(f4, g4, s4, psi + c_full * m3)
-        m1 += m4
-        m2 += m3
-        m1 += 2.0 * m2
-        psi = psi + c_out * m1
-        nrm = math.sqrt(np.vdot(psi, psi).real)
-        max_drift = max(max_drift, abs(nrm - 1.0))
-        if policy.renormalize:
-            psi /= nrm
-        elif abs(nrm - 1.0) > policy.norm_tol:
-            raise RuntimeError(
-                f"norm drift {abs(nrm - 1.0):.3e} exceeded {policy.norm_tol:.1e} at step "
-                f"{step + 1}/{n_steps}; shrink step_bound_factor")
-        if (step + 1) in sample_steps:
-            record(step + 1)
+    step = 0
+    for rows, coefs in _stage_rows(schedule, n_steps, h, d_i - c_i, d_p - c_p):
+        for (w_lo, w_mid, w_hi), (fg_lo, fg_mid, fg_hi) in zip(rows, coefs):
+            stage(w_lo, fg_lo, psi, k1)
+            np.add(psi, k1, out=y)
+            stage(w_mid, fg_mid, y, k2)
+            np.multiply(k2, 0.5, out=y)
+            y += psi
+            stage(w_mid, fg_mid, y, k3)
+            np.add(psi, k3, out=y)
+            stage(w_hi, fg_hi, y, k4)
+            np.add.reduce(k, axis=0, out=y)
+            y *= 1.0 / 3.0
+            psi += y
+            step += 1
+            nrm = math.sqrt(np.vdot(psi, psi).real)
+            max_drift = max(max_drift, abs(nrm - 1.0))
+            if policy.renormalize:
+                psi /= nrm
+            elif abs(nrm - 1.0) > policy.norm_tol:
+                raise RuntimeError(
+                    f"norm drift {abs(nrm - 1.0):.3e} exceeded {policy.norm_tol:.1e} at step "
+                    f"{step}/{n_steps}; shrink step_bound_factor")
+            if step in sample_steps:
+                record(step)
     psi *= np.exp(-1j * (c_i * schedule_integral(schedule, "f")
                          + c_p * schedule_integral(schedule, "g")))
 
@@ -292,19 +314,45 @@ def _centering(op: HamiltonianOp) -> tuple[float, float, float]:
     return 0.5 * (hi + lo), 0.5 * (hi - lo), hi
 
 
-def _stage_table(schedule: Schedule, n_steps: int, h: float, c_i: float, c_p: float):
-    """(f, g, f*c_i + g*c_p) at the RK4 stages t, t+h/2 and t+h of every step.
+def _diagonal_split(op: HamiltonianOp) -> tuple[np.ndarray, np.ndarray | None,
+                                                 HamiltonianOp | None]:
+    """(d, u, rest) with op = diag(d) - |u><u| + rest; u and rest are None when
+    absent.  The one rule of when an operator is diagonal: a ``Diagonal``, or
+    a ``ProjectorComplement`` whose axis is a basis vector."""
+    if isinstance(op, Diagonal):
+        return op.values, None, None
+    if isinstance(op, ProjectorComplement):
+        if np.count_nonzero(op.vector) == 1:
+            return 1.0 - np.abs(op.vector) ** 2, None, None  # 1 - |v><v| for a basis v
+        return np.ones(op.basis.dim), op.vector, None
+    return np.zeros(op.basis.dim), None, op
 
-    Built in chunks of ``_STAGE_CHUNK`` steps, so memory stays flat however
-    many steps the run takes; the floats match a whole-run table exactly.
+
+def _stage_rows(schedule: Schedule, n_steps: int, h: float, diag_i: np.ndarray,
+                diag_p: np.ndarray):
+    """Per chunk of steps, the RK4 stage rows -i h b (f diag_i + g diag_p)
+    at t, t + h/2 and t + h of every step, shape (steps, 3, dim), with the
+    stage weights b = (1/2, 1, 1/2), and the scalars [-i h b f, -i h b g] of
+    each stage time.
+
+    A chunk's rows and scalars stay under ``_STAGE_TABLE_BYTES`` (one step at
+    least) and the rows reuse two buffers, so memory stays flat however many
+    steps the run takes; a step's rows have the same bits in any chunking.
     """
-    for lo in range(0, n_steps, _STAGE_CHUNK):
-        t_lo = np.arange(lo, min(lo + _STAGE_CHUNK, n_steps)) * h
-        cols = []
-        for t in (t_lo, t_lo + 0.5 * h, t_lo + h):
-            f, g = schedule._fg(t)
-            cols += [f.tolist(), g.tolist(), (c_i * f + c_p * g).tolist()]
-        yield from zip(*cols)
+    dim = diag_i.size
+    # a step holds three complex rows and six stage scalars in Python lists (~0.5 KB)
+    chunk = max(1, _STAGE_TABLE_BYTES // (48 * dim + 512))
+    rows = np.empty((min(chunk, n_steps), 3, dim), dtype=np.complex128)
+    part = np.empty_like(rows)
+    weight = -1j * h * np.array([0.5, 1.0, 0.5])
+    for lo in range(0, n_steps, chunk):
+        t_lo = np.arange(lo, min(lo + chunk, n_steps)) * h
+        f, g = schedule._fg(np.stack([t_lo, t_lo + 0.5 * h, t_lo + h], axis=1))
+        cf, cg, n = weight * f, weight * g, t_lo.size
+        np.multiply(cf[..., None], diag_i, out=rows[:n])
+        np.multiply(cg[..., None], diag_p, out=part[:n])
+        rows[:n] += part[:n]
+        yield rows[:n], np.stack([cf, cg], axis=-1).tolist()
 
 
 def _drift_budget(schedule: Schedule, b_i: float, b_p: float, h_cap: float) -> float:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tsp
+from .evolution import _diagonal_split
 from .hilbert import (
     BasisSpec,
     CoherentPrep,
@@ -261,11 +262,8 @@ def invariant_sector(bundle: ModelBundle) -> InvariantSector | None:
     h_i, h_p, g = bundle.h_i, bundle.h_p, bundle.g_i.amps
     if not (isinstance(h_i, ProjectorComplement) and np.array_equal(h_i.vector, g)):
         return None
-    if isinstance(h_p, Diagonal):
-        values = h_p.values
-    elif isinstance(h_p, ProjectorComplement) and np.count_nonzero(h_p.vector) == 1:
-        values = 1.0 - np.abs(h_p.vector) ** 2  # 1 - |v><v| is diagonal for a basis v
-    else:
+    values, axis, rest = _diagonal_split(h_p)
+    if axis is not None or rest is not None:
         return None
     levels, group = np.unique(values, return_inverse=True)
     w = np.sqrt(np.bincount(group, weights=np.abs(g) ** 2, minlength=levels.size))

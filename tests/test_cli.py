@@ -8,6 +8,7 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adiabound
@@ -142,6 +143,19 @@ def test_load_config_is_reusable(tmp_path):
     assert cfg["n_values"] == [2, 4]
     with pytest.raises(UsageError):
         load_config(cfg_path, "sigma-scan")
+
+
+@pytest.mark.parametrize("flag, value", [("out_dir", Path("o")), ("seed", np.int64(1))],
+                         ids=["out_dir-Path", "seed-int64"])
+def test_run_experiment_names_a_value_json_cannot_encode(tmp_path, flag, value):
+    # a library caller's Path or numpy integer is a usage error that names its key
+    out = tmp_path / "o"
+    cfg = {"experiment": "fraction-decay", "m_values": [8], "out_dir": str(out)}
+    kind = "a string" if flag == "out_dir" else "an integer"
+    with pytest.raises(UsageError) as err:
+        cli.run_experiment("fraction-decay", cfg, **{flag: value})
+    assert str(err.value) == f"{flag} must be {kind}, got {value!r}"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +627,21 @@ def test_import_leaves_out_unused_scipy_packages():
     loaded = set(proc.stdout.split())
     assert "adiabound.cli" in loaded
     assert not loaded & {"scipy.stats", "scipy.optimize", "scipy.integrate"}
+
+
+def test_blas_thread_count_does_not_move_the_hash(tmp_path):
+    # BLAS fixes its thread count at import, so each count gets a fresh interpreter
+    cfg = _write_config(tmp_path, "c.json", {"experiment": "grover-sweep", "n_values": [64]})
+    hashes = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "adiabound.cli", "grover-sweep", "--config", cfg,
+             "--out", str(out), "--seed", "1"],
+            capture_output=True, text=True, env={**_child_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(json.loads((out / "manifest.json").read_text())["content_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_console_script_installed(decay_cfg):

@@ -13,11 +13,16 @@ from adiabound import (
     StepPolicy,
     StateVector,
     basis_vector,
+    build_tsp_finite,
+    build_tsp_rank,
     evolve,
+    invariant_sector,
     make_schedule,
+    random_instance,
     reference_phase_state,
     schedule_integral,
     success_probability,
+    to_dense,
     uniform_state,
 )
 from adiabound import evolution
@@ -309,13 +314,74 @@ def test_shifted_problem_operator_moves_only_the_global_phase():
 def test_chunked_stage_tables_match_bit_for_bit(monkeypatch):
     h_i, h_p, start = _grover_ops(4)
     pol = StepPolicy(n_steps_override=1000, samples_per_run=16, track_ground_overlap=False)
+    step_bytes = 48 * 4 + 512  # one step of the stage table at dim 4
     for sch in (Schedule("linear", 7.0), Schedule("local_adiabatic_grover", 7.0, n=4)):
         whole = evolve(h_i, h_p, sch, pol, psi0=start)
-        monkeypatch.setattr(evolution, "_STAGE_CHUNK", 7)  # 1000 = 142 * 7 + 6
-        chunked = evolve(h_i, h_p, sch, pol, psi0=start)
-        monkeypatch.undo()
-        assert np.array_equal(chunked.state.amps, whole.state.amps)
-        assert np.array_equal(chunked.norms, whole.norms)
+        # chunks of 7 steps (1000 = 142 * 7 + 6), and of 1 step
+        for table_bytes in (7 * step_bytes, 1):
+            monkeypatch.setattr(evolution, "_STAGE_TABLE_BYTES", table_bytes)
+            chunked = evolve(h_i, h_p, sch, pol, psi0=start)
+            monkeypatch.undo()
+            assert np.array_equal(chunked.state.amps, whole.state.amps)
+            assert np.array_equal(chunked.norms, whole.norms)
+
+
+def _dense_rk4(h_i, h_p, schedule, n_steps, psi0, renormalize):
+    """Textbook RK4 on dense matrices, on the same spectrally centered path as
+    evolve, with the exact phase of the centering put back at the end."""
+    (c_i, _, _), (c_p, _, _) = evolution._centering(h_i), evolution._centering(h_p)
+    a = to_dense(h_i) - c_i * np.eye(h_i.basis.dim)
+    b = to_dense(h_p) - c_p * np.eye(h_p.basis.dim)
+
+    def rhs(t, y):
+        return -1j * ((schedule.f(t) * a + schedule.g(t) * b) @ y)
+
+    h, psi = schedule.t_total / n_steps, psi0.amps.astype(complex)
+    for n in range(n_steps):
+        t = n * h
+        k1 = rhs(t, psi)
+        k2 = rhs(t + h / 2, psi + h / 2 * k1)
+        k3 = rhs(t + h / 2, psi + h / 2 * k2)
+        k4 = rhs(t + h, psi + h * k3)
+        psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if renormalize:
+            psi = psi / np.linalg.norm(psi)
+    phase = c_i * schedule_integral(schedule, "f") + c_p * schedule_integral(schedule, "g")
+    return np.exp(-1j * phase) * psi
+
+
+def _oracle_cases():
+    h_i, h_p, start = _grover_ops(8)
+    yield "grover", h_i, h_p, start, Schedule("linear", 6.0), 300, False
+    yield "renormalize", h_i, h_p, start, Schedule("das_wei", 6.0, n=8), 40, True
+    finite = build_tsp_finite(random_instance(3, 2))
+    yield "tsp-finite", finite.h_i, finite.h_p, finite.g_i, Schedule("linear", 3.0), 400, False
+    sector = invariant_sector(finite)
+    yield "sector", sector.h_i, sector.h_p, sector.g_i, Schedule("linear", 3.0), 400, False
+    rng = np.random.default_rng(SEED)
+    basis = BasisSpec.flat(6)
+    d_i, d_p = Diagonal(basis, rng.normal(size=6)), Diagonal(basis, rng.normal(size=6))
+    psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    yield ("diagonals", d_i, d_p, StateVector(basis, psi / np.linalg.norm(psi)),
+           Schedule("local_adiabatic_grover", 2.0, n=6), 100, False)
+    rank = build_tsp_rank(random_instance(3, 2))
+    yield "tsp-rank", rank.h_i, rank.h_p, rank.g_i, Schedule("linear", 0.2), 200, False
+    mixed = LinearCombination(finite.h_i.basis, ((0.7, finite.h_i), (0.3, finite.h_p)))
+    yield ("linear-combination", mixed, finite.h_p, finite.g_i,
+           Schedule("das_wei", 2.0, n=27), 400, False)
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda case: case[0])
+def test_evolve_matches_a_dense_rk4_oracle(case):
+    _, h_i, h_p, start, sch, n_steps, renormalize = case
+    pol = StepPolicy(n_steps_override=n_steps, renormalize=renormalize, samples_per_run=0,
+                     track_ground_overlap=False)
+    res = evolve(h_i, h_p, sch, pol, psi0=start)
+    want = _dense_rk4(h_i, h_p, sch, n_steps, start, renormalize)
+    assert res.n_steps == n_steps
+    assert np.max(np.abs(res.state.amps - want)) <= 1e-12
+    if renormalize:
+        assert res.renormalized and res.max_drift > 1e-9  # the steps are coarse enough to drift
 
 
 def test_integrator_is_fourth_order():
