@@ -43,6 +43,10 @@ __all__ = [
 
 #: any slack below this is an invariant violation, not roundoff
 SLACK_TOL = -1e-7
+#: a denominator at or below this times max(||H_P g_I||, |beta|, 1) counts as vanishing
+DENOM_FLOOR = 1e-12
+#: each :func:`gap_scan` refinement round shrinks the grid step by this factor
+REFINE_FACTOR = 5
 #: fixed annotation copied into every BoundReport
 THETA_NOTE = ("the intermediate time where g attains its mean value is not located; "
               "only T_min and the schedule integral are reported")
@@ -117,8 +121,7 @@ class BoundMargin:
 
 
 def verify_distance_bound(final_state: StateVector, g_i: StateVector, e_i0: float,
-                          h_p: HamiltonianOp, schedule: Schedule, betas,
-                          denom_floor: float = 1e-12) -> list[BoundMargin]:
+                          h_p: HamiltonianOp, schedule: Schedule, betas) -> list[BoundMargin]:
     """Audit the distance inequality for one evolved state over many betas.
 
     A vanishing denominator (g_I an eigenstate of H_P at beta) makes the ratio
@@ -135,7 +138,7 @@ def verify_distance_bound(final_state: StateVector, g_i: StateVector, e_i0: floa
         denom = float(np.linalg.norm(hp_gi - beta * g_i.amps))
         phi = reference_phase_state(g_i, e_i0, schedule, beta)
         dist = float(np.linalg.norm(final_state.amps - phi.amps))
-        ok = denom > denom_floor * max(scale, abs(beta))
+        ok = denom > DENOM_FLOOR * max(scale, abs(beta))
         lhs = dist / denom if ok else math.inf
         rows.append(BoundMargin(
             beta=beta, denominator=denom, distance=dist,
@@ -204,11 +207,11 @@ class GapReport:
 
 
 def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
-             grid: int = 201, refine_rounds: int = 3, refine_factor: int = 5) -> GapReport:
+             grid: int = 201, refine_rounds: int = 3) -> GapReport:
     """Lowest two levels of H(sT) over s in [0,1] with local refinement.
 
     The coarse grid is refined ``refine_rounds`` times around the running
-    minimum, each round shrinking the step by ``refine_factor``.  Every level
+    minimum, each round shrinking the step by ``REFINE_FACTOR``.  Every level
     comes from :func:`hilbert.lowest`.
     """
     if grid < 3:
@@ -236,7 +239,7 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         s_star = min(cache, key=lambda s: cache[s][1] - cache[s][0])
         lo = max(0.0, s_star - step)
         hi = min(1.0, s_star + step)
-        step /= refine_factor
+        step /= REFINE_FACTOR
         for s in np.arange(lo, hi + 0.5 * step, step):
             eval_at(float(min(max(s, 0.0), 1.0)))
 

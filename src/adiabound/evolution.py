@@ -317,13 +317,10 @@ def _centering(op: HamiltonianOp) -> tuple[float, float, float]:
 def _diagonal_split(op: HamiltonianOp) -> tuple[np.ndarray, np.ndarray | None,
                                                  HamiltonianOp | None]:
     """(d, u, rest) with op = diag(d) - |u><u| + rest; u and rest are None when
-    absent.  The one rule of when an operator is diagonal: a ``Diagonal``, or
-    a ``ProjectorComplement`` whose axis is a basis vector."""
+    absent."""
     if isinstance(op, Diagonal):
         return op.values, None, None
     if isinstance(op, ProjectorComplement):
-        if np.count_nonzero(op.vector) == 1:
-            return 1.0 - np.abs(op.vector) ** 2, None, None  # 1 - |v><v| for a basis v
         return np.ones(op.basis.dim), op.vector, None
     return np.zeros(op.basis.dim), None, op
 

@@ -59,6 +59,10 @@ DENSE_LIMIT = 2048
 RESIDUAL_RTOL = 1e-8
 #: :func:`to_dense` applies the operator to this many basis vectors at a time
 _DENSE_BLOCK = 256
+#: :func:`to_dense` refuses a larger dimension
+TO_DENSE_MAX_DIM = 4096
+#: :func:`coherent_state` fails when the discarded tail mass exceeds this
+COHERENT_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class BasisSpec:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_modes(self) -> int:
@@ -246,11 +250,6 @@ class ProjectorComplement(HamiltonianOp):
         object.__setattr__(self, "_col", vec.conj().reshape(-1, 1))
 
     def apply_amps(self, amps: np.ndarray) -> np.ndarray:
-        if amps.ndim == 1:
-            # one vector, the RK4 hot path: amps @ col gives the same bits, but its
-            # (1,)-shaped result slowed a dim-2 grover-sweep by ~10% on a 2-core
-            # Xeon, and amps.dot(col) releases the GIL on every call
-            return amps - self.vector * np.vdot(self.vector, amps)
         return amps - self.vector * (amps @ self._col)
 
     def norm_bound(self) -> float:
@@ -386,14 +385,13 @@ class CoherentPrep:
     renorm_factor: float
 
 
-def coherent_state(alpha: complex, n_max: int | None = None,
-                   tail_tol: float = 1e-10) -> CoherentPrep:
+def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentPrep:
     """Coherent state of displacement alpha on a fock ladder cut at n_max.
 
     Amplitudes come from the closed form exp(-|a|^2/2) a^n / sqrt(n!), built in
     log space so large |alpha| cannot overflow, then renormalized over the kept
-    levels.  If the discarded tail mass exceeds ``tail_tol`` the call fails and
-    names the smallest sufficient cutoff.
+    levels.  If the discarded tail mass exceeds ``COHERENT_TAIL_TOL`` the call
+    fails and names the smallest sufficient cutoff.
     """
     alpha = complex(alpha)
     if n_max is None:
@@ -402,12 +400,12 @@ def coherent_state(alpha: complex, n_max: int | None = None,
         raise ValueError("n_max must be nonnegative")
     mu = abs(alpha) ** 2
     tail = float(pdtrc(n_max, mu)) if mu > 0 else 0.0
-    if tail > tail_tol:
+    if tail > COHERENT_TAIL_TOL:
         needed = n_max
-        while float(pdtrc(needed, mu)) > tail_tol:
+        while float(pdtrc(needed, mu)) > COHERENT_TAIL_TOL:
             needed = max(needed + 1, int(needed * 1.25))
         raise ValueError(
-            f"coherent tail mass {tail:.3e} above {tail_tol:.1e} at n_max={n_max}; "
+            f"coherent tail mass {tail:.3e} above {COHERENT_TAIL_TOL:.1e} at n_max={n_max}; "
             f"n_max={needed} suffices")
     n = np.arange(n_max + 1)
     if mu > 0:
@@ -542,14 +540,14 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def to_dense(op: HamiltonianOp, limit: int = 4096) -> np.ndarray:
+def to_dense(op: HamiltonianOp) -> np.ndarray:
     """Materialize the matrix by applying to blocks of at most 256 basis vectors
     (small dims only).  Each row of a block holds a single 1, so every entry
     equals the one a single-column apply gives; the working memory beyond the
     matrix is a few (256, dim) arrays."""
     dim = op.basis.dim
-    if dim > limit:
-        raise ValueError(f"refusing to densify dim {dim} > {limit}")
+    if dim > TO_DENSE_MAX_DIM:
+        raise ValueError(f"refusing to densify dim {dim} > {TO_DENSE_MAX_DIM}")
     out = np.empty((dim, dim), dtype=np.complex128)
     for lo in range(0, dim, _DENSE_BLOCK):
         rows = min(_DENSE_BLOCK, dim - lo)

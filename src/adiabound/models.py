@@ -6,6 +6,7 @@ index set (the full degenerate argmin, never a single representative), and an
 energy budget.  Encodings:
 
   grover       flat N-dimensional search, H_I = 1-|u><u|, H_P = 1-|m><m|
+               (the diagonal with a single 0 at the marked label)
   tsp-rank     one fock ladder; level n < M! carries the length of the tour
                with rank n+1, levels beyond carry l_max; H_I is a one-mode
                ModeSum displaced by alpha with |alpha|^2 = M! by default
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tsp
-from .evolution import _diagonal_split
 from .hilbert import (
     BasisSpec,
     CoherentPrep,
@@ -79,7 +79,7 @@ class ModelBundle:
     kind: str
     name: str
     h_i: HamiltonianOp
-    h_p: HamiltonianOp
+    h_p: Diagonal
     g_i: StateVector
     e_i0: float
     target_indices: tuple[int, ...]
@@ -116,16 +116,10 @@ def build_grover(n: int, marked: int = 0) -> ModelBundle:
         raise ValueError(f"marked index {marked} outside 0..{n - 1}")
     basis = BasisSpec.flat(n)
     g_i = uniform_state(basis)
-    h_i = ProjectorComplement(basis, g_i.amps.copy())
-    target = np.zeros(n, dtype=np.complex128)
-    target[marked] = 1.0
-    h_p = ProjectorComplement(basis, target)
-    return ModelBundle(
-        kind="grover", name=f"grover-n{n}", h_i=h_i, h_p=h_p, g_i=g_i, e_i0=0.0,
-        target_indices=(marked,), target_energy=0.0, degenerate_target=False,
-        budget=EnergyBudget(alpha_cost=0.0, h_i_norm_bound=1.0, h_p_norm_bound=1.0),
-        delta_closed_form=math.sqrt(n - 1.0) / n,
-    )
+    values = np.ones(n)
+    values[marked] = 0.0  # 1 - |m><m|
+    return _bundle("grover", f"grover-n{n}", ProjectorComplement(basis, g_i.amps.copy()),
+                   Diagonal(basis, values), g_i, delta_closed_form=math.sqrt(n - 1.0) / n)
 
 
 def build_tsp_rank(inst: tsp.TspInstance, alpha_sq: float | None = None,
@@ -134,31 +128,10 @@ def build_tsp_rank(inst: tsp.TspInstance, alpha_sq: float | None = None,
     m = inst.M
     if m > 6:
         raise ValueError("rank encoding capped at 6 cities (ladder of ~M! levels)")
-    nfact = math.factorial(m)
     if alpha_sq is None:
-        alpha_sq = float(nfact)
-    if not alpha_sq > 0:
-        raise ValueError("alpha_sq must be positive")
-    alpha = math.sqrt(alpha_sq)
-    if n_max is None:
-        n_max = default_fock_cutoff(alpha)
-    if n_max < nfact - 1:
-        raise ValueError(f"n_max={n_max} drops tour levels; need at least {nfact - 1}")
-    prep = coherent_state(alpha, n_max)
-    basis = prep.state.basis
-    values = np.full(n_max + 1, inst.l_max)
-    values[:nfact] = tsp.tour_lengths_by_rank(inst)
-    h_p = Diagonal(basis, values)
-    h_i = ModeSum(basis, (alpha,))
-    target_idx, e0 = argmin_set(values)
-    return ModelBundle(
-        kind="tsp-rank", name=f"tsp-rank-{inst.name}", h_i=h_i, h_p=h_p,
-        g_i=prep.state, e_i0=0.0,
-        target_indices=target_idx, target_energy=e0, degenerate_target=len(target_idx) > 1,
-        budget=EnergyBudget(alpha_cost=alpha_sq, h_i_norm_bound=h_i.norm_bound(),
-                            h_p_norm_bound=h_p.norm_bound()),
-        instance=inst, preps=(prep,),
-    )
+        alpha_sq = float(math.factorial(m))
+    return _ladder_model("tsp-rank", inst, tsp.tour_lengths_by_rank(inst), alpha_sq,
+                         "alpha_sq", n_max)
 
 
 def build_tsp_tuple(inst: tsp.TspInstance, alpha_sq_per_mode: float | None = None,
@@ -171,41 +144,39 @@ def build_tsp_tuple(inst: tsp.TspInstance, alpha_sq_per_mode: float | None = Non
         raise ValueError("tuple encoding capped at 4 cities (product dimension)")
     if alpha_sq_per_mode is None:
         alpha_sq_per_mode = float(m)
-    if not alpha_sq_per_mode > 0:
-        raise ValueError("alpha_sq_per_mode must be positive")
-    alpha = math.sqrt(alpha_sq_per_mode)
+    # C order puts mode 1, the fastest digit, on the last axis of both blocks
+    labels = tsp.effective_lengths_all(inst, policy).reshape((m,) * m)
+    return _ladder_model("tsp-tuple", inst, labels, alpha_sq_per_mode, "alpha_sq_per_mode",
+                         n_max, policy=policy)
+
+
+def _ladder_model(kind: str, inst: tsp.TspInstance, labels: np.ndarray, alpha_sq: float,
+                  alpha_name: str, n_max: int | None, **extra) -> ModelBundle:
+    """``labels.ndim`` fock ladders, each displaced by alpha = sqrt(alpha_sq):
+    H_P carries ``labels`` on the leading block of levels (every occupation
+    below ``labels.shape[0]``) and l_max everywhere else; g_I is the product
+    of the truncated coherent states."""
+    if not alpha_sq > 0:
+        raise ValueError(f"{alpha_name} must be positive")
+    alpha = math.sqrt(alpha_sq)
     if n_max is None:
         n_max = default_fock_cutoff(alpha)
-    if n_max < m - 1:
-        raise ValueError(f"n_max={n_max} cannot hold occupations up to {m - 1}")
-    basis = BasisSpec.modes(m, n_max)
+    n_modes, levels = labels.ndim, labels.shape[0]
+    if n_max < levels - 1:
+        raise ValueError(f"n_max={n_max} drops label levels; need at least {levels - 1}")
+    basis = BasisSpec.modes(n_modes, n_max)
     if basis.dim > _TUPLE_DIM_BUDGET:
         raise ValueError(f"product dimension {basis.dim} exceeds budget {_TUPLE_DIM_BUDGET}")
-
-    # every in-range tuple (all digits < M) carries its effective length;
-    # everything touching levels >= M carries the plain ceiling
     values = np.full(basis.dim, inst.l_max)
-    digits, _, eff = tsp._effective_table(inst, policy)
-    values[digits @ (n_max + 1) ** np.arange(m)] = eff  # mode_flat of every digit row
-    h_p = Diagonal(basis, values)
-
+    values.reshape(basis.dims)[(slice(levels),) * n_modes] = labels
     prep = coherent_state(alpha, n_max)
-    h_i = ModeSum(basis, (complex(alpha),) * m)
-    amps = np.array([1.0 + 0.0j])
-    for _ in range(m):
+    amps = prep.state.amps
+    for _ in range(n_modes - 1):
         # mode 1 must vary fastest, so each new ladder goes on the slow side
         amps = np.kron(prep.state.amps, amps)
-    g_i = StateVector(basis, amps)
-    target_idx, e0 = argmin_set(values)
-    return ModelBundle(
-        kind="tsp-tuple", name=f"tsp-tuple-{inst.name}", h_i=h_i, h_p=h_p,
-        g_i=g_i, e_i0=0.0,
-        target_indices=target_idx, target_energy=e0, degenerate_target=len(target_idx) > 1,
-        budget=EnergyBudget(alpha_cost=alpha_sq_per_mode * m,
-                            h_i_norm_bound=h_i.norm_bound(),
-                            h_p_norm_bound=h_p.norm_bound()),
-        instance=inst, policy=policy, preps=(prep,) * m,
-    )
+    return _bundle(kind, f"{kind}-{inst.name}", ModeSum(basis, (alpha,) * n_modes),
+                   Diagonal(basis, values), StateVector(basis, amps),
+                   alpha_cost=alpha_sq * n_modes, instance=inst, preps=(prep,) * n_modes, **extra)
 
 
 def build_tsp_finite(inst: tsp.TspInstance,
@@ -215,18 +186,24 @@ def build_tsp_finite(inst: tsp.TspInstance,
     if m > 6:
         raise ValueError("finite encoding capped at 6 cities (M^M labels)")
     basis = BasisSpec.flat(m ** m)
-    values = tsp.effective_lengths_all(inst, policy)
-    h_p = Diagonal(basis, values)
     g_i = uniform_state(basis)
-    h_i = ProjectorComplement(basis, g_i.amps.copy())
-    target_idx, e0 = argmin_set(values)
+    return _bundle("tsp-finite", f"tsp-finite-{inst.name}",
+                   ProjectorComplement(basis, g_i.amps.copy()),
+                   Diagonal(basis, tsp.effective_lengths_all(inst, policy)), g_i,
+                   instance=inst, policy=policy)
+
+
+def _bundle(kind: str, name: str, h_i: HamiltonianOp, h_p: Diagonal, g_i: StateVector,
+            alpha_cost: float = 0.0, **extra) -> ModelBundle:
+    """Every builder's tail: the targets are the argmin set of H_P's diagonal,
+    and the budget holds both operators' norm bounds."""
+    target_idx, e0 = argmin_set(h_p.values)
     return ModelBundle(
-        kind="tsp-finite", name=f"tsp-finite-{inst.name}", h_i=h_i, h_p=h_p,
-        g_i=g_i, e_i0=0.0,
+        kind=kind, name=name, h_i=h_i, h_p=h_p, g_i=g_i, e_i0=0.0,
         target_indices=target_idx, target_energy=e0, degenerate_target=len(target_idx) > 1,
-        budget=EnergyBudget(alpha_cost=0.0, h_i_norm_bound=1.0,
+        budget=EnergyBudget(alpha_cost=alpha_cost, h_i_norm_bound=h_i.norm_bound(),
                             h_p_norm_bound=h_p.norm_bound()),
-        instance=inst, policy=policy,
+        **extra,
     )
 
 
@@ -260,12 +237,10 @@ def invariant_sector(bundle: ModelBundle) -> InvariantSector | None:
     structure of H_I or H_P gives None.
     """
     h_i, h_p, g = bundle.h_i, bundle.h_p, bundle.g_i.amps
-    if not (isinstance(h_i, ProjectorComplement) and np.array_equal(h_i.vector, g)):
+    if not (isinstance(h_i, ProjectorComplement) and np.array_equal(h_i.vector, g)
+            and isinstance(h_p, Diagonal)):
         return None
-    values, axis, rest = _diagonal_split(h_p)
-    if axis is not None or rest is not None:
-        return None
-    levels, group = np.unique(values, return_inverse=True)
+    levels, group = np.unique(h_p.values, return_inverse=True)
     w = np.sqrt(np.bincount(group, weights=np.abs(g) ** 2, minlength=levels.size))
     basis = BasisSpec.flat(levels.size)
     return InvariantSector(h_i=ProjectorComplement(basis, w), h_p=Diagonal(basis, levels),
@@ -313,7 +288,7 @@ def delta_ie_asymptote_study(m_values, policy: tsp.DsqPolicy = tsp.DsqPolicy(),
     rows = []
     for m in m_values:
         inst = tsp.random_instance(m, seed, sampler, stream=0)
-        _, mask, eff = tsp._effective_table(inst, policy)
+        eff, mask = tsp.effective_lengths_all(inst, policy), tsp.tour_index_mask(m)
         # uniform start state: the spread is the population std of the diagonal
         delta = float(np.std(eff))
         non_tour = float(np.std(eff[~mask]))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import argmin_set, degeneracy_tol
+from .hilbert import BasisSpec, argmin_set, degeneracy_tol, mode_digits, mode_flat
 
 __all__ = [
     "Tour",
@@ -256,29 +256,22 @@ def index_to_tuple(s: int, m: int) -> Tour:
     """Decode the 1-based state index into (m_1, ..., m_M), least significant first.
 
     The encoding is s = 1 + sum_i m_i * M**(i-1) with digits in 0..M-1, so the
-    first component varies fastest as s increases.
+    first component varies fastest as s increases: the occupations of flat
+    index s-1 on M ladders cut at M-1 (:func:`hilbert.mode_digits`).
     """
     if m < 1:
         raise ValueError("m must be positive")
     if not 1 <= s <= m ** m:
         raise ValueError(f"index {s} outside [1, {m}^{m}]")
-    rem = s - 1
-    digits = []
-    for _ in range(m):
-        digits.append(rem % m)
-        rem //= m
-    return tuple(digits)
+    return mode_digits(BasisSpec.modes(m, m - 1), s - 1)
 
 
 def tuple_to_index(digits) -> int:
     """Inverse of :func:`index_to_tuple`; digits are base-M, least significant first."""
     m = len(digits)
-    s = 0
-    for i, dig in enumerate(digits):
-        if not 0 <= dig < m:
-            raise ValueError(f"component {dig} outside 0..{m - 1}")
-        s += int(dig) * m ** i
-    return s + 1
+    if m < 1:
+        raise ValueError("need at least one component")
+    return mode_flat(BasisSpec.modes(m, m - 1), digits) + 1
 
 
 def is_tour(digits) -> bool:
@@ -340,43 +333,29 @@ def effective_length(inst: TspInstance, s: int, policy: DsqPolicy) -> float:
     return policy.dsq(s, inst.l_max) + inst.l_max
 
 
-def _digit_table(m: int) -> np.ndarray:
-    """(M^M, M) little-endian base-M digits of s-1 for s = 1..M^M."""
+def _tour_positions(m: int) -> np.ndarray:
+    """Position s-1 of each tour among the M^M labels, in rank order: a tour's
+    digits are its permutation row, so s-1 is that row's base-M value."""
     if m > 8:
         raise ValueError("full M^M table capped at M = 8")
-    count = m ** m
-    digits = np.empty((count, m), dtype=np.int8)
-    rem = np.arange(count)
-    for i in range(m):
-        digits[:, i] = rem % m
-        rem //= m
-    return digits
-
-
-def _tour_rows(digits: np.ndarray) -> np.ndarray:
-    """True for each digit-table row that is a permutation of 0..M-1."""
-    return (np.sort(digits, axis=1) == np.arange(digits.shape[1], dtype=np.int8)).all(axis=1)
+    return _all_perms(m) @ m ** np.arange(m)
 
 
 def tour_index_mask(m: int) -> np.ndarray:
     """Boolean mask over s = 1..M^M (position s-1): True where s encodes a tour."""
-    return _tour_rows(_digit_table(m))
+    mask = np.zeros(m ** m, dtype=bool)
+    mask[_tour_positions(m)] = True
+    return mask
 
 
 def effective_lengths_all(inst: TspInstance, policy: DsqPolicy) -> np.ndarray:
     """Vector of effective lengths for s = 1..M^M (index s at position s-1)."""
-    return _effective_table(inst, policy)[2]
-
-
-def _effective_table(inst: TspInstance, policy: DsqPolicy):
-    """The digit table, its tour mask and the effective lengths, from one table."""
-    digits = _digit_table(inst.M)
-    tour_mask = _tour_rows(digits)
-    out = np.empty(digits.shape[0])
-    out[tour_mask] = _lengths_of(digits[tour_mask], inst.d)
-    non_idx = np.nonzero(~tour_mask)[0]
+    mask = tour_index_mask(inst.M)
+    out = np.empty(mask.size)
+    out[_tour_positions(inst.M)] = tour_lengths_by_rank(inst)
+    non_idx = np.nonzero(~mask)[0]
     out[non_idx] = policy._dsq_all(non_idx + 1, inst.l_max) + inst.l_max
-    return digits, tour_mask, out
+    return out
 
 
 def tour_lengths_by_rank(inst: TspInstance) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from adiabound import (
+    Diagonal,
     DistanceSampler,
     DsqPolicy,
     StateVector,
@@ -28,6 +30,7 @@ from adiabound import (
     tour_lengths_by_rank,
     uniform_state,
 )
+from adiabound.hilbert import argmin_set
 
 SEED = 20260825
 
@@ -251,6 +254,88 @@ def test_finite_model_degenerate_line_metric(cyclic4):
 def test_finite_model_validation():
     with pytest.raises(ValueError):
         build_tsp_finite(random_instance(7, SEED))  # capped at 6 cities
+
+
+# ---------------------------------------------------------------------------
+# the encoding layer, frozen: sha256 of the raw float64/int64 bytes, taken
+# before the label codec, the tour positions and the ladder builder were
+# merged into one place each
+# ---------------------------------------------------------------------------
+
+FROZEN_EFFECTIVE = {
+    (3, "parity"): "52de2e691f47ae8ebeadb5d2d73f0599af03e8676da66459a508c9de68188355",
+    (3, "random"): "586e41064d0e6f20fd05c6f625eae9b0b53636371f67122e63152e31778660ff",
+    (4, "parity"): "11926576e08d650316e9fadd8f697d394876171b63193b9882cc77890168fb72",
+    (4, "random"): "b929f0748199b3ca8f851fa99c9a0e8778456cd4edce72a6b4457b6d23ab5954",
+    (5, "parity"): "5c7aa580491e15106fecc1b05279c6dcee495e0cba428aea78d65c37f2cf9c88",
+    (5, "random"): "3dc60b24b3dc3984294fb0f33403b2811d86c8297263a57eacf411d7b93c51d8",
+    (6, "parity"): "0dcc8dfd1daa496b643425a8c9b0c72652975481c44b94e632fdb628fde3380a",
+    (6, "random"): "62d7fb53ef7d6b73380b600430586f7619ede9d22bfeb076c3035d3baf367da2",
+}
+FROZEN_POLICIES = {"parity": DsqPolicy(), "random": DsqPolicy("random", sigma_d=0.7, seed=3)}
+#: (h_p.values, target_indices, g_i.amps)
+FROZEN_TUPLE = {
+    3: ("0ea8a7061941613435461f9da154eb2281e00a2db6d5e085a54f564dff001087",
+        "2ce9fd49e3872a207e970f8da3066d93da3250ff70a79ce8c4c451bfdee2c6c5",
+        "98b5fbf25861211631b382b3231adc8ce4f2f8dc6de95aed9d175de661fdc96a"),
+    4: ("462995a3949ff815e5c09ceda5386cd90b993802f4266db93d43c085137c6a66",
+        "26f3c2550b45a883224a3be33412dd5039fa1ec65ccabdbb183ad40cf3c7a098",
+        "33b558e35e7e6ca833db90aa0562b6327b340af27873ebfe6ecd3f6ba2a92513"),
+}
+#: (h_p.values, g_i.amps)
+FROZEN_RANK = {
+    3: ("57c6031d4b98537aaeacf6dffd3f2ff6499fe20023d1a8e0ebea44f9c5832083",
+        "6b0384dabdca4aa15873267fa3a0070c84d13f9577b0a33f6e3f25839343205d"),
+    5: ("723298e7a2931cbed569517332d7ada44ce9a1785bbfc4250140c762865f684d",
+        "40377215ce8ffdba024e0e19ce6fd79a4ba48d9661edd5c6781eaf9064790086"),
+}
+
+
+def _sha(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("m, policy", sorted(FROZEN_EFFECTIVE))
+def test_effective_lengths_all_frozen(m, policy):
+    vec = effective_lengths_all(random_instance(m, SEED), FROZEN_POLICIES[policy])
+    assert _sha(vec) == FROZEN_EFFECTIVE[m, policy]
+
+
+@pytest.mark.parametrize("m", sorted(FROZEN_TUPLE))
+def test_tuple_model_frozen(m):
+    b = build_tsp_tuple(random_instance(m, SEED))
+    targets = np.array(b.target_indices, dtype=np.int64)
+    assert (_sha(b.h_p.values), _sha(targets), _sha(b.g_i.amps)) == FROZEN_TUPLE[m]
+
+
+@pytest.mark.parametrize("m", sorted(FROZEN_RANK))
+def test_rank_model_frozen(m):
+    b = build_tsp_rank(random_instance(m, SEED))
+    assert (_sha(b.h_p.values), _sha(b.g_i.amps)) == FROZEN_RANK[m]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tour_index_mask_is_the_codec_tour_test(m):
+    want = [is_tour(index_to_tuple(s, m)) for s in range(1, m ** m + 1)]
+    assert tour_index_mask(m).tolist() == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda inst: build_grover(16, marked=5),
+    build_tsp_rank,
+    build_tsp_tuple,
+    build_tsp_finite,
+    lambda inst: build_tsp_finite(inst, DsqPolicy("random", sigma_d=0.5, seed=2)),
+], ids=["grover", "tsp-rank", "tsp-tuple", "tsp-finite", "tsp-finite-random"])
+def test_every_model_has_a_diagonal_problem_and_argmin_targets(build):
+    b = build(random_instance(3, SEED))
+    assert isinstance(b.h_p, Diagonal)
+    targets, e0 = argmin_set(b.h_p.values)
+    assert b.target_indices == targets
+    assert b.target_energy == e0
+    assert b.degenerate_target == (len(targets) > 1)
+    assert b.budget.h_i_norm_bound == b.h_i.norm_bound()
+    assert b.budget.h_p_norm_bound == b.h_p.norm_bound()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from adiabound import (
     InvariantSector,
     ProjectorComplement,
     StepPolicy,
+    basis_vector,
     build_grover,
     build_tsp_finite,
     build_tsp_rank,
@@ -119,7 +120,7 @@ def test_sector_needs_a_rank_one_driver_and_a_diagonal_problem():
     not_diagonal = ProjectorComplement(grover.h_p.basis, grover.g_i.amps)
     assert invariant_sector(dataclasses.replace(grover, h_p=not_diagonal)) is None
     # a driver whose axis is not the start state
-    tilted = ProjectorComplement(grover.h_i.basis, grover.h_p.vector)
+    tilted = ProjectorComplement(grover.h_i.basis, basis_vector(grover.h_i.basis, 0).amps)
     assert invariant_sector(dataclasses.replace(grover, h_i=tilted)) is None
     diagonal = Diagonal(grover.h_p.basis, np.arange(8.0))
     assert invariant_sector(dataclasses.replace(grover, h_i=diagonal)) is None

@@ -238,6 +238,8 @@ def test_tuple_bounds():
         index_to_tuple(28, 3)
     with pytest.raises(ValueError):
         tuple_to_index((0, 3, 0))
+    with pytest.raises(ValueError):
+        tuple_to_index(())  # index_to_tuple has no m = 0 either
 
 
 def test_is_tour():
