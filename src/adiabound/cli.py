@@ -148,13 +148,14 @@ def _leaf(value, typ, low: list, where: str):
         raise UsageError(f"{where} is too large for a number") from None
 
 
-def _typed(obj, schema: dict, path: str = "") -> dict:
+def _typed(obj, schema: dict, path: str = "", fill: bool = True) -> dict:
     """Check a config object against its schema and return a typed copy.
 
     Unknown keys, wrong JSON types, missing required keys and an
     ``_EXCLUSIVE`` pair given together raise :class:`UsageError`.  Absent
     keys take their defaults; an explicit null counts as absent only where
-    the default is None.
+    the default is None.  With ``fill=False`` the copy holds only the keys
+    given, at every level: the config as the manifest hashes it.
     """
     if not isinstance(obj, dict):
         raise UsageError(f"{path[:-1] or 'config'} must be an object, got {_shown(obj)}")
@@ -166,14 +167,15 @@ def _typed(obj, schema: dict, path: str = "") -> dict:
     for key, spec in schema.items():
         where = path + key
         if isinstance(spec, dict):
-            out[key] = _typed(obj.get(key, {}), spec, where + ".")
+            if fill or key in obj:
+                out[key] = _typed(obj.get(key, {}), spec, where + ".", fill)
             continue
         typ, default, *low = spec
         if key in obj and not (obj[key] is None and default is None):
             out[key] = _leaf(obj[key], typ, low, where)
         elif default is _REQUIRED:
             raise UsageError(f"config needs {where!r}")
-        else:
+        elif fill or key in obj:
             out[key] = default
     for a, b in _EXCLUSIVE:
         if out.get(a) is not None and out.get(b) is not None:
@@ -629,7 +631,9 @@ def run_experiment(experiment: str, cfg: dict, out_dir=None, threads: int | None
         raise UsageError("give --out or set out_dir in the config")
     out = OutputDir(Path(typed["out_dir"]))
     rows = EXPERIMENTS[experiment].run(plan, out, typed["threads"])
-    return _finish_manifest(out, experiment, cfg, rows)
+    # the config as given, typed: one run spelled [1, 2] or [1.0, 2.0] gets one hash
+    given = _typed(cfg, EXPERIMENTS[experiment].schema, fill=False)
+    return _finish_manifest(out, experiment, given, rows)
 
 
 # ---------------------------------------------------------------------------

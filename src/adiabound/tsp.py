@@ -118,14 +118,26 @@ class TspInstance:
     def from_distances(cls, d, name: str = "tsp") -> "TspInstance":
         """Build an instance with ``l_max = 1.1 * (worst tour length)``.
 
-        The worst tour is scanned exactly for M <= 10; beyond that the scan
+        The worst tour is found exactly for M <= 10; beyond that the scan
         would need > 10! rows and the ceiling falls back to the weaker but
         safe bound ``1.1 * M * max(d)``.
+
+        A closed tour has the same legs from whichever city it starts, so the
+        scan covers the (M-1)! tours from city 0.  Rotations sum those legs in
+        another order, which can move the float sum by up to ~M eps relative,
+        so every rotation of each tour within ``4 M eps`` of the top is summed
+        again as the full M! scan sums it: ``worst`` is that scan's maximum,
+        bit for bit.
         """
         d = _validate_distances(d)
         M = d.shape[0]
         if M <= _EXACT_LMAX_MAX_M:
-            worst = max(float(np.max(_lengths_of(perms, d))) for perms in _perm_chunks(M))
+            tours = _block((0,), M)
+            lengths = _lengths_of(tours, d)
+            worst = float(np.max(lengths))
+            near = tours[lengths >= worst * (1.0 - 4 * M * np.finfo(float).eps)]
+            for shift in range(1, M):  # one rotation at a time keeps an all-tie scan small
+                worst = max(worst, float(np.max(_lengths_of(np.roll(near, -shift, axis=1), d))))
         else:
             worst = M * float(np.max(d))
         return cls(d=d, l_max=LMAX_SAFETY * worst, name=name)

@@ -293,6 +293,26 @@ def test_threads_do_not_change_results(tmp_path, capsys):
     assert hash_a == hash_b
 
 
+def test_config_spelling_does_not_move_the_hash(tmp_path, capsys):
+    # the manifest hashes the given keys typed by the schema, so an integer
+    # written where the schema takes a number hashes as that float
+    manifests = []
+    for name, mults in (("ints", [1, 2]), ("floats", [1.0, 2.0])):
+        payload = {"experiment": "bound-audit", "model": {"model": "grover", "n": 16},
+                   "t_multipliers": mults}
+        out = tmp_path / name
+        assert main(["bound-audit", "--config", _write_config(tmp_path, f"{name}.json", payload),
+                     "--out", str(out), "--seed", "1"]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    capsys.readouterr()
+    ints, floats = manifests
+    assert ints["content_hash"] == floats["content_hash"]
+    assert ints["config"] == floats["config"] == {
+        "experiment": "bound-audit", "model": {"model": "grover", "n": 16},
+        "t_multipliers": [1.0, 2.0]}  # no default filled in
+    assert ints["rows"] == floats["rows"] and ints["outputs"] == floats["outputs"]
+
+
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, "c.json", {"experiment": "fraction-decay",
                                              "m_values": [8, 10]})

@@ -15,6 +15,7 @@ from adiabound import (
     StateVector,
     apply,
     basis_vector,
+    build_tsp_tuple,
     coherent_state,
     default_fock_cutoff,
     expectation,
@@ -200,6 +201,34 @@ def test_mode_sum_matches_kron():
     ]
     dense = to_dense(ModeSum(basis, alphas))
     assert np.allclose(dense, sum(terms), atol=1e-12)
+
+
+def _mode_sum_reference(op, amps):
+    # the plain per-mode loop, a fresh array for every product
+    d, dim, lead = op.basis.dims[0], op.basis.dim, amps.shape[:-1]
+    sq = np.sqrt(np.arange(1, d, dtype=float))[:, None]
+    out, low = None, 1
+    for alpha in op.alphas:
+        cube = amps.reshape(*lead, dim // (low * d), d, low)
+        u = -alpha * cube
+        u[..., :-1, :] += sq * cube[..., 1:, :]
+        term = -np.conj(alpha) * u
+        term[..., 1:, :] += sq * u[..., :-1, :]
+        out = term.reshape(amps.shape) if out is None else out + term.reshape(amps.shape)
+        low *= d
+    return out
+
+
+@pytest.mark.parametrize("n_max,alphas", [(7, (1.3 - 0.4j,)), (5, (0.9, 1.4j)),
+                                          (4, (0.3, -0.8 + 0.5j, 1.1j)), (1, (0.2j, 0.5, 0.9, -0.3))])
+def test_mode_sum_apply_reuses_buffers_bit_for_bit(n_max, alphas):
+    op = ModeSum(BasisSpec.modes(len(alphas), n_max), alphas)
+    rng = np.random.default_rng(SEED)
+    for shape in [(op.basis.dim,), (4, op.basis.dim)]:
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = amps.copy()
+        assert np.array_equal(op.apply_amps(amps), _mode_sum_reference(op, amps))
+        assert np.array_equal(amps, kept)
 
 
 def test_linear_combination_dense():
@@ -521,6 +550,42 @@ def test_ground_state_iterative_mode_sum(monkeypatch):
     evals, evecs = np.linalg.eigh(to_dense(op))
     assert gs.energy == pytest.approx(float(evals[0]), abs=1e-8)
     assert abs(np.vdot(evecs[:, 0], gs.state.amps)) ** 2 >= 1.0 - 1e-8
+
+
+_PRODUCT_CASES = {
+    "two-real": (5, (0.9, 1.4)),
+    "two-complex": (6, (0.7 - 0.4j, 1.2 + 0.9j)),
+    "three-unequal": (4, (0.3, 1.1j, -0.8 + 0.5j)),
+    "three-n_max-1": (1, (0.2, 0.5 - 0.1j, 0.9)),
+    "two-n_max-1-equal": (1, (0.6j, 0.6j)),
+    "three-zero": (3, (0.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PRODUCT_CASES))
+def test_mode_sum_product_ground_state_matches_dense_oracle(name):
+    n_max, alphas = _PRODUCT_CASES[name]
+    op = ModeSum(BasisSpec.modes(len(alphas), n_max), alphas)
+    gs = ground_state(op)
+    evals, evecs = np.linalg.eigh(to_dense(op))
+    assert abs(gs.energy - evals[0]) <= 1e-12
+    assert abs(np.vdot(evecs[:, 0], gs.state.amps)) ** 2 >= 1.0 - 1e-12
+    assert gs.degenerate == bool(evals[1] - evals[0] <= hilbert.degeneracy_tol(evals[0]))
+    assert gs.residual <= hilbert.RESIDUAL_RTOL
+    assert gs.matvecs == len(alphas) * (n_max + 1) + 1
+
+
+def test_mode_sum_product_ground_state_checks_its_residual(monkeypatch):
+    monkeypatch.setattr(hilbert, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        ground_state(ModeSum(BasisSpec.modes(2, 5), (0.9, 1.4j)))
+
+
+def test_tuple_driver_ground_state_never_reaches_lanczos():
+    # dim 32,768: eigsh takes ~390 matvecs, the product three ladders of 32 plus one
+    h_i = build_tsp_tuple(random_instance(3, SEED)).h_i
+    assert h_i.basis.dim == 32 ** 3
+    assert ground_state(h_i).matvecs <= 3 * 32 + 1
 
 
 # ---------------------------------------------------------------------------

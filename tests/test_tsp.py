@@ -81,6 +81,24 @@ def test_l_max_m10_frozen():
     assert random_instance(10, 2).l_max == 9.421913790285764
 
 
+_LMAX_SAMPLERS = {
+    "uniform": DistanceSampler(),
+    "symmetric": DistanceSampler(symmetric=True),
+    "constant": DistanceSampler(kind="constant", value=0.1),  # every tour ties
+}
+
+
+@pytest.mark.parametrize("sampler", list(_LMAX_SAMPLERS))
+@pytest.mark.parametrize("m", range(3, 11))
+def test_l_max_is_the_full_scan_bit_for_bit(m, sampler):
+    # oracle: every one of the m! rows, summed in its own leg order
+    for seed in range(6) if m <= 8 else (SEED,):
+        inst = random_instance(m, seed, _LMAX_SAMPLERS[sampler])
+        worst = max(float(np.max(tsp._lengths_of(perms, inst.d)))
+                    for perms in tsp._perm_chunks(m))
+        assert inst.l_max == 1.1 * worst
+
+
 def test_random_instance_reproducible():
     a = random_instance(5, 7)
     b = random_instance(5, 7)
