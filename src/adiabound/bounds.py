@@ -11,9 +11,8 @@ hence a smallest credible time T_min from  integral_0^{T_min} g = 2 / Delta_I E.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,31 +63,15 @@ def residual_norm(g_i: StateVector, h_p: HamiltonianOp, beta: float) -> float:
 
 @dataclass(frozen=True)
 class BetaMinimum:
-    beta_star: float
-    value: float
-    h_p_mean: float
-    delta: float
+    h_p_mean: float  # where beta -> ||(H_P - beta) g_I|| is smallest
+    delta: float     # its value there
 
 
-def beta_minimum(g_i: StateVector, h_p: HamiltonianOp,
-                 beta_grid: np.ndarray | None = None) -> BetaMinimum:
-    """Grid minimum of beta -> ||(H_P - beta) g_I||.
-
-    The default grid spans <H_P> +/- 3 spreads, where the algebraic minimum
-    (value = spread at beta = <H_P>) is guaranteed to live.
-    """
-    mean = expectation(h_p, g_i)
-    delta = delta_ie(g_i, h_p)
-    if beta_grid is None:
-        half = max(3.0 * delta, 1e-6 * (1.0 + abs(mean)))
-        beta_grid = np.linspace(mean - half, mean + half, 601)
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    if beta_grid.size == 0:
-        raise ValueError("beta grid must be nonempty")
-    values = np.array([residual_norm(g_i, h_p, b) for b in beta_grid])
-    pos = int(np.argmin(values))
-    return BetaMinimum(beta_star=float(beta_grid[pos]), value=float(values[pos]),
-                       h_p_mean=mean, delta=delta)
+def beta_minimum(g_i: StateVector, h_p: HamiltonianOp) -> BetaMinimum:
+    """Minimum of beta -> ||(H_P - beta) g_I||, in closed form: its square is
+    Delta_I E^2 + (beta - <H_P>)^2, so it is least at beta = <H_P>, where it
+    equals Delta_I E."""
+    return BetaMinimum(h_p_mean=expectation(h_p, g_i), delta=delta_ie(g_i, h_p))
 
 
 def t_min(kind: str, delta: float, *, n: int | None = None,
@@ -169,16 +152,6 @@ class BoundReport:
         vals = [m.slack for m in self.margins if m.applicable]
         return min(vals) if vals else math.inf
 
-    def to_json(self) -> str:
-        return strict_json(asdict(self), indent=2)
-
-    def to_csv(self) -> str:
-        lines = ["beta,denominator,distance,lhs,rhs,slack,cap_slack,applicable"]
-        for m in self.margins:
-            lines.append(f"{m.beta!r},{m.denominator!r},{m.distance!r},{m.lhs!r},"
-                         f"{m.rhs!r},{m.slack!r},{m.cap_slack!r},{int(m.applicable)}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # gap scan
@@ -195,15 +168,6 @@ class GapReport:
     s_at_min: float
     t_adb: float       # max ||dH/ds|| / g_min^2, the usual adiabatic time proxy
     dh_norm: float     # ||H_P - H_I||, from its lowest and highest eigenvalue
-
-    def to_json(self) -> str:
-        return strict_json(asdict(self), indent=2)
-
-    def to_csv(self) -> str:
-        lines = ["s,e0,e1,gap"]
-        for s, a, b in zip(self.s_grid, self.e0, self.e1):
-            lines.append(f"{float(s)!r},{float(a)!r},{float(b)!r},{float(b - a)!r}")
-        return "\n".join(lines) + "\n"
 
 
 def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
@@ -257,21 +221,3 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     return GapReport(schedule_kind=schedule.kind, t_total=t_total,
                      s_grid=s_sorted, e0=e0, e1=e1, g_min=g_min,
                      s_at_min=float(s_sorted[pos]), t_adb=t_adb, dh_norm=dh_norm)
-
-
-def strict_json(obj, **dump_args) -> str:
-    """RFC 8259 JSON text of ``obj``: numpy values become plain ones and every
-    non-finite float becomes null, which ``allow_nan=False`` then enforces."""
-    return json.dumps(_plain(obj), allow_nan=False, **dump_args)
-
-
-def _plain(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj

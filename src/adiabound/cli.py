@@ -24,7 +24,7 @@ import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .bounds import (
     BoundReport,
     delta_ie,
     gap_scan,
-    strict_json,
     t_min,
     verify_distance_bound,
 )
@@ -47,7 +46,7 @@ from .evolution import (
     schedule_integral,
     success_probability,
 )
-from .hilbert import expectation
+from .hilbert import NumericGuardError, expectation
 from .models import (
     InvariantSector,
     ModelBundle,
@@ -304,6 +303,30 @@ def _audit_cells(bundle: ModelBundle, cfg: dict) -> list[_Cell]:
 # output plumbing
 # ---------------------------------------------------------------------------
 
+def strict_json(obj, **dump_args) -> str:
+    """RFC 8259 JSON text of ``obj``: numpy values become plain ones and every
+    non-finite float becomes null, which ``allow_nan=False`` then enforces."""
+    return json.dumps(_plain(obj), allow_nan=False, **dump_args)
+
+
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _field(value) -> str:
+    """One number of a CSV or series row: an int (a bool as 0 or 1) as written,
+    anything else as the repr of its float, which reads back bit for bit."""
+    return str(int(value)) if isinstance(value, int) else repr(float(value))
+
+
 def _canonical_json(obj) -> str:
     return strict_json(obj, sort_keys=True, separators=(",", ":"))
 
@@ -335,13 +358,16 @@ class OutputDir:
     def write_json(self, rel: str, obj) -> None:
         self.write_text(rel, strict_json(obj, indent=2) + "\n")
 
-    def write_series(self, rel: str, header: str, columns) -> None:
-        """Whitespace-separated plot data with a self-describing '#' header."""
-        cols = [np.asarray(c, dtype=float) for c in columns]
-        lines = [f"# {header}"]
-        for row in zip(*cols):
-            lines.append(" ".join(repr(float(v)) for v in row))
+    def write_rows(self, rel: str, header: str, rows, sep: str = ",") -> None:
+        """A header line, then one line of :func:`_field` numbers per row."""
+        lines = [header, *(sep.join(map(_field, row)) for row in rows)]
         self.write_text(rel, "\n".join(lines) + "\n")
+
+    def write_series(self, rel: str, header: str, columns) -> None:
+        """Whitespace-separated plot data with a self-describing '#' header;
+        every column is written as floats."""
+        cols = [np.asarray(c, dtype=float) for c in columns]
+        self.write_rows(rel, f"# {header}", zip(*cols), sep=" ")
 
 
 def _finish_manifest(out: OutputDir, experiment: str, cfg: dict, rows) -> dict:
@@ -431,11 +457,9 @@ def _run_grover_sweep(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     for idx, (report, cell) in enumerate(results):
         out.write_json(f"cells/cell-{idx:03d}.json", cell)
         rows.append(cell)
-    csv_lines = ["N,delta_ie,t_min,success_prob,slack_min"]
-    for cell in rows:
-        csv_lines.append(f"{cell['n']},{cell['delta_ie']!r},{cell['t_min']!r},"
-                         f"{cell['success_prob']!r},{cell['slack_min']!r}")
-    out.write_text("sweep.csv", "\n".join(csv_lines) + "\n")
+    out.write_rows("sweep.csv", "N,delta_ie,t_min,success_prob,slack_min",
+                   ([c["n"], c["delta_ie"], c["t_min"], c["success_prob"], c["slack_min"]]
+                    for c in rows))
     out.write_series("tmin-vs-sqrtN.dat", "sqrt(N) t_min",
                      ([math.sqrt(c["n"]) for c in rows], [c["t_min"] for c in rows]))
     out.write_series("success-vs-N.dat", "N success_prob",
@@ -454,8 +478,10 @@ def _run_model_audit(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     rows = []
     for idx, (report, cell) in enumerate(results):
         out.write_json(f"cells/cell-{idx:03d}.json", cell)
-        out.write_text(f"cells/margins-{idx:03d}.csv", report.to_csv())
-        out.write_text(f"cells/report-{idx:03d}.json", report.to_json() + "\n")
+        out.write_rows(f"cells/margins-{idx:03d}.csv",
+                       "beta,denominator,distance,lhs,rhs,slack,cap_slack,applicable",
+                       map(astuple, report.margins))
+        out.write_json(f"cells/report-{idx:03d}.json", asdict(report))
         rows.append(cell)
     out.write_series("slack-vs-T.dat", "t_total slack_min",
                      ([c["t_total"] for c in rows], [c["slack_min"] for c in rows]))
@@ -473,7 +499,8 @@ def _run_model_audit(plan: dict, out: OutputDir, threads: int) -> list[dict]:
 
 def _run_sigma_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     report = sigma_scaling_study(plan["sampler"], plan["m_values"], plan["samples"], plan["seed"])
-    out.write_text("sigma.csv", report.to_csv())
+    out.write_rows("sigma.csv", "M,samples,sigma_mean,sigma_stderr,ratio_sqrtM",
+                   map(astuple, report.rows))
     rows = [{"m": r.m, "samples": r.samples, "sigma_mean": r.sigma_mean,
              "sigma_stderr": r.sigma_stderr, "ratio_sqrtM": r.ratio_sqrtm}
             for r in report.rows]
@@ -491,8 +518,9 @@ def _run_gap_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     bundle, schedule = plan["bundle"], plan["schedule"]
     report = gap_scan(bundle.h_i, bundle.h_p, schedule, grid=plan["grid"],
                       refine_rounds=plan["rounds"])
-    out.write_text("gap.json", report.to_json() + "\n")
-    out.write_text("gap.csv", report.to_csv())
+    out.write_json("gap.json", asdict(report))
+    out.write_rows("gap.csv", "s,e0,e1,gap",
+                   zip(report.s_grid, report.e0, report.e1, report.e1 - report.e0))
     out.write_series("E0.dat", "s E0", (report.s_grid, report.e0))
     out.write_series("E1.dat", "s E1", (report.s_grid, report.e1))
     out.write_series("gap.dat", "s gap", (report.s_grid, report.e1 - report.e0))
@@ -506,11 +534,9 @@ def _run_gap_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
 
 def _run_fraction_decay(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     report = tour_fraction_decay(plan["m_values"])
-    out.write_text("fraction.csv", report.to_csv())
-    rows = [{"m": r.m, "exact_ratio": r.exact_ratio, "stirling": r.stirling,
-             "stirling_rel_dev": r.stirling_rel_dev, "sqrt_m_form": r.sqrt_m_form,
-             "sqrt_m_form_rel_dev": r.sqrt_m_form_rel_dev, "log_exact": r.log_exact}
-            for r in report.rows]
+    out.write_rows("fraction.csv", "M,exact_ratio,stirling,stirling_rel_dev,sqrt_m_form,"
+                   "sqrt_m_form_rel_dev,log_exact", map(astuple, report.rows))
+    rows = [asdict(r) for r in report.rows]
     out.write_series("fraction-vs-M.dat", "M exact_ratio",
                      ([r["m"] for r in rows], [r["exact_ratio"] for r in rows]))
     out.write_series("log-fraction-vs-M.dat", "M log_exact",
@@ -686,11 +712,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # numeric guards (norm drift, eigensolver budgets) abort mid-run
+    except (InvariantViolation, NumericGuardError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
 

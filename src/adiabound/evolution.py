@@ -16,6 +16,7 @@ from .hilbert import (
     Diagonal,
     HamiltonianOp,
     LinearCombination,
+    NumericGuardError,
     ProjectorComplement,
     StateVector,
     ground_state,
@@ -149,13 +150,12 @@ class StepPolicy:
     so the budget grows with the half-widths of the two spectra rather than
     their norms, and the exact global phase of the shift is put back at the
     end.  Norm drift past norm_tol aborts the run rather than silently
-    renormalizing; opt into renormalization explicitly if wanted.
+    renormalizing.
     """
 
     step_bound_factor: float = 0.1
     norm_tol: float = 1e-8
     samples_per_run: int = 256
-    renormalize: bool = False
     track_ground_overlap: bool = True
     n_steps_override: int | None = None
 
@@ -180,7 +180,6 @@ class EvolutionResult:
     h: float
     norm_bound: float
     max_drift: float
-    renormalized: bool
 
 
 def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
@@ -188,9 +187,9 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     """Integrate i dpsi/dt = (f H_I + g H_P) psi from the ground state of H_I.
 
     Classical fixed-step RK4 on the spectrally centered path (see
-    :class:`StepPolicy`).  The state is never renormalized unless the policy
-    says so; the drift it accumulates is the accuracy meter, and a drift
-    beyond ``policy.norm_tol`` raises instead of passing silently.
+    :class:`StepPolicy`).  The state is never renormalized: the drift it
+    accumulates is the accuracy meter, and a drift beyond ``policy.norm_tol``
+    raises :class:`NumericGuardError` instead of passing silently.
     """
     if h_i.basis != h_p.basis:
         raise ValueError(f"operator bases differ: {h_i.basis} vs {h_p.basis}")
@@ -277,13 +276,11 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
             y *= 1.0 / 3.0
             psi += y
             step += 1
-            nrm = math.sqrt(np.vdot(psi, psi).real)
-            max_drift = max(max_drift, abs(nrm - 1.0))
-            if policy.renormalize:
-                psi /= nrm
-            elif abs(nrm - 1.0) > policy.norm_tol:
-                raise RuntimeError(
-                    f"norm drift {abs(nrm - 1.0):.3e} exceeded {policy.norm_tol:.1e} at step "
+            drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
+            max_drift = max(max_drift, drift)
+            if drift > policy.norm_tol:
+                raise NumericGuardError(
+                    f"norm drift {drift:.3e} exceeded {policy.norm_tol:.1e} at step "
                     f"{step}/{n_steps}; shrink step_bound_factor")
             if step in sample_steps:
                 record(step)
@@ -299,7 +296,6 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         h=h,
         norm_bound=bound,
         max_drift=max_drift,
-        renormalized=policy.renormalize,
     )
 
 

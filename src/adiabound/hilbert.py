@@ -18,12 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import pdtrc
 
 __all__ = [
     "BasisSpec",
     "StateVector",
+    "HamiltonianOp",
     "Diagonal",
     "ProjectorComplement",
     "ModeSum",
@@ -31,11 +32,11 @@ __all__ = [
     "GroundState",
     "Eigenpairs",
     "CoherentPrep",
+    "NumericGuardError",
     "basis_vector",
     "uniform_state",
     "mode_digits",
     "mode_flat",
-    "apply",
     "expectation",
     "variance",
     "coherent_state",
@@ -63,6 +64,12 @@ _DENSE_BLOCK = 256
 TO_DENSE_MAX_DIM = 4096
 #: :func:`coherent_state` fails when the discarded tail mass exceeds this
 COHERENT_TAIL_TOL = 1e-10
+
+
+class NumericGuardError(RuntimeError):
+    """A numeric guard stopped a computation: an eigenpair residual, an
+    eigensolver's matvec budget or convergence, or an integrator's norm drift
+    crossed its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -151,20 +158,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def inner(self, other: "StateVector") -> complex:
-        _check_same_basis(self.basis, other.basis)
-        return complex(np.vdot(self.amps, other.amps))
-
-    def overlap_sq(self, other: "StateVector") -> float:
-        return abs(self.inner(other)) ** 2
-
-    def dump(self) -> str:
-        """Plain-text amplitudes: one 'index re im' row per basis state."""
-        lines = []
-        for i, a in enumerate(self.amps):
-            lines.append(f"{i} {float(a.real)!r} {float(a.imag)!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _check_same_basis(a: BasisSpec, b: BasisSpec) -> None:
@@ -353,11 +346,6 @@ class LinearCombination(HamiltonianOp):
 # operations
 # ---------------------------------------------------------------------------
 
-def apply(op: HamiltonianOp, psi: StateVector) -> StateVector:
-    _check_same_basis(op.basis, psi.basis)
-    return StateVector(psi.basis, op.apply_amps(psi.amps), unnormalized=True)
-
-
 def expectation(op: HamiltonianOp, psi: StateVector) -> float:
     """<psi|H|psi> for a normalized state; rejects a visible imaginary part."""
     _check_same_basis(op.basis, psi.basis)
@@ -442,7 +430,6 @@ class GroundState:
     state: StateVector
     residual: float
     degenerate: bool
-    degenerate_indices: tuple[int, ...] = ()
     matvecs: int = 0
 
 
@@ -461,21 +448,21 @@ def ground_state(op: HamiltonianOp) -> GroundState:
     """Lowest eigenpair. Structured cases are exact; everything else comes
     from :func:`lowest`.
 
-    A ``ModeSum`` of several modes is a sum of commuting one-mode terms, so its
-    ground state is the product of the modes' ground states, each from
-    :func:`lowest` on one ladder (mode 1 varies fastest), at the sum of their
-    energies; the first excited level sits one smallest per-mode gap above.
-    The product pair passes the same residual check as :func:`lowest`'s.
+    A ``ModeSum`` is a sum of commuting one-mode terms, so its ground state is
+    the product of the modes' ground states, each from :func:`lowest` on one
+    ladder (mode 1 varies fastest), at the sum of their energies; the first
+    excited level sits one smallest per-mode gap above.  The product pair
+    passes the same residual check as :func:`lowest`'s.
     """
     if isinstance(op, Diagonal):
         ties, e0 = argmin_set(op.values)
         return GroundState(energy=e0, state=basis_vector(op.basis, ties[0]), residual=0.0,
-                           degenerate=len(ties) > 1, degenerate_indices=ties)
+                           degenerate=len(ties) > 1)
     if isinstance(op, ProjectorComplement):
         # |v> is the unique zero mode; the rest of the spectrum sits at 1
         return GroundState(energy=0.0, state=StateVector(op.basis, op.vector.copy()),
                            residual=0.0, degenerate=False)
-    if isinstance(op, ModeSum) and op.basis.n_modes > 1:
+    if isinstance(op, ModeSum):
         ladder = BasisSpec.modes(1, op.basis.n_max)
         modes = [lowest(ModeSum(ladder, (alpha,)), 2) for alpha in op.alphas]
         energy = sum(float(p.values[0]) for p in modes)
@@ -487,7 +474,8 @@ def ground_state(op: HamiltonianOp) -> GroundState:
         residual = float(np.linalg.norm(op.apply_amps(amps) - energy * amps))
         tol = RESIDUAL_RTOL * max(1.0, op.norm_bound())
         if residual > tol:
-            raise RuntimeError(f"product ground state residual {residual:.3e} above {tol:.3e}")
+            raise NumericGuardError(
+                f"product ground state residual {residual:.3e} above {tol:.3e}")
         return GroundState(energy=energy, state=StateVector(op.basis, amps), residual=residual,
                            degenerate=bool(gap <= degeneracy_tol(energy)),
                            matvecs=sum(p.matvecs for p in modes) + 1)
@@ -517,7 +505,8 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     with the exact ground vectors of every ``Diagonal``/``ProjectorComplement``
     term, a level Lanczos can miss (the zero mode of Grover's H_P at s = 1).
     Every returned pair must satisfy
-    ||H v - lambda v|| <= RESIDUAL_RTOL * max(1, norm_bound), else RuntimeError.
+    ||H v - lambda v|| <= RESIDUAL_RTOL * max(1, norm_bound).  Every failed
+    guard, and any other ARPACK error, raises :class:`NumericGuardError`.
     """
     dim = op.basis.dim
     # asked for one pair, ARPACK's complex driver can settle on the second level
@@ -545,11 +534,14 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
                                 maxiter=MATVEC_BUDGET)
                 break
             except _BudgetExceeded:
-                raise RuntimeError(f"eigensolve exceeded {MATVEC_BUDGET} matvecs") from None
+                raise NumericGuardError(
+                    f"eigensolve exceeded {MATVEC_BUDGET} matvecs") from None
             except ArpackNoConvergence as exc:
                 stalled = exc  # restart from a fresh vector
+            except ArpackError as exc:
+                raise NumericGuardError(f"eigensolve failed: {exc}") from exc
         else:
-            raise RuntimeError(f"eigensolve failed to converge after restarts: {stalled}")
+            raise NumericGuardError(f"eigensolve failed to converge after restarts: {stalled}")
         terms = op.terms if isinstance(op, LinearCombination) else ((1.0, op),)
         exact = [ground_state(t).state.amps for _, t in terms
                  if isinstance(t, (Diagonal, ProjectorComplement))]
@@ -565,7 +557,7 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     residuals = np.linalg.norm(h_basis @ coeffs - vectors * values, axis=0)
     tol = RESIDUAL_RTOL * max(1.0, op.norm_bound())
     if np.any(residuals > tol):
-        raise RuntimeError(f"eigenpair residual {residuals.max():.3e} above {tol:.3e}")
+        raise NumericGuardError(f"eigenpair residual {residuals.max():.3e} above {tol:.3e}")
     return Eigenpairs(values, vectors, residuals, matvecs)
 
 

@@ -87,9 +87,7 @@ class ModelBundle:
     degenerate_target: bool
     budget: EnergyBudget
     instance: tsp.TspInstance | None = None
-    policy: tsp.DsqPolicy | None = None
     preps: tuple[CoherentPrep, ...] = ()
-    delta_closed_form: float | None = None
 
     def decode(self, index: int):
         """Basis index -> problem label: the index itself (grover), a tour
@@ -119,7 +117,7 @@ def build_grover(n: int, marked: int = 0) -> ModelBundle:
     values = np.ones(n)
     values[marked] = 0.0  # 1 - |m><m|
     return _bundle("grover", f"grover-n{n}", ProjectorComplement(basis, g_i.amps.copy()),
-                   Diagonal(basis, values), g_i, delta_closed_form=math.sqrt(n - 1.0) / n)
+                   Diagonal(basis, values), g_i)
 
 
 def build_tsp_rank(inst: tsp.TspInstance, alpha_sq: float | None = None,
@@ -146,12 +144,11 @@ def build_tsp_tuple(inst: tsp.TspInstance, alpha_sq_per_mode: float | None = Non
         alpha_sq_per_mode = float(m)
     # C order puts mode 1, the fastest digit, on the last axis of both blocks
     labels = tsp.effective_lengths_all(inst, policy).reshape((m,) * m)
-    return _ladder_model("tsp-tuple", inst, labels, alpha_sq_per_mode, "alpha_sq_per_mode",
-                         n_max, policy=policy)
+    return _ladder_model("tsp-tuple", inst, labels, alpha_sq_per_mode, "alpha_sq_per_mode", n_max)
 
 
 def _ladder_model(kind: str, inst: tsp.TspInstance, labels: np.ndarray, alpha_sq: float,
-                  alpha_name: str, n_max: int | None, **extra) -> ModelBundle:
+                  alpha_name: str, n_max: int | None) -> ModelBundle:
     """``labels.ndim`` fock ladders, each displaced by alpha = sqrt(alpha_sq):
     H_P carries ``labels`` on the leading block of levels (every occupation
     below ``labels.shape[0]``) and l_max everywhere else; g_I is the product
@@ -176,7 +173,7 @@ def _ladder_model(kind: str, inst: tsp.TspInstance, labels: np.ndarray, alpha_sq
         amps = np.kron(prep.state.amps, amps)
     return _bundle(kind, f"{kind}-{inst.name}", ModeSum(basis, (alpha,) * n_modes),
                    Diagonal(basis, values), StateVector(basis, amps),
-                   alpha_cost=alpha_sq * n_modes, instance=inst, preps=(prep,) * n_modes, **extra)
+                   alpha_cost=alpha_sq * n_modes, instance=inst, preps=(prep,) * n_modes)
 
 
 def build_tsp_finite(inst: tsp.TspInstance,
@@ -190,7 +187,7 @@ def build_tsp_finite(inst: tsp.TspInstance,
     return _bundle("tsp-finite", f"tsp-finite-{inst.name}",
                    ProjectorComplement(basis, g_i.amps.copy()),
                    Diagonal(basis, tsp.effective_lengths_all(inst, policy)), g_i,
-                   instance=inst, policy=policy)
+                   instance=inst)
 
 
 def _bundle(kind: str, name: str, h_i: HamiltonianOp, h_p: Diagonal, g_i: StateVector,
@@ -265,13 +262,6 @@ class AsymptoteRow:
 class AsymptoteReport:
     rows: list[AsymptoteRow]
     policy: tsp.DsqPolicy
-
-    def to_csv(self) -> str:
-        lines = ["M,delta_ie,non_tour_std,penalty_std_ref,ratio,tour_fraction"]
-        for r in self.rows:
-            lines.append(f"{r.m},{r.delta_ie!r},{r.non_tour_std!r},{r.penalty_std_ref!r},"
-                         f"{r.ratio!r},{r.tour_fraction!r}")
-        return "\n".join(lines) + "\n"
 
 
 def delta_ie_asymptote_study(m_values, policy: tsp.DsqPolicy = tsp.DsqPolicy(),

@@ -451,12 +451,6 @@ class SigmaReport:
     seed: int
     sampler: DistanceSampler
 
-    def to_csv(self) -> str:
-        lines = ["M,samples,sigma_mean,sigma_stderr,ratio_sqrtM"]
-        for r in self.rows:
-            lines.append(f"{r.m},{r.samples},{r.sigma_mean!r},{r.sigma_stderr!r},{r.ratio_sqrtm!r}")
-        return "\n".join(lines) + "\n"
-
 
 def sigma_scaling_study(sampler: DistanceSampler, m_values, samples: int,
                         seed: int) -> SigmaReport:
@@ -496,13 +490,6 @@ class FractionRow:
 @dataclass
 class FractionReport:
     rows: list[FractionRow]
-
-    def to_csv(self) -> str:
-        lines = ["M,exact_ratio,stirling,stirling_rel_dev,sqrt_m_form,sqrt_m_form_rel_dev,log_exact"]
-        for r in self.rows:
-            lines.append(f"{r.m},{r.exact_ratio!r},{r.stirling!r},{r.stirling_rel_dev!r},"
-                         f"{r.sqrt_m_form!r},{r.sqrt_m_form_rel_dev!r},{r.log_exact!r}")
-        return "\n".join(lines) + "\n"
 
 
 def tour_fraction_decay(m_values) -> FractionReport:

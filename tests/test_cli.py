@@ -185,12 +185,33 @@ def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
 
 def test_runtime_guard_exits_two(tmp_path, capsys, monkeypatch):
     def boom(experiment, cfg, out_dir, threads, seed):
-        raise RuntimeError("norm drift 1e-2 exceeded 1e-8")
+        raise hilbert.NumericGuardError("norm drift 1e-2 exceeded 1e-8")
 
     monkeypatch.setattr(cli, "run_experiment", boom)
     cfg = _write_config(tmp_path, "c.json", {"experiment": "fraction-decay", "m_values": [8]})
     assert main(["fraction-decay", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_real_drift_abort_exits_two(tmp_path, capsys):
+    # the Grover-tuned local schedule is too fast for this TSP model at t_min
+    payload = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
+               "instance": {"cities": 4, "seed": 1},
+               "schedule": {"kind": "local_adiabatic_grover"}}
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert main(["tsp-run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "invariant violation: norm drift" in capsys.readouterr().err
+
+
+def test_a_bug_is_not_an_invariant_violation(tmp_path, monkeypatch):
+    # NotImplementedError is a RuntimeError, but only the numeric guards map to exit 2
+    def boom(experiment, cfg, out_dir, threads, seed):
+        raise NotImplementedError
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    cfg = _write_config(tmp_path, "c.json", {"experiment": "fraction-decay", "m_values": [8]})
+    with pytest.raises(NotImplementedError):
+        main(["fraction-decay", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +279,11 @@ def test_tsp_run_outputs(tmp_path, capsys):
     margins = (out / "cells/margins-000.csv").read_text().strip().split("\n")
     assert margins[0] == "beta,denominator,distance,lhs,rhs,slack,cap_slack,applicable"
     assert len(margins) == 3  # two betas
+    assert all(line.endswith(",1") for line in margins[1:])  # applicable, written as 1
+    report = json.loads((out / "cells/report-000.json").read_text())
+    assert report["theta_note"] == adiabound.bounds.THETA_NOTE
+    assert [m["beta"] for m in report["margins"]] == [float(line.split(",")[0])
+                                                      for line in margins[1:]]
     cell = json.loads((out / "cells/cell-000.json").read_text())
     for key in ("model", "schedule", "t_total", "delta_ie", "t_min", "success_prob",
                 "slack_min", "cap_slack_min", "norm_drift", "n_steps", "alpha_cost",
@@ -311,6 +337,28 @@ def test_config_spelling_does_not_move_the_hash(tmp_path, capsys):
         "experiment": "bound-audit", "model": {"model": "grover", "n": 16},
         "t_multipliers": [1.0, 2.0]}  # no default filled in
     assert ints["rows"] == floats["rows"] and ints["outputs"] == floats["outputs"]
+
+
+#: one config per output writer, with the content_hash prefix each gives at --seed 1
+_FROZEN_HASHES = [
+    ({"experiment": "fraction-decay", "m_values": [8, 10, 12]}, "1dcbd95072da"),
+    ({"experiment": "sigma-scan", "m_values": [3, 4], "samples": 5}, "ff445c1e6f66"),
+    ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "grid": 41},
+     "01c27c137d30"),
+    ({"experiment": "bound-audit", "model": {"model": "grover", "n": 16},
+      "t_multipliers": [1.0, 2.0]}, "315853e99cf1"),
+    ({"experiment": "gap-scan", "model": {"model": "tsp-finite"}, "instance": {"cities": 3},
+      "grid": 41}, "d3596b2c0862"),
+    ({"experiment": "grover-sweep", "n_values": [64]}, "969465fe91e6"),
+]
+
+
+@pytest.mark.parametrize("payload, prefix", _FROZEN_HASHES,
+                         ids=[f"{p['experiment']}-{i}" for i, (p, _) in enumerate(_FROZEN_HASHES)])
+def test_output_bytes_are_frozen(tmp_path, capsys, payload, prefix):
+    manifest = cli.run_experiment(payload["experiment"], payload, out_dir=str(tmp_path), seed=1)
+    capsys.readouterr()
+    assert manifest["content_hash"][:12] == prefix
 
 
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from adiabound import (
     Diagonal,
     DsqPolicy,
     InvariantSector,
+    NumericGuardError,
     ProjectorComplement,
     StepPolicy,
     basis_vector,
@@ -77,7 +78,7 @@ def test_sector_trips_the_same_drift_guard():
     (cell,) = _cells(bundle, "local_adiabatic_grover")
     messages = []
     for space in (cell.space, bundle):
-        with pytest.raises(RuntimeError, match="norm drift") as err:
+        with pytest.raises(NumericGuardError, match="norm drift") as err:
             cli._audit_one(dataclasses.replace(cell, space=space), STEP)
         messages.append(str(err.value))
     assert messages[0] == messages[1]

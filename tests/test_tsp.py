@@ -421,7 +421,7 @@ def test_sigma_scaling_study_reproducible():
     sampler = DistanceSampler()
     rep1 = sigma_scaling_study(sampler, [5, 6], samples=8, seed=11)
     rep2 = sigma_scaling_study(sampler, [5, 6], samples=8, seed=11)
-    assert rep1.to_csv() == rep2.to_csv()
+    assert rep1.rows == rep2.rows
     rows = rep1.rows
     assert [r.m for r in rows] == [5, 6]
     for r in rows:
@@ -430,9 +430,22 @@ def test_sigma_scaling_study_reproducible():
         assert r.sigma_stderr < r.sigma_mean
 
 
-def test_sigma_scaling_csv_header():
-    rep = sigma_scaling_study(DistanceSampler(), [5], samples=2, seed=0)
-    assert rep.to_csv().splitlines()[0] == "M,samples,sigma_mean,sigma_stderr,ratio_sqrtM"
+def test_sigma_scaling_csv_header(tmp_path, capsys):
+    # sigma.csv is written one SigmaRow per line; its header must name the
+    # row's fields in order; the numbers read back bit for bit
+    from adiabound.cli import OutputDir, _run_sigma_scan
+
+    plan = {"sampler": DistanceSampler(), "m_values": [5], "samples": 2, "seed": 0}
+    _run_sigma_scan(plan, OutputDir(tmp_path), threads=1)
+    capsys.readouterr()
+    lines = (tmp_path / "sigma.csv").read_text().splitlines()
+    assert lines[0] == "M,samples,sigma_mean,sigma_stderr,ratio_sqrtM"
+    row = sigma_scaling_study(DistanceSampler(), [5], samples=2, seed=0).rows[0]
+    m, samples, mean, stderr, ratio = lines[1].split(",")
+    assert (int(m), int(samples)) == (row.m, row.samples)
+    assert float(mean) == row.sigma_mean
+    assert float(stderr) == row.sigma_stderr
+    assert float(ratio) == row.ratio_sqrtm
 
 
 # ---------------------------------------------------------------------------
