@@ -39,7 +39,7 @@ BOUNDARY_TOL = 1e-12
 SCHEDULE_KINDS = ("linear", "das_wei", "local_adiabatic_grover")
 #: densify H(t) for instantaneous-ground tracking only up to this dimension
 _OVERLAP_DENSE_LIMIT = 512
-#: bytes of precomputed RK4 stage rows per chunk of steps; bounds evolve's table memory
+#: bytes of precomputed RK4 tables per chunk of steps; bounds evolve's table memory
 _STAGE_TABLE_BYTES = 1 << 19
 
 
@@ -190,6 +190,12 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     :class:`StepPolicy`).  The state is never renormalized: the drift it
     accumulates is the accuracy meter, and a drift beyond ``policy.norm_tol``
     raises :class:`NumericGuardError` instead of passing silently.
+
+    A ``ProjectorComplement`` with a ``Diagonal``, in either order (Grover
+    and tsp-finite, in full space or sector), takes each step as one
+    diagonal product and a rank-4 correction
+    (:func:`_projector_diagonal_steps`); every other pair takes the four
+    stages (:func:`_stage_steps`).  Both take the same steps, to roundoff.
     """
     if h_i.basis != h_p.basis:
         raise ValueError(f"operator bases differ: {h_i.basis} vs {h_p.basis}")
@@ -237,53 +243,20 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         norms.append(nrm)
         overlaps.append(_ground_overlap(h_i, h_p, schedule, t, psi) if track else math.nan)
 
-    # Stage s returns K_s = -i h b_s H_c(t_s) y_s, b = (1/2, 1, 1, 1/2), where
-    # H_c = H(t) - f c_I - g c_P = diag(f (d_I - c_I) + g (d_P - c_P))
-    # - f |u_I><u_I| - g |u_P><u_P| + f rest_I + g rest_P.  Then
-    # y_2 = psi + K_1, y_3 = psi + K_2 / 2, y_4 = psi + K_3, and classic RK4
-    # is psi + (K_1 + K_2 + K_3 + K_4) / 3.  That sum avoids BLAS: a threaded
-    # gemv can change its last bits with the BLAS thread count.
-    (d_i, u_i, rest_i), (d_p, u_p, rest_p) = _diagonal_split(h_i), _diagonal_split(h_p)
-    axes = [(j, u) for j, u in ((0, u_i), (1, u_p)) if u is not None]
-    rests = [(j, op) for j, op in ((0, rest_i), (1, rest_p)) if op is not None]
-    k = np.empty((4, psi.size), dtype=np.complex128)
-    k1, k2, k3, k4 = k
-    y, tmp = np.empty_like(psi), np.empty_like(psi)
-
-    def stage(w: np.ndarray, fg: list, v: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(w, v, out=out)
-        for j, u in axes:
-            np.multiply(u, fg[j] * np.vdot(u, v), out=tmp)
-            out -= tmp
-        for j, op in rests:
-            np.multiply(op.apply_amps(v), fg[j], out=tmp)
-            out += tmp
-
+    # the kernel goes by operator type alone; both take the same steps
+    pair = {type(h_i), type(h_p)} == {ProjectorComplement, Diagonal}
+    steps = (_projector_diagonal_steps if pair else _stage_steps)(h_i, h_p, schedule, n_steps, psi)
     if 0 in sample_steps:
         record(0)
-    step = 0
-    for rows, coefs in _stage_rows(schedule, n_steps, h, d_i - c_i, d_p - c_p):
-        for (w_lo, w_mid, w_hi), (fg_lo, fg_mid, fg_hi) in zip(rows, coefs):
-            stage(w_lo, fg_lo, psi, k1)
-            np.add(psi, k1, out=y)
-            stage(w_mid, fg_mid, y, k2)
-            np.multiply(k2, 0.5, out=y)
-            y += psi
-            stage(w_mid, fg_mid, y, k3)
-            np.add(psi, k3, out=y)
-            stage(w_hi, fg_hi, y, k4)
-            np.add.reduce(k, axis=0, out=y)
-            y *= 1.0 / 3.0
-            psi += y
-            step += 1
-            drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
-            max_drift = max(max_drift, drift)
-            if drift > policy.norm_tol:
-                raise NumericGuardError(
-                    f"norm drift {drift:.3e} exceeded {policy.norm_tol:.1e} at step "
-                    f"{step}/{n_steps}; shrink step_bound_factor")
-            if step in sample_steps:
-                record(step)
+    for step, _ in enumerate(steps, 1):
+        drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
+        max_drift = max(max_drift, drift)
+        if drift > policy.norm_tol:
+            raise NumericGuardError(
+                f"norm drift {drift:.3e} exceeded {policy.norm_tol:.1e} at step "
+                f"{step}/{n_steps}; shrink step_bound_factor")
+        if step in sample_steps:
+            record(step)
     psi *= np.exp(-1j * (c_i * schedule_integral(schedule, "f")
                          + c_p * schedule_integral(schedule, "g")))
 
@@ -310,15 +283,53 @@ def _centering(op: HamiltonianOp) -> tuple[float, float, float]:
     return 0.5 * (hi + lo), 0.5 * (hi - lo), hi
 
 
-def _diagonal_split(op: HamiltonianOp) -> tuple[np.ndarray, np.ndarray | None,
-                                                 HamiltonianOp | None]:
-    """(d, u, rest) with op = diag(d) - |u><u| + rest; u and rest are None when
-    absent."""
+def _stage_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule, n_steps: int,
+                 psi: np.ndarray):
+    """Advance psi in place by the n_steps RK4 steps of the centered path,
+    yielding after each: the kernel for any pair of operators.
+
+    Stage s returns K_s = -i h b_s H_c(t_s) y_s, b = (1/2, 1, 1, 1/2), where
+    H_c = H(t) - f c_I - g c_P = diag(f (d_I - c_I) + g (d_P - c_P))
+    + f rest_I + g rest_P.  Then y_2 = psi + K_1, y_3 = psi + K_2 / 2,
+    y_4 = psi + K_3, and classic RK4 is psi + (K_1 + K_2 + K_3 + K_4) / 3.
+    That sum is elementwise, so its bits do not depend on how BLAS threads.
+    """
+    h = schedule.t_total / n_steps
+    (d_i, rest_i), (d_p, rest_p) = _diagonal_split(h_i), _diagonal_split(h_p)
+    rests = [(j, op) for j, op in ((0, rest_i), (1, rest_p)) if op is not None]
+    k = np.empty((4, psi.size), dtype=np.complex128)
+    k1, k2, k3, k4 = k
+    y, tmp = np.empty_like(psi), np.empty_like(psi)
+
+    def stage(w: np.ndarray, fg: list, v: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(w, v, out=out)
+        for j, op in rests:
+            np.multiply(op.apply_amps(v), fg[j], out=tmp)
+            out += tmp
+
+    diag_i, diag_p = d_i - _centering(h_i)[0], d_p - _centering(h_p)[0]
+    for rows, coefs in _stage_rows(schedule, n_steps, h, diag_i, diag_p):
+        for (w_lo, w_mid, w_hi), (fg_lo, fg_mid, fg_hi) in zip(rows, coefs):
+            stage(w_lo, fg_lo, psi, k1)
+            np.add(psi, k1, out=y)
+            stage(w_mid, fg_mid, y, k2)
+            np.multiply(k2, 0.5, out=y)
+            y += psi
+            stage(w_mid, fg_mid, y, k3)
+            np.add(psi, k3, out=y)
+            stage(w_hi, fg_hi, y, k4)
+            np.add.reduce(k, axis=0, out=y)
+            y *= 1.0 / 3.0
+            psi += y
+            yield
+
+
+def _diagonal_split(op: HamiltonianOp) -> tuple[np.ndarray, HamiltonianOp | None]:
+    """(d, rest) with op = diag(d) + rest: a ``Diagonal`` is its values and no
+    rest, any other operator is the zero diagonal and itself as the rest."""
     if isinstance(op, Diagonal):
-        return op.values, None, None
-    if isinstance(op, ProjectorComplement):
-        return np.ones(op.basis.dim), op.vector, None
-    return np.zeros(op.basis.dim), None, op
+        return op.values, None
+    return np.zeros(op.basis.dim), op
 
 
 def _stage_rows(schedule: Schedule, n_steps: int, h: float, diag_i: np.ndarray,
@@ -346,6 +357,111 @@ def _stage_rows(schedule: Schedule, n_steps: int, h: float, diag_i: np.ndarray,
         np.multiply(cg[..., None], diag_p, out=part[:n])
         rows[:n] += part[:n]
         yield rows[:n], np.stack([cf, cg], axis=-1).tolist()
+
+
+def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
+                              n_steps: int, psi: np.ndarray):
+    """The steps of :func:`_stage_steps` when one operator is 1 - |u><u| and
+    the other diag(d), in either order: each one diagonal product and a
+    rank-4 correction.
+
+    With lam = d - c_d and P = |u><u|, every stage operator of the centered
+    path is a + b diag(lam) - g P for scalars a, b, g, and P diag(lam^r) P =
+    mu_r P with mu_r = sum |u|^2 lam^r.  So a whole step adds
+    E(lam) psi + sum_{r+k<=3} C[r, k] |lam^r u><lam^k u|psi> to psi, with E
+    a polynomial of degree 4 (:func:`_step_maps`).  Adding that increment,
+    as the stage kernel does, keeps its rounding small: multiplying by 1 + E
+    instead put the norm 1e-14 off a long-double RK4 within 1,500 steps.
+
+    The rank-4 term is three gemv calls.  Their bits hold at any BLAS thread
+    count only while BLAS threads a gemv by splitting its outputs, each
+    output's sum kept in one thread, as OpenBLAS does; a BLAS that splits
+    the sums instead fails
+    ``test_projector_diagonal_kernel_ignores_the_blas_thread_count``.
+    """
+    pc = 0 if isinstance(h_i, ProjectorComplement) else 1
+    proj, diag = (h_i, h_p)[pc], (h_i, h_p)[1 - pc]
+    lam = diag.values - _centering(diag)[0]
+    u = proj.vector
+    powers = lam ** np.arange(4.0)[:, None]
+    rows, cols = powers * u.conj(), (powers * u).T.copy()
+    mu = (powers[:3] * np.abs(u) ** 2).sum(axis=1)
+    h, y, tmp = schedule.t_total / n_steps, np.empty_like(psi), np.empty_like(psi)
+    for table, maps in _step_maps(schedule, n_steps, h, pc, 1.0 - _centering(proj)[0], lam, mu):
+        for e, c in zip(table, maps):
+            np.matmul(cols, c @ (rows @ psi), out=y)
+            np.multiply(e, psi, out=tmp)
+            y += tmp
+            psi += y
+            yield
+
+
+def _step_maps(schedule: Schedule, n_steps: int, h: float, pc: int, shift: float,
+               lam: np.ndarray, mu: np.ndarray):
+    """Per chunk of steps, the increments of :func:`_projector_diagonal_steps`:
+    E(lam) of every step, shape (steps, dim), and C, shape (steps, 4, 4).
+
+    Stage s is B_s = a + b D - g P with D = diag(lam) and (a, b, g) =
+    -i h w_s (shift x, y, x), where x is the projector's schedule weight (f
+    when it is H_I), y the diagonal's, and w = (1/2, 1, 1/2) at t, t + h/2,
+    t + h.  The K_s of :func:`_stage_steps` are then the operators K_1 = B_1,
+    K_2 = B_2 (1 + K_1), K_3 = B_2 (1 + K_2 / 2) and K_4 = B_4 (1 + K_3), and
+    the increment is (K_1 + K_2 + K_3 + K_4) / 3.  Each is carried as (e, C),
+    meaning sum_j e_j D^j + sum C[r, k] D^r P D^k, with every scalar an array
+    over the chunk's steps, and E is summed by Horner.  All of it is
+    elementwise, with no BLAS call, so a step has the same bits in any
+    chunking and at any BLAS thread count.
+    """
+    dim = lam.size
+    # a step's table is one complex row and its 4x4 map (~0.3 KB); building
+    # the map takes ~2 KB more per step, so the chunk budget counts that too
+    chunk = max(1, _STAGE_TABLE_BYTES // (16 * dim + 2048))
+    table = np.empty((min(chunk, n_steps), dim), dtype=np.complex128)
+    weight = -1j * h * np.array([0.5, 1.0, 0.5])[:, None]
+    for lo in range(0, n_steps, chunk):
+        t_lo = np.arange(lo, min(lo + chunk, n_steps)) * h
+        fg = schedule._fg(np.stack([t_lo, t_lo + 0.5 * h, t_lo + h]))
+        x, y = weight * fg[pc], weight * fg[1 - pc]
+        e, maps = _step_increment(shift * x, y, x, mu)
+        out = table[:t_lo.size]
+        np.multiply(e[4][:, None], lam, out=out)
+        for j in (3, 2, 1):
+            out += e[j][:, None]
+            out *= lam
+        out += e[0][:, None]
+        yield out, maps
+
+
+def _step_increment(a: np.ndarray, b: np.ndarray, g: np.ndarray, mu: np.ndarray):
+    """(e, C) of (K_1 + K_2 + K_3 + K_4) / 3 from the stage scalars a, b, g,
+    each of shape (3, steps) for t, t + h/2 and t + h; C comes as
+    (steps, 4, 4)."""
+    n = a.shape[1]
+    e, c = np.zeros((5, n), dtype=np.complex128), np.zeros((4, 4, n), dtype=np.complex128)
+    sum_e, sum_c = e.copy(), c.copy()
+    # K_s = B_s (1 + scale K_{s-1}), scales 0, 1, 1/2, 1 as in classic RK4
+    for s, scale in ((0, 0.0), (1, 1.0), (1, 0.5), (2, 1.0)):
+        e, c = _stage_after((a[s], b[s], g[s]), mu, scale * e, scale * c)
+        sum_e += e
+        sum_c += c
+    sum_e *= 1.0 / 3.0
+    sum_c *= 1.0 / 3.0
+    return sum_e, np.ascontiguousarray(np.moveaxis(sum_c, -1, 0))
+
+
+def _stage_after(stage: tuple, mu: np.ndarray, e: np.ndarray, c: np.ndarray):
+    """B (1 + X) for the stage B = a + b D - g P, (a, b, g) = stage, and X =
+    (e, c) as in :func:`_step_maps`, using P D^r P = mu_r P.  X is 0, K_1,
+    K_2 / 2 or K_3: e has degree at most 3 and C no row past 2, so nothing
+    is truncated."""
+    a, b, g = stage
+    e = e.copy()
+    e[0] += 1.0
+    e_out, c_out = a * e, a * c
+    e_out[1:] += b * e[:-1]
+    c_out[1:] += b * c[:-1]
+    c_out[0] -= g * (e[:4] + mu[0] * c[0] + mu[1] * c[1] + mu[2] * c[2])
+    return e_out, c_out
 
 
 def _drift_budget(schedule: Schedule, b_i: float, b_p: float, h_cap: float) -> float:

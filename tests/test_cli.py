@@ -346,10 +346,10 @@ _FROZEN_HASHES = [
     ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "grid": 41},
      "01c27c137d30"),
     ({"experiment": "bound-audit", "model": {"model": "grover", "n": 16},
-      "t_multipliers": [1.0, 2.0]}, "315853e99cf1"),
+      "t_multipliers": [1.0, 2.0]}, "9a3d79671be4"),
     ({"experiment": "gap-scan", "model": {"model": "tsp-finite"}, "instance": {"cities": 3},
       "grid": 41}, "d3596b2c0862"),
-    ({"experiment": "grover-sweep", "n_values": [64]}, "969465fe91e6"),
+    ({"experiment": "grover-sweep", "n_values": [64]}, "00c66554605d"),
 ]
 
 

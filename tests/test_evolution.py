@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from adiabound import (
     to_dense,
     uniform_state,
 )
+import adiabound
 from adiabound import evolution
 
 SEED = 20260825
@@ -327,6 +332,32 @@ def test_chunked_stage_tables_match_bit_for_bit(monkeypatch):
             assert np.array_equal(chunked.norms, whole.norms)
 
 
+def _projector_diagonal(dim, order, values_max=1.0, seed=SEED):
+    """1 - |u><u| with a complex unit u and diag(d), d uniform in [0, values_max],
+    in the given order, and u as the start."""
+    rng = np.random.default_rng(seed)
+    basis = BasisSpec.flat(dim)
+    u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    pc = ProjectorComplement(basis, u)
+    diag = Diagonal(basis, rng.uniform(0.0, values_max, size=dim))
+    return (pc, diag) if order == "projector-first" else (diag, pc), StateVector(basis, u)
+
+
+def test_chunked_step_maps_match_bit_for_bit(monkeypatch):
+    (h_i, h_p), start = _projector_diagonal(4, "projector-first")
+    pol = StepPolicy(n_steps_override=1000, samples_per_run=16, track_ground_overlap=False)
+    step_bytes = 16 * 4 + 2048  # one step of the step-map budget at dim 4
+    for sch in (Schedule("linear", 7.0), Schedule("local_adiabatic_grover", 7.0, n=4)):
+        whole = evolve(h_i, h_p, sch, pol, psi0=start)
+        for table_bytes in (7 * step_bytes, 1):
+            monkeypatch.setattr(evolution, "_STAGE_TABLE_BYTES", table_bytes)
+            chunked = evolve(h_i, h_p, sch, pol, psi0=start)
+            monkeypatch.undo()
+            assert np.array_equal(chunked.state.amps, whole.state.amps)
+            assert np.array_equal(chunked.norms, whole.norms)
+
+
 def _dense_rk4(h_i, h_p, schedule, n_steps, psi0):
     """Textbook RK4 on dense matrices, on the same spectrally centered path as
     evolve, with the exact phase of the centering put back at the end."""
@@ -377,6 +408,62 @@ def test_evolve_matches_a_dense_rk4_oracle(case):
     want = _dense_rk4(h_i, h_p, sch, n_steps, start)
     assert res.n_steps == n_steps
     assert np.max(np.abs(res.state.amps - want)) <= 1e-12
+
+
+def _stage_kernel_run(h_i, h_p, schedule, n_steps, start, samples):
+    """The general stage kernel driven directly: the final state with the
+    centering phase put back, and the norms at evolve's sample steps."""
+    psi = start.amps.astype(complex)
+    sample_steps = evolution._sample_steps(n_steps, samples)
+    norms = [math.sqrt(np.vdot(psi, psi).real)] if 0 in sample_steps else []
+    for step, _ in enumerate(evolution._stage_steps(h_i, h_p, schedule, n_steps, psi), 1):
+        if step in sample_steps:
+            norms.append(math.sqrt(np.vdot(psi, psi).real))
+    (c_i, _, _), (c_p, _, _) = evolution._centering(h_i), evolution._centering(h_p)
+    phase = c_i * schedule_integral(schedule, "f") + c_p * schedule_integral(schedule, "g")
+    return np.exp(-1j * phase) * psi, np.array(norms)
+
+
+@pytest.mark.parametrize("kind", evolution.SCHEDULE_KINDS)
+@pytest.mark.parametrize("order", ["projector-first", "diagonal-first"])
+def test_projector_diagonal_kernel_matches_stage_kernel_and_dense_rk4(order, kind):
+    # values in [0, 1e3] make the step's degree-4 polynomial and rank-4 terms count
+    (h_i, h_p), start = _projector_diagonal(8, order, values_max=1e3)
+    sch, n_steps = Schedule(kind, 0.05, n=8), 1500
+    pol = StepPolicy(n_steps_override=n_steps, samples_per_run=16, track_ground_overlap=False)
+    res = evolve(h_i, h_p, sch, pol, psi0=start)
+    stage, norms = _stage_kernel_run(h_i, h_p, sch, n_steps, start, 16)
+    assert res.n_steps == n_steps
+    assert np.max(np.abs(res.state.amps - stage)) <= 1e-12
+    assert np.max(np.abs(res.state.amps - _dense_rk4(h_i, h_p, sch, n_steps, start))) <= 1e-12
+    assert res.norms.shape == norms.shape
+    assert np.max(np.abs(res.norms - norms)) <= 1e-14
+
+
+def test_projector_diagonal_kernel_ignores_the_blas_thread_count(tmp_path):
+    # BLAS fixes its thread count at import, so each count gets a fresh
+    # interpreter; dim 4096 is large enough for OpenBLAS to thread a gemv
+    script = (
+        "import hashlib, sys\n"
+        "sys.path.insert(0, {tests!r})\n"
+        "from test_evolution import _projector_diagonal\n"
+        "from adiabound import Schedule, StepPolicy, evolve\n"
+        "(h_i, h_p), start = _projector_diagonal(4096, 'projector-first')\n"
+        "pol = StepPolicy(n_steps_override=200, samples_per_run=0, track_ground_overlap=False)\n"
+        "res = evolve(h_i, h_p, Schedule('linear', 2.0), pol, psi0=start)\n"
+        "print(hashlib.sha256(res.state.amps.tobytes()).hexdigest())\n"
+    ).format(tests=str(Path(__file__).resolve().parent))
+    pkg_root = str(Path(adiabound.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else "")}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_integrator_is_fourth_order():
