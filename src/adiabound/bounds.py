@@ -175,8 +175,9 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     """Lowest two levels of H(sT) over s in [0,1] with local refinement.
 
     The coarse grid is refined ``refine_rounds`` times around the running
-    minimum, each round shrinking the step by ``REFINE_FACTOR``.  Every level
-    comes from :func:`hilbert.lowest`.
+    minimum, each round shrinking the step by ``REFINE_FACTOR``; it ends early
+    once the step no longer moves s.  Every level comes from
+    :func:`hilbert.lowest`.
     """
     if grid < 3:
         raise ValueError("grid needs at least 3 points")
@@ -204,6 +205,8 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         lo = max(0.0, s_star - step)
         hi = min(1.0, s_star + step)
         step /= REFINE_FACTOR
+        if lo == hi or step == 0.0:  # the step no longer moves s: no later round adds a point
+            break
         for s in np.arange(lo, hi + 0.5 * step, step):
             eval_at(float(min(max(s, 0.0), 1.0)))
 

@@ -3,7 +3,8 @@
 Everything here works on labeled closed tours: a tour visits each of the M
 cities exactly once and returns to its start city, and the M cyclic rotations
 of a visiting order count as distinct tours.  Nothing is quotiented out, so an
-instance has exactly M! tours and ties between rotated copies are expected.
+instance has exactly M! tours, and rotated copies tie exactly: every length is
+one sum of the tour's sorted legs.
 """
 from __future__ import annotations
 
@@ -56,10 +57,14 @@ MAX_RANK_CITIES = 20
 MAX_ENUM_CITIES = 11
 #: closed-form spread bound: d is 32 MB at 2048 cities
 MAX_SPREAD_CITIES = 2048
+#: the largest M whose M + 1 a double holds exactly, as lgamma(M + 1) needs
+MAX_FRACTION_CITIES = 2 ** 53 - 1
 #: safety factor of the penalty ceiling over the worst tour
 LMAX_SAFETY = 1.1
 #: above this M the penalty ceiling falls back to M * max(d)
 _EXACT_LMAX_MAX_M = 10
+#: rows per block of the sorted-leg sum, so a 9!-row scan never holds all its legs
+_LENGTH_CHUNK = 1 << 13
 
 
 class TspFormatError(ValueError):
@@ -118,26 +123,14 @@ class TspInstance:
     def from_distances(cls, d, name: str = "tsp") -> "TspInstance":
         """Build an instance with ``l_max = 1.1 * (worst tour length)``.
 
-        The worst tour is found exactly for M <= 10; beyond that the scan
-        would need > 10! rows and the ceiling falls back to the weaker but
-        safe bound ``1.1 * M * max(d)``.
-
-        A closed tour has the same legs from whichever city it starts, so the
-        scan covers the (M-1)! tours from city 0.  Rotations sum those legs in
-        another order, which can move the float sum by up to ~M eps relative,
-        so every rotation of each tour within ``4 M eps`` of the top is summed
-        again as the full M! scan sums it: ``worst`` is that scan's maximum,
-        bit for bit.
+        The worst tour is found exactly for M <= 10, over the (M-1)! tours
+        from city 0, since a rotation has the same length; beyond that the
+        ceiling falls back to the weaker but safe bound ``1.1 * M * max(d)``.
         """
         d = _validate_distances(d)
         M = d.shape[0]
         if M <= _EXACT_LMAX_MAX_M:
-            tours = _block((0,), M)
-            lengths = _lengths_of(tours, d)
-            worst = float(np.max(lengths))
-            near = tours[lengths >= worst * (1.0 - 4 * M * np.finfo(float).eps)]
-            for shift in range(1, M):  # one rotation at a time keeps an all-tie scan small
-                worst = max(worst, float(np.max(_lengths_of(np.roll(near, -shift, axis=1), d))))
+            worst = float(np.max(_lengths_of(_block((0,), M), d)))
         else:
             worst = M * float(np.max(d))
         return cls(d=d, l_max=LMAX_SAFETY * worst, name=name)
@@ -156,6 +149,9 @@ class DistanceSampler:
     def __post_init__(self):
         if self.kind not in ("uniform", "constant"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        for key in ("low", "high", "value"):  # every distance finite and nonnegative
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"sampler {key} must be finite and >= 0, got {getattr(self, key)}")
         if self.kind == "uniform" and not self.high > self.low:
             raise ValueError("uniform sampler needs high > low")
 
@@ -198,11 +194,16 @@ def tour_length(inst: TspInstance, tour) -> float:
 
 
 def _lengths_of(perms: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # every tour length, scalar or tabled, is this ascending-leg sum
-    n, m = perms.shape
-    out = np.zeros(n)
-    for j in range(m):
-        out += d[perms[:, j], perms[:, (j + 1) % m]]
+    # every tour length, scalar or tabled: a row's legs sorted (nonnegative floats
+    # order as their int64 bits), then added left to right, so rotations (and
+    # reversals, for a symmetric d) have the same legs and get the same bits
+    out = np.zeros(len(perms))
+    for lo in range(0, len(perms), _LENGTH_CHUNK):
+        rows = perms[lo:lo + _LENGTH_CHUNK].astype(np.intp)
+        legs = d.ravel()[rows * len(d) + np.roll(rows, -1, axis=1)]
+        legs.view(np.int64).sort(axis=1)
+        for leg in legs.T:
+            out[lo:lo + len(rows)] += leg
     return out
 
 
@@ -389,8 +390,8 @@ class BruteForceResult:
 def brute_force_shortest(inst: TspInstance) -> BruteForceResult:
     """Exact shortest closed tour; ties resolved to the smallest rank.
 
-    ``tied_ranks`` lists every rank whose length matches the optimum within
-    DEGENERACY_RTOL, so cyclic-rotation degeneracy stays visible.
+    ``tied_ranks`` lists every rank within DEGENERACY_RTOL of the optimum:
+    every rotation (and, for a symmetric d, reversal) of each optimal cycle.
     """
     m = inst.M
     if m > MAX_ENUM_CITIES:
@@ -496,28 +497,24 @@ def tour_fraction_decay(m_values) -> FractionReport:
     """How the tour fraction M!/M^M decays, against two closed forms.
 
     The exact ratio is computed in integer arithmetic (as a Fraction) for
-    M <= 20 and in log-space beyond, never through a lossy factorial float.
+    M <= 20 and in log-space beyond, never through a lossy factorial float;
+    so are the deviations, which stay finite where the ratios underflow.
     """
     rows = []
     for m in m_values:
-        if m < 1:
-            raise ValueError("sizes must be positive")
+        if not 1 <= m <= MAX_FRACTION_CITIES:
+            raise ValueError("sizes must be in 1..2**53 - 1")
         log_exact = math.lgamma(m + 1) - m * math.log(m)
-        if m <= 20:
-            exact = float(Fraction(math.factorial(m), m ** m))
-        else:
-            exact = math.exp(log_exact)
         stirling = math.sqrt(2.0 * math.pi * m) * math.exp(-m)
         crude = math.exp(-m) / math.sqrt(m)
-        rows.append(FractionRow(
-            m=m,
-            exact_ratio=exact,
-            stirling=stirling,
-            stirling_rel_dev=exact / stirling - 1.0,
-            sqrt_m_form=crude,
-            sqrt_m_form_rel_dev=exact / crude - 1.0,
-            log_exact=log_exact,
-        ))
+        if m <= 20:
+            exact = float(Fraction(math.factorial(m), m ** m))
+            stirling_dev, crude_dev = exact / stirling - 1.0, exact / crude - 1.0
+        else:
+            exact = math.exp(log_exact)
+            stirling_dev = math.expm1(log_exact - 0.5 * math.log(2.0 * math.pi * m) + m)
+            crude_dev = math.expm1(log_exact + 0.5 * math.log(m) + m)
+        rows.append(FractionRow(m, exact, stirling, stirling_dev, crude, crude_dev, log_exact))
     return FractionReport(rows=rows)
 
 

@@ -348,7 +348,7 @@ _FROZEN_HASHES = [
     ({"experiment": "bound-audit", "model": {"model": "grover", "n": 16},
       "t_multipliers": [1.0, 2.0]}, "9a3d79671be4"),
     ({"experiment": "gap-scan", "model": {"model": "tsp-finite"}, "instance": {"cities": 3},
-      "grid": 41}, "d3596b2c0862"),
+      "grid": 41}, "e33179842d66"),
     ({"experiment": "grover-sweep", "n_values": [64]}, "00c66554605d"),
 ]
 
@@ -448,6 +448,21 @@ def test_gap_scan_from_instance_file(tmp_path, capsys):
     # rotations of the optimal tour tie, so the end-of-path gap collapses
     assert blob["g_min"] <= 1e-12
     assert blob["s_at_min"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_gap_scan_refinement_ends_when_the_step_stops_moving_s(tmp_path, capsys):
+    # by round ~25 the step is below an ulp of s; 600 rounds once divided it to 0
+    blobs = []
+    for rounds in (300, 600):
+        payload = {"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "grid": 3,
+                   "refine_rounds": rounds}
+        cfg = _write_config(tmp_path, f"c{rounds}.json", payload)
+        assert main(["validate", "--config", cfg]) == 0
+        out = tmp_path / f"o{rounds}"
+        assert main(["gap-scan", "--config", cfg, "--out", str(out)]) == 0
+        blobs.append((out / "gap.json").read_bytes())
+    capsys.readouterr()
+    assert blobs[0] == blobs[1]
 
 
 def test_sigma_scan_outputs(tmp_path, capsys):
@@ -616,6 +631,13 @@ TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
      "config must give instance.path or instance.cities, not both"),
     # the closed-form spread has one bound, checked before any output exists
     ({"experiment": "sigma-scan", "m_values": [3, 2049]}, "sigma-scan m=2049 outside 3..2048"),
+    # a sampler may draw only distances an instance accepts
+    ({"experiment": "sigma-scan", "m_values": [3], "sampler": {"low": -1.0}},
+     "sampler low must be finite and >= 0, got -1.0"),
+    ({"experiment": "sigma-scan", "m_values": [3], "sampler": {"kind": "constant", "value": -2.0}},
+     "sampler value must be finite and >= 0, got -2.0"),
+    ({"experiment": "fraction-decay", "m_values": [8, 10**400]},
+     "bad fraction-decay config: sizes must be in 1..2**53 - 1"),
 ])
 def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message):
     cfg = _write_config(tmp_path, "c.json", payload)

@@ -23,7 +23,6 @@ from adiabound import (
     mode_flat,
     random_instance,
     to_dense,
-    tour_lengths_by_rank,
     uniform_state,
     variance,
 )
@@ -479,14 +478,14 @@ def test_ground_state_diagonal():
     assert not gs2.degenerate
     assert gs2.state.amps.tolist() == basis_vector(basis, 0).amps.tolist()
 
-    # tour lengths whose exact float minimum (rank 216) is not the first
-    # member of the tolerance set: the state follows the set
-    lengths = tour_lengths_by_rank(random_instance(6, 1))
-    gs3 = ground_state(Diagonal(BasisSpec.flat(lengths.size), lengths))
+    # levels whose exact float minimum (position 3) is not the first member
+    # of the tolerance set: the state follows the set
+    levels = np.array([2.0, 1.0 + 2.0 ** -52, 3.0, 1.0, 1.0 + 2.0 ** -51, 1.5])
+    gs3 = ground_state(Diagonal(BasisSpec.flat(levels.size), levels))
     assert gs3.degenerate
-    assert hilbert.argmin_set(lengths)[0] == (32, 216, 303, 442, 522, 609)
-    assert int(np.argmin(lengths)) == 216
-    assert gs3.state.amps.tolist() == basis_vector(gs3.state.basis, 32).amps.tolist()
+    assert hilbert.argmin_set(levels)[0] == (1, 3, 4)
+    assert int(np.argmin(levels)) == 3
+    assert gs3.state.amps.tolist() == basis_vector(gs3.state.basis, 1).amps.tolist()
 
 
 def test_ground_state_projector():

@@ -257,18 +257,19 @@ def test_finite_model_validation():
 # ---------------------------------------------------------------------------
 # the encoding layer, frozen: sha256 of the raw float64/int64 bytes, taken
 # before the label codec, the tour positions and the ladder builder were
-# merged into one place each
+# merged into one place each; the tables holding M >= 4 tour lengths were
+# re-frozen when every length became one sorted-leg sum (a few ulps)
 # ---------------------------------------------------------------------------
 
 FROZEN_EFFECTIVE = {
     (3, "parity"): "52de2e691f47ae8ebeadb5d2d73f0599af03e8676da66459a508c9de68188355",
     (3, "random"): "586e41064d0e6f20fd05c6f625eae9b0b53636371f67122e63152e31778660ff",
-    (4, "parity"): "11926576e08d650316e9fadd8f697d394876171b63193b9882cc77890168fb72",
-    (4, "random"): "b929f0748199b3ca8f851fa99c9a0e8778456cd4edce72a6b4457b6d23ab5954",
-    (5, "parity"): "5c7aa580491e15106fecc1b05279c6dcee495e0cba428aea78d65c37f2cf9c88",
-    (5, "random"): "3dc60b24b3dc3984294fb0f33403b2811d86c8297263a57eacf411d7b93c51d8",
-    (6, "parity"): "0dcc8dfd1daa496b643425a8c9b0c72652975481c44b94e632fdb628fde3380a",
-    (6, "random"): "62d7fb53ef7d6b73380b600430586f7619ede9d22bfeb076c3035d3baf367da2",
+    (4, "parity"): "88bece6d18378b859d44b9d0b776d7c596a9a49177b4a3aab5f8000d37915e19",
+    (4, "random"): "a226a20d263e71a13c0252607d9555a71ff0bf1b7c7af8ff1e41a7b553aef2f4",
+    (5, "parity"): "c8f0ebef291d08d3172e861dde237766f08eff5ccb40fc1f6c0a4271ed86e6a9",
+    (5, "random"): "9018bdd21d9087473515a96d7e5280339eff5992be98b98c033e7ddc15c49823",
+    (6, "parity"): "90f5a04d9f00264ccee28a51c8b88419269c975d07b36f64b96bb4cad0c58587",
+    (6, "random"): "011fd10bf80ff6fa1ded2c8241c47589f25a29515c6c4d8909f2d9ad48fd127e",
 }
 FROZEN_POLICIES = {"parity": DsqPolicy(), "random": DsqPolicy("random", sigma_d=0.7, seed=3)}
 #: (h_p.values, target_indices, g_i.amps)
@@ -276,7 +277,7 @@ FROZEN_TUPLE = {
     3: ("0ea8a7061941613435461f9da154eb2281e00a2db6d5e085a54f564dff001087",
         "2ce9fd49e3872a207e970f8da3066d93da3250ff70a79ce8c4c451bfdee2c6c5",
         "98b5fbf25861211631b382b3231adc8ce4f2f8dc6de95aed9d175de661fdc96a"),
-    4: ("462995a3949ff815e5c09ceda5386cd90b993802f4266db93d43c085137c6a66",
+    4: ("baba6f234656c31f8646c2d123d9b390d7e488f5c76fcf94c36f9634e2bfc815",
         "26f3c2550b45a883224a3be33412dd5039fa1ec65ccabdbb183ad40cf3c7a098",
         "33b558e35e7e6ca833db90aa0562b6327b340af27873ebfe6ecd3f6ba2a92513"),
 }
@@ -284,7 +285,7 @@ FROZEN_TUPLE = {
 FROZEN_RANK = {
     3: ("57c6031d4b98537aaeacf6dffd3f2ff6499fe20023d1a8e0ebea44f9c5832083",
         "6b0384dabdca4aa15873267fa3a0070c84d13f9577b0a33f6e3f25839343205d"),
-    5: ("723298e7a2931cbed569517332d7ada44ce9a1785bbfc4250140c762865f684d",
+    5: ("ddc43d7880aa833769cf99c1113f50dc7c7072dc498a4b43811a407ea44ca254",
         "40377215ce8ffdba024e0e19ce6fd79a4ba48d9661edd5c6781eaf9064790086"),
 }
 

@@ -22,8 +22,11 @@ from adiabound import (
     build_tsp_finite,
     build_tsp_rank,
     build_tsp_tuple,
+    gap_scan,
     invariant_sector,
+    make_schedule,
     random_instance,
+    to_dense,
 )
 from adiabound import cli
 
@@ -110,6 +113,34 @@ def test_tsp_finite_sector_has_one_dimension_per_level(m, policy):
     # the targets are the levels holding the full model's targets
     full = np.unique(bundle.h_p.values[list(bundle.target_indices)])
     assert sector.target_indices == tuple(np.searchsorted(levels, full).tolist())
+
+
+@pytest.mark.parametrize("m, g_min, s_at_min", [(5, 5.044e-2, 0.194), (6, 1.577e-2, 0.144)])
+def test_tsp_finite_sector_has_one_level_per_cycle(m, g_min, s_at_min):
+    # rotations tie exactly, so the optimal cycle is one level and the scan
+    # finds the avoided crossing, not a roundoff gap between its rotations
+    sector = invariant_sector(build_tsp_finite(random_instance(m, seed=1)))
+    assert sector.h_p.basis.dim == math.factorial(m - 1) + 2  # and the two parity penalties
+    assert len(sector.target_indices) == 1
+    report = gap_scan(sector.h_i, sector.h_p, make_schedule("linear", 1.0))
+    assert math.isfinite(report.t_adb) and report.g_min > 1e-3
+    assert report.g_min == pytest.approx(g_min, rel=1e-3)
+    assert report.s_at_min == pytest.approx(s_at_min, abs=1e-3)
+
+
+def test_tsp_finite_sector_levels_are_full_space_levels():
+    bundle = build_tsp_finite(random_instance(4, seed=1))
+    sector = invariant_sector(bundle)
+    assert sector.h_p.basis.dim == 8
+    schedule = make_schedule("linear", 1.0)
+    report = gap_scan(sector.h_i, sector.h_p, schedule, grid=41)
+    full = (to_dense(bundle.h_i), to_dense(bundle.h_p))
+    reduced = (to_dense(sector.h_i), to_dense(sector.h_p))
+    for s in report.s_grid:
+        f, g = schedule.f(s), schedule.g(s)
+        spectrum = np.linalg.eigvalsh(f * full[0] + g * full[1])
+        for level in np.linalg.eigvalsh(f * reduced[0] + g * reduced[1]):
+            assert np.min(np.abs(spectrum - level)) <= 1e-12
 
 
 def test_sector_needs_a_rank_one_driver_and_a_diagonal_problem():
