@@ -159,6 +159,11 @@ class BoundReport:
 
 @dataclass
 class GapReport:
+    """t_adb is ||H_P - H_I|| / g_min^2 for every schedule kind.  That is
+    the adiabatic time proxy max ||dH/ds|| / g_min^2 on the linear path
+    only, where dH/ds = H_P - H_I; on das_wei and local_adiabatic_grover,
+    f(sT) and g(sT) do not move at unit rate, and it is not."""
+
     schedule_kind: str
     t_total: float
     s_grid: np.ndarray
@@ -166,7 +171,7 @@ class GapReport:
     e1: np.ndarray
     g_min: float
     s_at_min: float
-    t_adb: float       # max ||dH/ds|| / g_min^2, the usual adiabatic time proxy
+    t_adb: float       # dh_norm / g_min^2; inf for a closed gap
     dh_norm: float     # ||H_P - H_I||, from its lowest and highest eigenvalue
 
 

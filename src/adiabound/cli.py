@@ -515,20 +515,21 @@ def _run_sigma_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
 
 
 def _run_gap_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
-    bundle, schedule = plan["bundle"], plan["schedule"]
-    report = gap_scan(bundle.h_i, bundle.h_p, schedule, grid=plan["grid"],
+    bundle, space, schedule = plan["bundle"], plan["space"], plan["schedule"]
+    report = gap_scan(space.h_i, space.h_p, schedule, grid=plan["grid"],
                       refine_rounds=plan["rounds"])
-    out.write_json("gap.json", asdict(report))
+    scanned = {"space": "full" if space is bundle else "sector", "dim": space.h_p.basis.dim}
+    out.write_json("gap.json", {**scanned, **asdict(report)})
     out.write_rows("gap.csv", "s,e0,e1,gap",
                    zip(report.s_grid, report.e0, report.e1, report.e1 - report.e0))
     out.write_series("E0.dat", "s E0", (report.s_grid, report.e0))
     out.write_series("E1.dat", "s E1", (report.s_grid, report.e1))
     out.write_series("gap.dat", "s gap", (report.s_grid, report.e1 - report.e0))
-    row = {"model": bundle.name, "schedule": schedule.kind, "g_min": report.g_min,
+    row = {"model": bundle.name, "schedule": schedule.kind, **scanned, "g_min": report.g_min,
            "s_at_min": report.s_at_min, "t_adb": report.t_adb, "dh_norm": report.dh_norm}
-    _print_table(["model", "schedule", "g_min", "s_at_min", "t_adb"],
-                 [[row["model"], row["schedule"], f"{row['g_min']:.8g}",
-                   f"{row['s_at_min']:.6g}", f"{row['t_adb']:.6g}"]])
+    _print_table(["model", "schedule", "space", "g_min", "s_at_min", "t_adb"],
+                 [[row["model"], row["schedule"], f"{row['space']} {row['dim']}",
+                   f"{row['g_min']:.8g}", f"{row['s_at_min']:.6g}", f"{row['t_adb']:.6g}"]])
     return [row]
 
 
@@ -589,11 +590,13 @@ def _plan_sigma_scan(cfg: dict) -> dict:
 
 
 def _plan_gap_scan(cfg: dict) -> dict:
+    """The scan runs in the model's invariant sector where it has one, as the
+    evolving experiments do; the schedule (and its n) is the full model's."""
     bundle = _model_from(cfg)
     kind = cfg["schedule"]["kind"]
     schedule = make_schedule(kind, cfg["t_total"], n=bundle.h_p.basis.dim)
-    return {"bundle": bundle, "schedule": schedule, "grid": cfg["grid"],
-            "rounds": cfg["refine_rounds"],
+    return {"bundle": bundle, "space": invariant_sector(bundle) or bundle, "schedule": schedule,
+            "grid": cfg["grid"], "rounds": cfg["refine_rounds"],
             "checks": [*_model_checks(bundle), ("schedule", f"{kind}, T={schedule.t_total:g}")]}
 
 

@@ -285,78 +285,60 @@ def _centering(op: HamiltonianOp) -> tuple[float, float, float]:
 
 def _stage_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule, n_steps: int,
                  psi: np.ndarray):
-    """Advance psi in place by the n_steps RK4 steps of the centered path,
-    yielding after each: the kernel for any pair of operators.
+    """Advance psi in place by the n_steps RK4 steps of the centered path
+    H_c = f (H_I - c_I) + g (H_P - c_P), yielding after each: the kernel for
+    any pair of operators.
 
-    Stage s returns K_s = -i h b_s H_c(t_s) y_s, b = (1/2, 1, 1, 1/2), where
-    H_c = H(t) - f c_I - g c_P = diag(f (d_I - c_I) + g (d_P - c_P))
-    + f rest_I + g rest_P.  Then y_2 = psi + K_1, y_3 = psi + K_2 / 2,
-    y_4 = psi + K_3, and classic RK4 is psi + (K_1 + K_2 + K_3 + K_4) / 3.
-    That sum is elementwise, so its bits do not depend on how BLAS threads.
+    Stage s returns K_s = a H_I y_s + b H_P y_s - (a c_I + b c_P) y_s, with
+    (a, b) = -i h w_s (f, g) at the stage time (:func:`_stage_scalars`) and
+    each operator applied through its own ``apply_amps``.  Then
+    y_2 = psi + K_1, y_3 = psi + K_2 / 2, y_4 = psi + K_3, and classic RK4 is
+    psi + (K_1 + K_2 + K_3 + K_4) / 3.  That sum is elementwise, so its bits
+    do not depend on how BLAS threads.
     """
-    h = schedule.t_total / n_steps
-    (d_i, rest_i), (d_p, rest_p) = _diagonal_split(h_i), _diagonal_split(h_p)
-    rests = [(j, op) for j, op in ((0, rest_i), (1, rest_p)) if op is not None]
+    c_i, c_p = _centering(h_i)[0], _centering(h_p)[0]
     k = np.empty((4, psi.size), dtype=np.complex128)
     k1, k2, k3, k4 = k
     y, tmp = np.empty_like(psi), np.empty_like(psi)
 
-    def stage(w: np.ndarray, fg: list, v: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(w, v, out=out)
-        for j, op in rests:
-            np.multiply(op.apply_amps(v), fg[j], out=tmp)
-            out += tmp
+    def stage(a: complex, b: complex, v: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(h_i.apply_amps(v), a, out=out)
+        np.multiply(h_p.apply_amps(v), b, out=tmp)
+        out += tmp
+        np.multiply(v, a * c_i + b * c_p, out=tmp)
+        out -= tmp
 
-    diag_i, diag_p = d_i - _centering(h_i)[0], d_p - _centering(h_p)[0]
-    for rows, coefs in _stage_rows(schedule, n_steps, h, diag_i, diag_p):
-        for (w_lo, w_mid, w_hi), (fg_lo, fg_mid, fg_hi) in zip(rows, coefs):
-            stage(w_lo, fg_lo, psi, k1)
+    for cf, cg in _stage_scalars(schedule, n_steps, psi.size):
+        for (a_lo, a_mid, a_hi), (b_lo, b_mid, b_hi) in zip(cf.T.tolist(), cg.T.tolist()):
+            stage(a_lo, b_lo, psi, k1)
             np.add(psi, k1, out=y)
-            stage(w_mid, fg_mid, y, k2)
+            stage(a_mid, b_mid, y, k2)
             np.multiply(k2, 0.5, out=y)
             y += psi
-            stage(w_mid, fg_mid, y, k3)
+            stage(a_mid, b_mid, y, k3)
             np.add(psi, k3, out=y)
-            stage(w_hi, fg_hi, y, k4)
+            stage(a_hi, b_hi, y, k4)
             np.add.reduce(k, axis=0, out=y)
             y *= 1.0 / 3.0
             psi += y
             yield
 
 
-def _diagonal_split(op: HamiltonianOp) -> tuple[np.ndarray, HamiltonianOp | None]:
-    """(d, rest) with op = diag(d) + rest: a ``Diagonal`` is its values and no
-    rest, any other operator is the zero diagonal and itself as the rest."""
-    if isinstance(op, Diagonal):
-        return op.values, None
-    return np.zeros(op.basis.dim), op
-
-
-def _stage_rows(schedule: Schedule, n_steps: int, h: float, diag_i: np.ndarray,
-                diag_p: np.ndarray):
-    """Per chunk of steps, the RK4 stage rows -i h b (f diag_i + g diag_p)
-    at t, t + h/2 and t + h of every step, shape (steps, 3, dim), with the
-    stage weights b = (1/2, 1, 1/2), and the scalars [-i h b f, -i h b g] of
-    each stage time.
-
-    A chunk's rows and scalars stay under ``_STAGE_TABLE_BYTES`` (one step at
-    least) and the rows reuse two buffers, so memory stays flat however many
-    steps the run takes; a step's rows have the same bits in any chunking.
-    """
-    dim = diag_i.size
-    # a step holds three complex rows and six stage scalars in Python lists (~0.5 KB)
-    chunk = max(1, _STAGE_TABLE_BYTES // (48 * dim + 512))
-    rows = np.empty((min(chunk, n_steps), 3, dim), dtype=np.complex128)
-    part = np.empty_like(rows)
-    weight = -1j * h * np.array([0.5, 1.0, 0.5])
+def _stage_scalars(schedule: Schedule, n_steps: int, dim: int):
+    """Per chunk of steps, the RK4 stage scalars -i h w f and -i h w g at t,
+    t + h/2 and t + h of every step, with w = (1/2, 1, 1/2); each has shape
+    (3, steps).  A step is budgeted one complex row of dim and the ~2 KB
+    that :func:`_step_maps` takes to build its 4x4 map, and a chunk stays
+    under ``_STAGE_TABLE_BYTES`` (one step at least), so memory stays flat
+    however many steps the run takes.  A step's scalars have the same bits
+    in any chunking."""
+    h = schedule.t_total / n_steps
+    chunk = max(1, _STAGE_TABLE_BYTES // (16 * dim + 2048))
+    weight = -1j * h * np.array([0.5, 1.0, 0.5])[:, None]
     for lo in range(0, n_steps, chunk):
         t_lo = np.arange(lo, min(lo + chunk, n_steps)) * h
-        f, g = schedule._fg(np.stack([t_lo, t_lo + 0.5 * h, t_lo + h], axis=1))
-        cf, cg, n = weight * f, weight * g, t_lo.size
-        np.multiply(cf[..., None], diag_i, out=rows[:n])
-        np.multiply(cg[..., None], diag_p, out=part[:n])
-        rows[:n] += part[:n]
-        yield rows[:n], np.stack([cf, cg], axis=-1).tolist()
+        f, g = schedule._fg(np.stack([t_lo, t_lo + 0.5 * h, t_lo + h]))
+        yield weight * f, weight * g
 
 
 def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
@@ -386,8 +368,8 @@ def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: 
     powers = lam ** np.arange(4.0)[:, None]
     rows, cols = powers * u.conj(), (powers * u).T.copy()
     mu = (powers[:3] * np.abs(u) ** 2).sum(axis=1)
-    h, y, tmp = schedule.t_total / n_steps, np.empty_like(psi), np.empty_like(psi)
-    for table, maps in _step_maps(schedule, n_steps, h, pc, 1.0 - _centering(proj)[0], lam, mu):
+    y, tmp = np.empty_like(psi), np.empty_like(psi)
+    for table, maps in _step_maps(schedule, n_steps, pc, 1.0 - _centering(proj)[0], lam, mu):
         for e, c in zip(table, maps):
             np.matmul(cols, c @ (rows @ psi), out=y)
             np.multiply(e, psi, out=tmp)
@@ -396,15 +378,15 @@ def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: 
             yield
 
 
-def _step_maps(schedule: Schedule, n_steps: int, h: float, pc: int, shift: float,
-               lam: np.ndarray, mu: np.ndarray):
+def _step_maps(schedule: Schedule, n_steps: int, pc: int, shift: float, lam: np.ndarray,
+               mu: np.ndarray):
     """Per chunk of steps, the increments of :func:`_projector_diagonal_steps`:
     E(lam) of every step, shape (steps, dim), and C, shape (steps, 4, 4).
 
     Stage s is B_s = a + b D - g P with D = diag(lam) and (a, b, g) =
-    -i h w_s (shift x, y, x), where x is the projector's schedule weight (f
-    when it is H_I), y the diagonal's, and w = (1/2, 1, 1/2) at t, t + h/2,
-    t + h.  The K_s of :func:`_stage_steps` are then the operators K_1 = B_1,
+    (shift x, y, x), where x and y are the stage scalars -i h w f or -i h w g
+    (:func:`_stage_scalars`) of the projector and of the diagonal.  The K_s
+    of :func:`_stage_steps` are then the operators K_1 = B_1,
     K_2 = B_2 (1 + K_1), K_3 = B_2 (1 + K_2 / 2) and K_4 = B_4 (1 + K_3), and
     the increment is (K_1 + K_2 + K_3 + K_4) / 3.  Each is carried as (e, C),
     meaning sum_j e_j D^j + sum C[r, k] D^r P D^k, with every scalar an array
@@ -412,18 +394,13 @@ def _step_maps(schedule: Schedule, n_steps: int, h: float, pc: int, shift: float
     elementwise, with no BLAS call, so a step has the same bits in any
     chunking and at any BLAS thread count.
     """
-    dim = lam.size
-    # a step's table is one complex row and its 4x4 map (~0.3 KB); building
-    # the map takes ~2 KB more per step, so the chunk budget counts that too
-    chunk = max(1, _STAGE_TABLE_BYTES // (16 * dim + 2048))
-    table = np.empty((min(chunk, n_steps), dim), dtype=np.complex128)
-    weight = -1j * h * np.array([0.5, 1.0, 0.5])[:, None]
-    for lo in range(0, n_steps, chunk):
-        t_lo = np.arange(lo, min(lo + chunk, n_steps)) * h
-        fg = schedule._fg(np.stack([t_lo, t_lo + 0.5 * h, t_lo + h]))
-        x, y = weight * fg[pc], weight * fg[1 - pc]
+    table = None
+    for fg in _stage_scalars(schedule, n_steps, lam.size):
+        x, y = fg[pc], fg[1 - pc]
         e, maps = _step_increment(shift * x, y, x, mu)
-        out = table[:t_lo.size]
+        if table is None:  # one buffer for every chunk; the first is the largest
+            table = np.empty((x.shape[1], lam.size), dtype=np.complex128)
+        out = table[:x.shape[1]]
         np.multiply(e[4][:, None], lam, out=out)
         for j in (3, 2, 1):
             out += e[j][:, None]

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import adiabound
-from adiabound import random_instance, serialize_instance
+from adiabound import (
+    build_tsp_finite,
+    gap_scan,
+    invariant_sector,
+    make_schedule,
+    random_instance,
+    serialize_instance,
+)
 from adiabound.bounds import SLACK_TOL
 from adiabound.cli import (
     InvariantViolation,
@@ -344,11 +351,11 @@ _FROZEN_HASHES = [
     ({"experiment": "fraction-decay", "m_values": [8, 10, 12]}, "1dcbd95072da"),
     ({"experiment": "sigma-scan", "m_values": [3, 4], "samples": 5}, "ff445c1e6f66"),
     ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "grid": 41},
-     "01c27c137d30"),
+     "b7c326d463a2"),
     ({"experiment": "bound-audit", "model": {"model": "grover", "n": 16},
       "t_multipliers": [1.0, 2.0]}, "9a3d79671be4"),
     ({"experiment": "gap-scan", "model": {"model": "tsp-finite"}, "instance": {"cities": 3},
-      "grid": 41}, "e33179842d66"),
+      "grid": 41}, "7f41d4149a9a"),
     ({"experiment": "grover-sweep", "n_values": [64]}, "00c66554605d"),
 ]
 
@@ -394,6 +401,7 @@ def test_gap_scan_outputs(tmp_path, capsys):
     for rel in ("gap.json", "gap.csv", "E0.dat", "E1.dat", "gap.dat"):
         assert (out / rel).exists(), rel
     blob = json.loads((out / "gap.json").read_text())
+    assert (blob["space"], blob["dim"]) == ("sector", 2)
     assert blob["g_min"] == pytest.approx(0.5, abs=1e-4)
     gap_rows = (out / "gap.dat").read_text().strip().split("\n")
     assert gap_rows[0] == "# s gap"
@@ -445,9 +453,49 @@ def test_gap_scan_from_instance_file(tmp_path, capsys):
     assert main(["gap-scan", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     blob = json.loads((out / "gap.json").read_text())
+    assert (blob["space"], blob["dim"]) == ("full", 42)  # tsp-rank has no sector
     # rotations of the optimal tour tie, so the end-of-path gap collapses
     assert blob["g_min"] <= 1e-12
     assert blob["s_at_min"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_gap_scan_scans_the_tsp_finite_sector(tmp_path, capsys):
+    # the full space closes E1 - E0 at s = 1 between target states that never
+    # couple to the run; the sector merges them into one level
+    payload = {"experiment": "gap-scan", "model": {"model": "tsp-finite"},
+               "instance": {"cities": 3}, "grid": 41}
+    manifest = cli.run_experiment("gap-scan", payload, out_dir=str(tmp_path), seed=1)
+    capsys.readouterr()
+    row, = manifest["rows"]
+    blob = json.loads((tmp_path / "gap.json").read_text())
+    sector = invariant_sector(build_tsp_finite(random_instance(3, 1)))
+    want = gap_scan(sector.h_i, sector.h_p, make_schedule("linear", 1.0), grid=41)
+    assert (row["space"], row["dim"]) == (blob["space"], blob["dim"]) == ("sector", 4)
+    assert (row["g_min"], row["s_at_min"], row["t_adb"]) == (want.g_min, want.s_at_min,
+                                                             want.t_adb)
+    assert row["g_min"] == pytest.approx(0.2839, abs=1e-4)
+    assert row["s_at_min"] == pytest.approx(0.451, abs=1e-3)
+    assert row["t_adb"] == pytest.approx(80.5, abs=0.1)
+
+
+def test_grover_gap_scan_hash_holds_across_fresh_interpreters(tmp_path):
+    # n = 4096 is past the dense limit: a full-space scan goes through eigsh,
+    # whose s = 1 row, a 4095-fold degenerate level, moves between fresh runs
+    cfg = _write_config(tmp_path, "c.json", {"experiment": "gap-scan",
+                                             "model": {"model": "grover", "n": 4096},
+                                             "grid": 41})
+    hashes = []
+    for run in range(2):
+        out = tmp_path / f"out-{run}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "adiabound.cli", "gap-scan", "--config", cfg,
+             "--out", str(out), "--seed", "1"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rows"][0]["space"] == "sector"
+        hashes.append(manifest["content_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_gap_scan_refinement_ends_when_the_step_stops_moving_s(tmp_path, capsys):

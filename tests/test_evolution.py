@@ -317,21 +317,6 @@ def test_shifted_problem_operator_moves_only_the_global_phase():
         assert np.max(np.abs(shifted.state.amps - want)) <= 1e-10
 
 
-def test_chunked_stage_tables_match_bit_for_bit(monkeypatch):
-    h_i, h_p, start = _grover_ops(4)
-    pol = StepPolicy(n_steps_override=1000, samples_per_run=16, track_ground_overlap=False)
-    step_bytes = 48 * 4 + 512  # one step of the stage table at dim 4
-    for sch in (Schedule("linear", 7.0), Schedule("local_adiabatic_grover", 7.0, n=4)):
-        whole = evolve(h_i, h_p, sch, pol, psi0=start)
-        # chunks of 7 steps (1000 = 142 * 7 + 6), and of 1 step
-        for table_bytes in (7 * step_bytes, 1):
-            monkeypatch.setattr(evolution, "_STAGE_TABLE_BYTES", table_bytes)
-            chunked = evolve(h_i, h_p, sch, pol, psi0=start)
-            monkeypatch.undo()
-            assert np.array_equal(chunked.state.amps, whole.state.amps)
-            assert np.array_equal(chunked.norms, whole.norms)
-
-
 def _projector_diagonal(dim, order, values_max=1.0, seed=SEED):
     """1 - |u><u| with a complex unit u and diag(d), d uniform in [0, values_max],
     in the given order, and u as the start."""
@@ -344,14 +329,25 @@ def _projector_diagonal(dim, order, values_max=1.0, seed=SEED):
     return (pc, diag) if order == "projector-first" else (diag, pc), StateVector(basis, u)
 
 
-def test_chunked_step_maps_match_bit_for_bit(monkeypatch):
+def _chunking_pairs():
+    yield "two-projectors", _grover_ops(4)
     (h_i, h_p), start = _projector_diagonal(4, "projector-first")
+    yield "projector-diagonal", (h_i, h_p, start)
+
+
+@pytest.mark.parametrize("pair", list(_chunking_pairs()), ids=lambda pair: pair[0])
+def test_chunked_step_tables_match_bit_for_bit(monkeypatch, pair):
+    # the four-stage kernel and the projector-plus-diagonal kernel read their
+    # stage scalars under one budget rule, so one budget sets both chunkings
+    _, (h_i, h_p, start) = pair
     pol = StepPolicy(n_steps_override=1000, samples_per_run=16, track_ground_overlap=False)
-    step_bytes = 16 * 4 + 2048  # one step of the step-map budget at dim 4
+    step_bytes = 16 * 4 + 2048  # one step of the budget at dim 4
     for sch in (Schedule("linear", 7.0), Schedule("local_adiabatic_grover", 7.0, n=4)):
         whole = evolve(h_i, h_p, sch, pol, psi0=start)
-        for table_bytes in (7 * step_bytes, 1):
+        # chunks of 7 steps, and of 1 step
+        for table_bytes, chunks in ((7 * step_bytes, [7] * 142 + [6]), (1, [1] * 1000)):
             monkeypatch.setattr(evolution, "_STAGE_TABLE_BYTES", table_bytes)
+            assert [f.shape[1] for f, _ in evolution._stage_scalars(sch, 1000, 4)] == chunks
             chunked = evolve(h_i, h_p, sch, pol, psi0=start)
             monkeypatch.undo()
             assert np.array_equal(chunked.state.amps, whole.state.amps)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -527,6 +528,42 @@ def test_tour_fraction_large_m_log_space():
     expected = math.lgamma(41) - 40 * math.log(40)
     assert row.log_exact == pytest.approx(expected, rel=1e-12)
     assert row.exact_ratio == pytest.approx(math.exp(expected), rel=1e-12)
+
+
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _fraction_deviations_60(m):
+    """(stirling_rel_dev, sqrt_m_form_rel_dev) from the exact M!/M^M, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ratio = Decimal(math.factorial(m)) / Decimal(m) ** m
+        stirling = (2 * _PI_60 * m).sqrt() * (-Decimal(m)).exp()
+        crude = (-Decimal(m)).exp() / Decimal(m).sqrt()
+        return float(ratio / stirling - 1), float(ratio / crude - 1)
+
+
+@pytest.mark.parametrize("m", range(21, 31))
+def test_tour_fraction_deviations_past_20_match_the_exact_ratio(m):
+    # the deviation is ~4e-3 here, and a difference of logs such as
+    # lgamma(M + 1) - M log M carries ~1e-14 of roundoff
+    row, = tour_fraction_decay([m]).rows
+    stirling_dev, crude_dev = _fraction_deviations_60(m)
+    assert row.stirling_rel_dev == pytest.approx(stirling_dev, rel=1e-15, abs=0.0)
+    assert row.sqrt_m_form_rel_dev == pytest.approx(crude_dev, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [10 ** 6, 10 ** 9, 2 ** 53 - 1])
+def test_tour_fraction_deviation_keeps_full_precision_at_large_m(m):
+    # exp(1/(12M) - 1/(360 M^3)) - 1 to 60 digits; the next series term is
+    # below 1e-26 of it here.  A difference of logs carries ~M log(M) eps of
+    # roundoff, above the whole deviation 1/(12M) from M ~ 1e7.
+    row, = tour_fraction_decay([m]).rows
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = Decimal(1) / (12 * Decimal(m)) - Decimal(1) / (360 * Decimal(m) ** 3)
+        want = float(r.exp() - 1)
+    assert row.stirling_rel_dev == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
