@@ -591,13 +591,15 @@ def _plan_sigma_scan(cfg: dict) -> dict:
 
 def _plan_gap_scan(cfg: dict) -> dict:
     """The scan runs in the model's invariant sector where it has one, as the
-    evolving experiments do; the schedule (and its n) is the full model's."""
+    evolving experiments do; the schedule (and its n) is the full model's.
+    Every schedule is a function of t/T, so H(sT) does not depend on T, and
+    the scan runs at T = 1."""
     bundle = _model_from(cfg)
     kind = cfg["schedule"]["kind"]
-    schedule = make_schedule(kind, cfg["t_total"], n=bundle.h_p.basis.dim)
+    schedule = make_schedule(kind, 1.0, n=bundle.h_p.basis.dim)
     return {"bundle": bundle, "space": invariant_sector(bundle) or bundle, "schedule": schedule,
             "grid": cfg["grid"], "rounds": cfg["refine_rounds"],
-            "checks": [*_model_checks(bundle), ("schedule", f"{kind}, T={schedule.t_total:g}")]}
+            "checks": [*_model_checks(bundle), ("schedule", kind)]}
 
 
 def _plan_fraction_decay(cfg: dict) -> dict:
@@ -625,7 +627,7 @@ EXPERIMENTS = {
         _plan_sigma_scan, _run_sigma_scan),
     "gap-scan": _Experiment(
         {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA,
-         "schedule": _SCHEDULE_SCHEMA, "t_total": (float, 1.0), "grid": (int, 201, 3),
+         "schedule": _SCHEDULE_SCHEMA, "grid": (int, 201, 3),
          "refine_rounds": (int, 3, 0)},
         _plan_gap_scan, _run_gap_scan),
     "fraction-decay": _Experiment({**_COMMON, "m_values": ([int], _REQUIRED, 1)},
@@ -684,7 +686,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: ADIABOUND_THREADS, then config)")
+                       help="worker threads (fallback: config, then 1)")
         p.add_argument("--seed", type=int, default=None,
                        help="base seed override (fallback: config, then 0)")
     return parser
@@ -699,13 +701,7 @@ def main(argv=None) -> int:
         validate = args.experiment == "validate"
         cfg = load_config(args.config, None if validate else args.experiment)
         experiment = cfg["experiment"] if validate else args.experiment
-        threads, env = args.threads, os.environ.get("ADIABOUND_THREADS")
-        if threads is None and env:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise UsageError(f"ADIABOUND_THREADS must be an integer: {env!r}") from exc
-        flags = {"out_dir": args.out or None, "threads": threads, "seed": args.seed}
+        flags = {"out_dir": args.out or None, "threads": args.threads, "seed": args.seed}
         if validate:
             _, plan = _preflight(experiment, cfg, **flags)
             _print_table(["check", "result"], [["config keys", "ok"], *plan["checks"]])

@@ -191,11 +191,11 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     accumulates is the accuracy meter, and a drift beyond ``policy.norm_tol``
     raises :class:`NumericGuardError` instead of passing silently.
 
-    A ``ProjectorComplement`` with a ``Diagonal``, in either order (Grover
-    and tsp-finite, in full space or sector), takes each step as one
-    diagonal product and a rank-4 correction
-    (:func:`_projector_diagonal_steps`); every other pair takes the four
-    stages (:func:`_stage_steps`).  Both take the same steps, to roundoff.
+    A ``ProjectorComplement`` H_I with a ``Diagonal`` H_P (Grover and
+    tsp-finite, in full space or sector) takes each step as one diagonal
+    product and a rank-4 correction (:func:`_projector_diagonal_steps`);
+    every other pair takes the four stages (:func:`_stage_steps`).  Both
+    take the same steps, to roundoff.
     """
     if h_i.basis != h_p.basis:
         raise ValueError(f"operator bases differ: {h_i.basis} vs {h_p.basis}")
@@ -244,7 +244,7 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         overlaps.append(_ground_overlap(h_i, h_p, schedule, t, psi) if track else math.nan)
 
     # the kernel goes by operator type alone; both take the same steps
-    pair = {type(h_i), type(h_p)} == {ProjectorComplement, Diagonal}
+    pair = isinstance(h_i, ProjectorComplement) and isinstance(h_p, Diagonal)
     steps = (_projector_diagonal_steps if pair else _stage_steps)(h_i, h_p, schedule, n_steps, psi)
     if 0 in sample_steps:
         record(0)
@@ -343,9 +343,8 @@ def _stage_scalars(schedule: Schedule, n_steps: int, dim: int):
 
 def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
                               n_steps: int, psi: np.ndarray):
-    """The steps of :func:`_stage_steps` when one operator is 1 - |u><u| and
-    the other diag(d), in either order: each one diagonal product and a
-    rank-4 correction.
+    """The steps of :func:`_stage_steps` when H_I is 1 - |u><u| and H_P is
+    diag(d): each one diagonal product and a rank-4 correction.
 
     With lam = d - c_d and P = |u><u|, every stage operator of the centered
     path is a + b diag(lam) - g P for scalars a, b, g, and P diag(lam^r) P =
@@ -361,15 +360,13 @@ def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: 
     the sums instead fails
     ``test_projector_diagonal_kernel_ignores_the_blas_thread_count``.
     """
-    pc = 0 if isinstance(h_i, ProjectorComplement) else 1
-    proj, diag = (h_i, h_p)[pc], (h_i, h_p)[1 - pc]
-    lam = diag.values - _centering(diag)[0]
-    u = proj.vector
+    lam = h_p.values - _centering(h_p)[0]
+    u = h_i.vector
     powers = lam ** np.arange(4.0)[:, None]
     rows, cols = powers * u.conj(), (powers * u).T.copy()
     mu = (powers[:3] * np.abs(u) ** 2).sum(axis=1)
     y, tmp = np.empty_like(psi), np.empty_like(psi)
-    for table, maps in _step_maps(schedule, n_steps, pc, 1.0 - _centering(proj)[0], lam, mu):
+    for table, maps in _step_maps(schedule, n_steps, 1.0 - _centering(h_i)[0], lam, mu):
         for e, c in zip(table, maps):
             np.matmul(cols, c @ (rows @ psi), out=y)
             np.multiply(e, psi, out=tmp)
@@ -378,14 +375,13 @@ def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: 
             yield
 
 
-def _step_maps(schedule: Schedule, n_steps: int, pc: int, shift: float, lam: np.ndarray,
-               mu: np.ndarray):
+def _step_maps(schedule: Schedule, n_steps: int, shift: float, lam: np.ndarray, mu: np.ndarray):
     """Per chunk of steps, the increments of :func:`_projector_diagonal_steps`:
     E(lam) of every step, shape (steps, dim), and C, shape (steps, 4, 4).
 
     Stage s is B_s = a + b D - g P with D = diag(lam) and (a, b, g) =
-    (shift x, y, x), where x and y are the stage scalars -i h w f or -i h w g
-    (:func:`_stage_scalars`) of the projector and of the diagonal.  The K_s
+    (shift x, y, x), where x and y are the stage scalars -i h w f and -i h w g
+    (:func:`_stage_scalars`).  The K_s
     of :func:`_stage_steps` are then the operators K_1 = B_1,
     K_2 = B_2 (1 + K_1), K_3 = B_2 (1 + K_2 / 2) and K_4 = B_4 (1 + K_3), and
     the increment is (K_1 + K_2 + K_3 + K_4) / 3.  Each is carried as (e, C),
@@ -395,8 +391,7 @@ def _step_maps(schedule: Schedule, n_steps: int, pc: int, shift: float, lam: np.
     chunking and at any BLAS thread count.
     """
     table = None
-    for fg in _stage_scalars(schedule, n_steps, lam.size):
-        x, y = fg[pc], fg[1 - pc]
+    for x, y in _stage_scalars(schedule, n_steps, lam.size):
         e, maps = _step_increment(shift * x, y, x, mu)
         if table is None:  # one buffer for every chunk; the first is the largest
             table = np.empty((x.shape[1], lam.size), dtype=np.complex128)

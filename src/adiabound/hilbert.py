@@ -7,8 +7,8 @@ from below.  ``to_dense`` exists for small-dimension scans and tests.
 
 Mode ordering convention: for a multi-mode basis the flat index is the
 little-endian mixed-radix number of the per-mode occupations, i.e. mode 1
-varies fastest.  ``mode_digits``/``mode_flat`` are the only places that
-arithmetic lives.
+varies fastest.  ``mode_digits`` is the only scalar decoder of it; the
+models encode labels by reshaping to ``BasisSpec.dims``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ __all__ = [
     "basis_vector",
     "uniform_state",
     "mode_digits",
-    "mode_flat",
     "expectation",
     "variance",
     "coherent_state",
@@ -124,19 +123,6 @@ def mode_digits(basis: BasisSpec, flat: int) -> tuple[int, ...]:
         out.append(rem % d)
         rem //= d
     return tuple(out)
-
-
-def mode_flat(basis: BasisSpec, digits) -> int:
-    """Inverse of :func:`mode_digits`."""
-    if len(digits) != basis.n_modes:
-        raise ValueError(f"expected {basis.n_modes} digits, got {len(digits)}")
-    d = basis.dims[0]
-    flat = 0
-    for i, dig in enumerate(digits):
-        if not 0 <= dig < d:
-            raise ValueError(f"occupation {dig} outside 0..{d - 1}")
-        flat += int(dig) * d ** i
-    return flat
 
 
 @dataclass

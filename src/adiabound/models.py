@@ -84,7 +84,6 @@ class ModelBundle:
     e_i0: float
     target_indices: tuple[int, ...]
     target_energy: float
-    degenerate_target: bool
     budget: EnergyBudget
     instance: tsp.TspInstance | None = None
     preps: tuple[CoherentPrep, ...] = ()
@@ -197,7 +196,7 @@ def _bundle(kind: str, name: str, h_i: HamiltonianOp, h_p: Diagonal, g_i: StateV
     target_idx, e0 = argmin_set(h_p.values)
     return ModelBundle(
         kind=kind, name=name, h_i=h_i, h_p=h_p, g_i=g_i, e_i0=0.0,
-        target_indices=target_idx, target_energy=e0, degenerate_target=len(target_idx) > 1,
+        target_indices=target_idx, target_energy=e0,
         budget=EnergyBudget(alpha_cost=alpha_cost, h_i_norm_bound=h_i.norm_bound(),
                             h_p_norm_bound=h_p.norm_bound()),
         **extra,

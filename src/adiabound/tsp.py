@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import BasisSpec, argmin_set, degeneracy_tol, mode_digits, mode_flat
+from .hilbert import BasisSpec, argmin_set, degeneracy_tol, mode_digits
 
 __all__ = [
     "Tour",
@@ -32,9 +32,7 @@ __all__ = [
     "FractionReport",
     "tour_length",
     "rank_to_tour",
-    "tour_to_rank",
     "index_to_tuple",
-    "tuple_to_index",
     "is_tour",
     "effective_length",
     "effective_lengths_all",
@@ -250,21 +248,6 @@ def rank_to_tour(k: int, m: int) -> Tour:
     return tuple(out)
 
 
-def tour_to_rank(tour) -> int:
-    """1-based lexicographic rank; inverse of :func:`rank_to_tour`."""
-    m = len(tour)
-    if m > MAX_RANK_CITIES:
-        raise ValueError(f"ranks are exact only up to {MAX_RANK_CITIES} cities")
-    _check_tour(tour, m)
-    rank = 0
-    pool = list(range(m))
-    for i, city in enumerate(tour):
-        pos = pool.index(city)
-        rank += pos * math.factorial(m - 1 - i)
-        pool.pop(pos)
-    return rank + 1
-
-
 def index_to_tuple(s: int, m: int) -> Tour:
     """Decode the 1-based state index into (m_1, ..., m_M), least significant first.
 
@@ -277,14 +260,6 @@ def index_to_tuple(s: int, m: int) -> Tour:
     if not 1 <= s <= m ** m:
         raise ValueError(f"index {s} outside [1, {m}^{m}]")
     return mode_digits(BasisSpec.modes(m, m - 1), s - 1)
-
-
-def tuple_to_index(digits) -> int:
-    """Inverse of :func:`index_to_tuple`; digits are base-M, least significant first."""
-    m = len(digits)
-    if m < 1:
-        raise ValueError("need at least one component")
-    return mode_flat(BasisSpec.modes(m, m - 1), digits) + 1
 
 
 def is_tour(digits) -> bool:

@@ -20,7 +20,6 @@ from adiabound import (
     expectation,
     ground_state,
     mode_digits,
-    mode_flat,
     random_instance,
     to_dense,
     uniform_state,
@@ -76,15 +75,16 @@ def test_mode_digit_values():
     # mode 1 varies fastest: flat = m1 + 3*m2 + 9*m3
     assert mode_digits(basis, 0) == (0, 0, 0)
     assert mode_digits(basis, 5) == (2, 1, 0)
-    assert mode_flat(basis, (2, 1, 0)) == 5
-    assert mode_flat(basis, (0, 0, 2)) == 18
+    assert mode_digits(basis, 18) == (0, 0, 2)
+    assert mode_digits(basis, basis.dim - 1) == (2, 2, 2)
 
 
 def test_mode_digit_roundtrip():
     basis = BasisSpec.modes(3, 2)
     for flat in range(basis.dim):
         digs = mode_digits(basis, flat)
-        assert mode_flat(basis, digs) == flat
+        assert all(0 <= d <= 2 for d in digs)
+        assert sum(d * 3 ** i for i, d in enumerate(digs)) == flat  # base-3 digit sum
 
 
 def test_mode_digit_bounds():
@@ -93,10 +93,6 @@ def test_mode_digit_bounds():
         mode_digits(basis, 9)
     with pytest.raises(ValueError):
         mode_digits(basis, -1)
-    with pytest.raises(ValueError):
-        mode_flat(basis, (0, 1, 2))  # wrong digit count
-    with pytest.raises(ValueError):
-        mode_flat(basis, (3, 0))  # occupation above cutoff
 
 
 # ---------------------------------------------------------------------------
