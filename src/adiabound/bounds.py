@@ -149,8 +149,10 @@ class BoundReport:
     theta_note: str = THETA_NOTE
 
     def worst_slack(self) -> float:
+        """The least slack of the applicable rows, NaN if any is NaN, in any
+        row order; inf when no row applies."""
         vals = [m.slack for m in self.margins if m.applicable]
-        return min(vals) if vals else math.inf
+        return float(np.min(vals)) if vals else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .bounds import (
     BoundReport,
     delta_ie,
     gap_scan,
+    residual_norm,
     t_min,
     verify_distance_bound,
 )
@@ -43,6 +44,7 @@ from .evolution import (
     StepPolicy,
     evolve,
     make_schedule,
+    plan_steps,
     schedule_integral,
     success_probability,
 )
@@ -72,6 +74,9 @@ __all__ = ["main", "run_experiment", "UsageError", "InvariantViolation"]
 
 #: special beta spellings resolved against the built model
 BETA_WORDS = ("mean", "mean+delta", "mean-delta")
+#: gap-scan grid points and sigma-scan samples per size, each held in memory
+MAX_GRID = 100_000
+MAX_SAMPLES = 1_000_000
 
 
 class UsageError(Exception):
@@ -89,9 +94,10 @@ class InvariantViolation(Exception):
 #: schema default of a key that the config must give
 _REQUIRED = object()
 
-# A leaf is (type, default) or (type, default, low).  [type] is a nonempty
-# list of that type, a tuple of types accepts any one of them, and a dict is
-# a nested object whose absent keys take their own defaults.
+# A leaf is (type, default), (type, default, low) or (type, default, low,
+# high).  [type] is a nonempty list of that type, a tuple of types accepts any
+# one of them, and a dict is a nested object whose absent keys take their own
+# defaults.
 _STEP_SCHEMA = {"step_bound_factor": (float, 0.1), "norm_tol": (float, 1e-8),
                 "samples_per_run": (int, 256)}
 _SCHEDULE_SCHEMA = {"kind": (str, "linear")}
@@ -112,6 +118,12 @@ _AUDIT_SCHEMA = {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA
 
 #: keys that one config object may not give together
 _EXCLUSIVE = (("t_values", "t_multipliers"), ("path", "cities"))
+#: the model keys each model kind reads; it rejects every other one
+_MODEL_READS = {"grover": ("n", "marked"), "tsp-rank": ("alpha_scale", "n_max_override"),
+                "tsp-tuple": ("alpha_scale", "n_max_override", "dsq_policy", "sigma_d", "seed"),
+                "tsp-finite": ("dsq_policy", "sigma_d", "seed")}
+#: instance keys that only a sampled instance reads
+_SAMPLED_ONLY = ("seed", "stream", "name", "sampler")
 
 #: python type -> (JSON values it accepts, name in error messages)
 _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
@@ -127,24 +139,30 @@ def _shown(value) -> str:
         return repr(value)
 
 
-def _leaf(value, typ, low: list, where: str):
-    """One checked config value, converted to ``typ``; a bool is never a number."""
+def _leaf(value, typ, limits: list, where: str):
+    """One checked config value, converted to ``typ``; a bool is never a
+    number, and a number must be finite and inside ``limits`` (low, high)."""
     if isinstance(typ, list):
         if not isinstance(value, list) or not value:
             raise UsageError(f"{where} must be a nonempty list, got {_shown(value)}")
-        return [_leaf(v, typ[0], low, f"{where}[{i}]") for i, v in enumerate(value)]
+        return [_leaf(v, typ[0], limits, f"{where}[{i}]") for i, v in enumerate(value)]
     kinds = typ if isinstance(typ, tuple) else (typ,)
     kind = next((k for k in kinds if isinstance(value, _JSON_TYPES[k][0])
                  and (k is bool or not isinstance(value, bool))), None)
     if kind is None:
         names = " or ".join(_JSON_TYPES[k][1] for k in kinds)
         raise UsageError(f"{where} must be {names}, got {_shown(value)}")
-    if low and value < low[0]:
-        raise UsageError(f"{where} must be >= {low[0]}, got {value}")
     try:
-        return kind(value)
+        out = kind(value)
     except OverflowError:  # an integer beyond the float range
         raise UsageError(f"{where} is too large for a number") from None
+    if kind is float and not math.isfinite(out):  # json reads NaN and Infinity
+        raise UsageError(f"{where} must be a finite number, got {_shown(value)}")
+    if limits and out < limits[0]:
+        raise UsageError(f"{where} must be >= {limits[0]}, got {value}")
+    if limits[1:] and out > limits[1]:
+        raise UsageError(f"{where} must be <= {limits[1]}, got {value}")
+    return out
 
 
 def _typed(obj, schema: dict, path: str = "", fill: bool = True) -> dict:
@@ -169,9 +187,9 @@ def _typed(obj, schema: dict, path: str = "", fill: bool = True) -> dict:
             if fill or key in obj:
                 out[key] = _typed(obj.get(key, {}), spec, where + ".", fill)
             continue
-        typ, default, *low = spec
+        typ, default, *limits = spec
         if key in obj and not (obj[key] is None and default is None):
-            out[key] = _leaf(obj[key], typ, low, where)
+            out[key] = _leaf(obj[key], typ, limits, where)
         elif default is _REQUIRED:
             raise UsageError(f"config needs {where!r}")
         elif fill or key in obj:
@@ -180,6 +198,28 @@ def _typed(obj, schema: dict, path: str = "", fill: bool = True) -> dict:
         if out.get(a) is not None and out.get(b) is not None:
             raise UsageError(f"config must give {path + a} or {path + b}, not both")
     return out
+
+
+def _unread_keys(given: dict) -> None:
+    """Reject a model or instance key that the chosen model never reads: it
+    would move the manifest hash and nothing else.  ``given`` holds only the
+    keys the config gave; a null one counts as absent."""
+    model = {k: v for k, v in given["model"].items() if v is not None}
+    reads = _MODEL_READS.get(model["model"])
+    if reads is None:  # _model_from names the unknown kind
+        return
+    for key in model:
+        if key not in (*reads, "model"):
+            raise UsageError(f"model.{key} is not read by model {model['model']}")
+    inst = {k: v for k, v in given.get("instance", {}).items() if v is not None}
+    if inst and model["model"] == "grover":
+        raise UsageError(f"instance.{min(inst)} is not read by model grover")
+    if "path" in inst:
+        for key in _SAMPLED_ONLY:
+            if key in inst:
+                raise UsageError(f"instance.{key} is not read with instance.path")
+    elif "format" in inst:
+        raise UsageError("instance.format is read only with instance.path")
 
 
 def load_config(path, experiment: str | None = None) -> dict:
@@ -287,7 +327,9 @@ class _Cell:
 
 
 def _audit_cells(bundle: ModelBundle, cfg: dict) -> list[_Cell]:
-    """Every run of one model: its schedule, t_min and resolved betas."""
+    """Every run of one model: its schedule, t_min and resolved betas.  Each
+    beta's denominator ||(H_P - beta) g_I||, and its phase beta * int g in
+    every cell, must be finite."""
     kind = cfg["schedule"]["kind"]
     n = bundle.h_p.basis.dim
     delta = delta_ie(bundle.g_i, bundle.h_p)
@@ -295,8 +337,19 @@ def _audit_cells(bundle: ModelBundle, cfg: dict) -> list[_Cell]:
     betas = _resolve_betas(cfg["betas"], mean, delta)
     base = t_min(kind, delta, n=n)
     space = invariant_sector(bundle) or bundle
-    return [_Cell(bundle, space, label, make_schedule(kind, t, n=n), delta, base, mean, betas)
-            for label, t in _t_grid(cfg, base)]
+    cells = [_Cell(bundle, space, label, make_schedule(kind, t, n=n), delta, base, mean, betas)
+             for label, t in _t_grid(cfg, base)]
+    for beta in betas:
+        with np.errstate(over="ignore"):  # an overflow is what this check looks for
+            denominator = residual_norm(space.g_i, space.h_p, beta)
+        if not math.isfinite(denominator):
+            raise UsageError(f"beta {beta:g} gives a denominator ||(H_P - beta) g_I|| "
+                             "that is not finite")
+        for cell in cells:
+            if not math.isfinite(beta * schedule_integral(cell.schedule, "g")):
+                raise UsageError(f"beta {beta:g} gives a phase beta * int g that is not "
+                                 f"finite at T={cell.schedule.t_total:g}")
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +478,7 @@ def _audit_one(cell: _Cell, step: StepPolicy) -> tuple[BoundReport, dict]:
         "t_min": report.t_min,
         "success_prob": success,
         "slack_min": report.worst_slack(),
-        "cap_slack_min": min(m.cap_slack for m in margins),
+        "cap_slack_min": float(np.min([m.cap_slack for m in margins])),
         "norm_drift": result.max_drift,
         "n_steps": result.n_steps,
         "alpha_cost": bundle.budget.alpha_cost,
@@ -436,11 +489,12 @@ def _audit_one(cell: _Cell, step: StepPolicy) -> tuple[BoundReport, dict]:
 
 
 def _check_run_invariants(cell: dict) -> None:
-    if cell["slack_min"] < SLACK_TOL:
+    """Both checks are written so that a NaN fails them."""
+    if not cell["slack_min"] >= SLACK_TOL:
         raise InvariantViolation(
             f"distance bound violated: slack {cell['slack_min']:.3e} < {SLACK_TOL:.1e} "
             f"(model {cell['model']}, T={cell['t_total']:g})")
-    if cell["cap_slack_min"] < SLACK_TOL:
+    if not cell["cap_slack_min"] >= SLACK_TOL:
         raise InvariantViolation(
             f"distance cap violated: 2 - distance = {cell['cap_slack_min']:.3e} "
             f"(model {cell['model']}, T={cell['t_total']:g})")
@@ -561,24 +615,27 @@ def _model_checks(bundle: ModelBundle) -> list[tuple[str, str]]:
             ("spread", f"delta_ie {delta_ie(bundle.g_i, bundle.h_p):.6g}")]
 
 
-def _run_times(cells: list[_Cell]) -> tuple[str, str]:
-    return "run times", ", ".join(f"{c.schedule.t_total:.4g}" for c in cells)
+def _run_plan(cells: list[_Cell], step: StepPolicy) -> list[tuple[str, str]]:
+    """Each cell's run time and the steps :func:`evolve` will take on it."""
+    steps = [plan_steps(c.space.h_i, c.space.h_p, c.schedule, step) for c in cells]
+    return [("run times", ", ".join(f"{c.schedule.t_total:.4g}" for c in cells)),
+            ("planned steps", ", ".join(map(str, steps)))]
 
 
 def _plan_grover_sweep(cfg: dict) -> dict:
-    cells = []
+    cells, step = [], StepPolicy(**cfg["step_policy"])
     for n in cfg["n_values"]:
         cells += _audit_cells(build_grover(n, cfg["marked"]), cfg)
-    return {"cells": cells, "step": StepPolicy(**cfg["step_policy"], track_ground_overlap=False),
+    return {"cells": cells, "step": step,
             "checks": [("grover cells", f"ok ({len(cfg['n_values'])} models)"),
-                       _run_times(cells)]}
+                       *_run_plan(cells, step)]}
 
 
 def _plan_model_audit(cfg: dict) -> dict:
-    bundle = _model_from(cfg)
+    bundle, step = _model_from(cfg), StepPolicy(**cfg["step_policy"])
     cells = _audit_cells(bundle, cfg)
-    return {"cells": cells, "step": StepPolicy(**cfg["step_policy"], track_ground_overlap=False),
-            "checks": [*_model_checks(bundle), _run_times(cells)]}
+    return {"cells": cells, "step": step,
+            "checks": [*_model_checks(bundle), *_run_plan(cells, step)]}
 
 
 def _plan_sigma_scan(cfg: dict) -> dict:
@@ -622,12 +679,12 @@ EXPERIMENTS = {
     "tsp-run": _Experiment(_AUDIT_SCHEMA, _plan_model_audit, _run_model_audit),
     "bound-audit": _Experiment(_AUDIT_SCHEMA, _plan_model_audit, _run_model_audit),
     "sigma-scan": _Experiment(
-        {**_COMMON, "m_values": ([int], _REQUIRED), "samples": (int, 200, 1),
+        {**_COMMON, "m_values": ([int], _REQUIRED), "samples": (int, 200, 1, MAX_SAMPLES),
          "sampler": _SAMPLER_SCHEMA},
         _plan_sigma_scan, _run_sigma_scan),
     "gap-scan": _Experiment(
         {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA,
-         "schedule": _SCHEDULE_SCHEMA, "grid": (int, 201, 3),
+         "schedule": _SCHEDULE_SCHEMA, "grid": (int, 201, 3, MAX_GRID),
          "refine_rounds": (int, 3, 0)},
         _plan_gap_scan, _run_gap_scan),
     "fraction-decay": _Experiment({**_COMMON, "m_values": ([int], _REQUIRED, 1)},
@@ -643,6 +700,8 @@ def _preflight(experiment: str, raw: dict, **flags) -> tuple[dict, dict]:
     spec = EXPERIMENTS[experiment]
     given = {k: v for k, v in flags.items() if v is not None}
     cfg = {**_typed(raw, spec.schema), **_typed(given, {k: _COMMON[k] for k in given})}
+    if "model" in spec.schema:
+        _unread_keys(_typed(raw, spec.schema, fill=False))
     try:
         return cfg, spec.plan(cfg)
     except ValueError as exc:

@@ -27,6 +27,7 @@ __all__ = [
     "Schedule",
     "StepPolicy",
     "EvolutionResult",
+    "plan_steps",
     "make_schedule",
     "schedule_integral",
     "evolve",
@@ -41,6 +42,8 @@ SCHEDULE_KINDS = ("linear", "das_wei", "local_adiabatic_grover")
 _OVERLAP_DENSE_LIMIT = 512
 #: bytes of precomputed RK4 tables per chunk of steps; bounds evolve's table memory
 _STAGE_TABLE_BYTES = 1 << 19
+#: the most steps a plan may take: the step index must fit an int64
+_MAX_STEPS = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -144,25 +147,25 @@ class StepPolicy:
 
     The step obeys h * B <= step_bound_factor with B the schedule-weighted
     operator-norm bound.  On long runs it shrinks further so the worst-case
-    accumulated drift stays at half of norm_tol.  That drift budget sees each
-    operator's spectrum centered on zero: RK4 integrates f (H_I - c_I) +
-    g (H_P - c_P), with c the midpoint of the operator's known spectral range,
-    so the budget grows with the half-widths of the two spectra rather than
-    their norms, and the exact global phase of the shift is put back at the
-    end.  Norm drift past norm_tol aborts the run rather than silently
+    accumulated drift stays at half of norm_tol (:func:`plan_steps`).  That
+    drift budget sees each operator's spectrum centered on zero: RK4
+    integrates f (H_I - c_I) + g (H_P - c_P), with c the midpoint of the
+    operator's known spectral range, so the budget grows with the
+    half-widths of the two spectra rather than their norms, and the exact
+    global phase of the shift is put back at the end.  Norm drift past norm_tol aborts the run rather than silently
     renormalizing.
     """
 
     step_bound_factor: float = 0.1
     norm_tol: float = 1e-8
     samples_per_run: int = 256
-    track_ground_overlap: bool = True
+    track_ground_overlap: bool = False
     n_steps_override: int | None = None
 
     def __post_init__(self):
         if not 0 < self.step_bound_factor <= 1.0:
             raise ValueError("step_bound_factor must sit in (0, 1]")
-        if self.norm_tol <= 0:
+        if not self.norm_tol > 0:
             raise ValueError("norm_tol must be positive")
         if self.samples_per_run < 0:
             raise ValueError("samples_per_run must be nonnegative")
@@ -204,30 +207,9 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     elif psi0.basis != h_i.basis:
         raise ValueError(f"initial state basis {psi0.basis} does not match {h_i.basis}")
 
-    t_total = schedule.t_total
-    c_i, r_i, b_i = _centering(h_i)
-    c_p, r_p, b_p = _centering(h_p)
-    bound = schedule.max_f() * b_i + schedule.max_g() * b_p
-    if policy.n_steps_override is not None:
-        n_steps = policy.n_steps_override
-    else:
-        # two caps on h: the stability rule h*B <= factor, and the accumulated
-        # worst-case drift held at half of norm_tol.  A spectral component at
-        # the instantaneous bound E(t) = f*r_I + g*r_P of the centered path
-        # loses |R(ihE)| ~ 1 - (hE)^6/144 of its weight per RK4 step, so total
-        # drift is at most (h^5/144) * (integral of E^6 dt + h*max(E)^6).
-        h_stab = policy.step_bound_factor / bound if bound > 0.0 else t_total
-
-        def drift_step(h_guard: float) -> float:
-            q = _drift_budget(schedule, r_i, r_p, h_guard)
-            return min((72.0 * policy.norm_tol / q) ** 0.2, t_total) if q > 0.0 else t_total
-
-        # the guard term's h need only bound the final step from above: the
-        # cap from the integral alone does, and unlike h_stab it does not move
-        # when an operator is shifted by a constant
-        h_drift = drift_step(drift_step(0.0))
-        n_steps = max(1, math.ceil(t_total / min(h_stab, h_drift)))
-    h = t_total / n_steps
+    n_steps = plan_steps(h_i, h_p, schedule, policy)
+    h = schedule.t_total / n_steps
+    c_i, c_p = _centering(h_i)[0], _centering(h_p)[0]
 
     sample_steps = _sample_steps(n_steps, policy.samples_per_run)
     track = policy.track_ground_overlap and h_i.basis.dim <= _OVERLAP_DENSE_LIMIT
@@ -250,11 +232,11 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         record(0)
     for step, _ in enumerate(steps, 1):
         drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
-        max_drift = max(max_drift, drift)
-        if drift > policy.norm_tol:
+        if not drift <= policy.norm_tol:  # a NaN drift fails too
             raise NumericGuardError(
                 f"norm drift {drift:.3e} exceeded {policy.norm_tol:.1e} at step "
                 f"{step}/{n_steps}; shrink step_bound_factor")
+        max_drift = max(max_drift, drift)
         if step in sample_steps:
             record(step)
     psi *= np.exp(-1j * (c_i * schedule_integral(schedule, "f")
@@ -267,9 +249,48 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         ground_overlaps=np.array(overlaps),
         n_steps=n_steps,
         h=h,
-        norm_bound=bound,
+        norm_bound=_path_bound(h_i, h_p, schedule),
         max_drift=max_drift,
     )
+
+
+def plan_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
+               policy: StepPolicy = StepPolicy()) -> int:
+    """The number of RK4 steps :func:`evolve` takes on this path.
+
+    Two caps on h: the stability rule h * B <= step_bound_factor, with B the
+    schedule-weighted norm bound, and the accumulated worst-case drift held
+    at half of norm_tol.  A spectral component at the instantaneous bound
+    E(t) = f r_I + g r_P of the centered path loses |R(ihE)| ~ 1 - (hE)^6/144
+    of its weight per RK4 step, so total drift is at most
+    (h^5/144) * (integral of E^6 dt + h max(E)^6).  A plan of more steps
+    than an int64 holds, or of no finite count, raises ValueError.
+    """
+    t_total = schedule.t_total
+    if policy.n_steps_override is not None:
+        steps = policy.n_steps_override
+    else:
+        r_i, r_p = _centering(h_i)[1], _centering(h_p)[1]
+        bound = _path_bound(h_i, h_p, schedule)
+        h_stab = policy.step_bound_factor / bound if bound > 0.0 else t_total
+
+        def drift_step(h_guard: float) -> float:
+            q = _drift_budget(schedule, r_i, r_p, h_guard)
+            return min((72.0 * policy.norm_tol / q) ** 0.2, t_total) if q > 0.0 else t_total
+
+        # the guard term's h need only bound the final step from above: the
+        # cap from the integral alone does, and unlike h_stab it does not move
+        # when an operator is shifted by a constant
+        steps = t_total / min(h_stab, drift_step(drift_step(0.0)))
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"the step plan needs {float(steps):.3g} steps, more than the "
+                         f"{_MAX_STEPS} an int64 holds")
+    return max(1, math.ceil(steps))
+
+
+def _path_bound(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule) -> float:
+    """max f * ||H_I|| + max g * ||H_P||, from each operator's norm bound."""
+    return schedule.max_f() * h_i.norm_bound() + schedule.max_g() * h_p.norm_bound()
 
 
 def _centering(op: HamiltonianOp) -> tuple[float, float, float]:

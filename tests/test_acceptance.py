@@ -125,8 +125,7 @@ def test_criterion_03_overshoot_schedule_speedup():
 
 
 def test_criterion_04_distance_bound_audit():
-    policy = ab.StepPolicy(step_bound_factor=0.05, track_ground_overlap=False,
-                           samples_per_run=0)
+    policy = ab.StepPolicy(step_bound_factor=0.05, samples_per_run=0)
     bundles = [ab.build_grover(4), ab.build_grover(16)]
     for m in (3, 4):
         for seed in (0, 1, 2):
@@ -193,7 +192,7 @@ def test_criterion_05_denominator_identity():
 
 
 def test_criterion_06_tsp_success_probability():
-    policy = ab.StepPolicy(track_ground_overlap=False, samples_per_run=0)
+    policy = ab.StepPolicy(samples_per_run=0)
     sampler = ab.DistanceSampler(symmetric=True)
     dsq = ab.DsqPolicy("random", sigma_d=0.5, seed=123)
     family = ((3, tuple(range(10))), (4, (0, 1, 2, 3, 4, 5, 6, 7, 9, 10)))
@@ -300,8 +299,7 @@ def test_criterion_11_integrator_quality():
     sch = ab.make_schedule("das_wei", 5.0, n=4)
 
     def run(n_steps):
-        policy = ab.StepPolicy(track_ground_overlap=False, samples_per_run=0,
-                               n_steps_override=n_steps)
+        policy = ab.StepPolicy(samples_per_run=0, n_steps_override=n_steps)
         return ab.evolve(bundle.h_i, bundle.h_p, sch, policy,
                          psi0=bundle.g_i).state.amps
 
@@ -317,7 +315,7 @@ def test_criterion_11_integrator_quality():
     vals_p = np.array([0.5, -1.2, 1.1, 0.2, -0.4, 2.2])
     sch2 = ab.make_schedule("das_wei", 7.0, n=6)
     res = ab.evolve(ab.Diagonal(basis, vals_i), ab.Diagonal(basis, vals_p),
-                    sch2, ab.StepPolicy(track_ground_overlap=False),
+                    sch2, ab.StepPolicy(),
                     psi0=ab.basis_vector(basis, 2))
     phase = -(vals_i[2] * ab.schedule_integral(sch2, "f")
               + vals_p[2] * ab.schedule_integral(sch2, "g"))

@@ -153,7 +153,7 @@ def test_distance_bound_holds_on_grover_runs():
     betas = [0.0, mean, mean - delta, mean + delta]
     for t_total in (1.0, 5.0, 20.0):
         sch = Schedule("linear", t_total)
-        res = evolve(h_i, h_p, sch, StepPolicy(track_ground_overlap=False), psi0=start)
+        res = evolve(h_i, h_p, sch, StepPolicy(), psi0=start)
         rows = verify_distance_bound(res.state, start, 0.0, h_p, sch, betas)
         assert len(rows) == 4
         for row in rows:
@@ -170,7 +170,7 @@ def test_distance_bound_tightest_at_the_mean():
     h_i, h_p, start = _grover_pieces(4)
     mean = expectation(h_p, start)
     sch = Schedule("linear", 2.0)
-    res = evolve(h_i, h_p, sch, StepPolicy(track_ground_overlap=False), psi0=start)
+    res = evolve(h_i, h_p, sch, StepPolicy(), psi0=start)
     rows = verify_distance_bound(res.state, start, 0.0, h_p, sch,
                                  [mean, mean + 0.5, mean - 0.5, 10.0])
     assert all(rows[0].slack <= r.slack + 1e-12 for r in rows)
@@ -197,7 +197,7 @@ def test_distance_bound_checks_basis():
 def test_bound_report_serialization():
     h_i, h_p, start = _grover_pieces(4)
     sch = Schedule("linear", 1.0)
-    res = evolve(h_i, h_p, sch, StepPolicy(track_ground_overlap=False), psi0=start)
+    res = evolve(h_i, h_p, sch, StepPolicy(), psi0=start)
     margins = verify_distance_bound(res.state, start, 0.0, h_p, sch, [0.0, 0.75])
     delta = delta_ie(start, h_p)
     report = BoundReport(model="grover-4", schedule_kind="linear", t_total=1.0,
@@ -211,6 +211,17 @@ def test_bound_report_serialization():
     assert len(blob["margins"]) == 2
     assert blob["margins"][1]["applicable"] is True
     assert blob["theta_note"] == bounds.THETA_NOTE
+
+
+def test_worst_slack_is_nan_whatever_the_row_order():
+    # min() drops a NaN unless it comes first; the worst slack must not
+    rows = [bounds.BoundMargin(beta=b, denominator=1.0, distance=0.5, lhs=0.5, rhs=1.0,
+                               slack=s, cap_slack=1.5, applicable=True)
+            for b, s in ((0.0, 0.5), (1.0, math.nan))]
+    for margins in (rows, rows[::-1]):
+        report = BoundReport(model="x", schedule_kind="linear", t_total=1.0, delta_ie=1.0,
+                             integral_g=0.5, t_min=4.0, beta_star=0.0, margins=margins)
+        assert math.isnan(report.worst_slack())
 
 
 def test_worst_slack_skips_inapplicable_rows():

@@ -180,6 +180,15 @@ def test_bad_slack_raises_invariant_violation():
                            "model": "x", "t_total": 1.0})  # clean cell passes
 
 
+def test_a_nan_slack_fails_the_run_invariants():
+    cell = {"slack_min": math.nan, "cap_slack_min": 0.5, "model": "x", "t_total": 1.0}
+    with pytest.raises(InvariantViolation, match="distance bound violated"):
+        _check_run_invariants(cell)
+    cell = {"slack_min": 0.5, "cap_slack_min": math.nan, "model": "x", "t_total": 1.0}
+    with pytest.raises(InvariantViolation, match="distance cap violated"):
+        _check_run_invariants(cell)
+
+
 def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
     def boom(experiment, cfg, out_dir, threads, seed):
         raise InvariantViolation("synthetic violation")
@@ -605,12 +614,30 @@ def test_grover_sweep_rows_come_from_the_full_model(tmp_path, capsys):
     bundle = adiabound.build_grover(64)
     delta = adiabound.delta_ie(bundle.g_i, bundle.h_p)
     base = adiabound.t_min("das_wei", delta, n=64)
-    policy = adiabound.StepPolicy(samples_per_run=8, track_ground_overlap=False)
+    policy = adiabound.StepPolicy(samples_per_run=8)
     for row, mult in zip(rows, [1.0, 2.0], strict=True):
         schedule = adiabound.make_schedule("das_wei", mult * base, n=64)
         full = adiabound.evolve(bundle.h_i, bundle.h_p, schedule, policy)
         assert [row[k] for k in ("n", "delta_ie", "t_min", "t_total", "n_steps")] == \
             [64, delta, base, schedule.t_total, full.n_steps]
+
+
+@pytest.mark.parametrize("payload", [
+    _tsp_run_cfg(),
+    {"experiment": "grover-sweep", "n_values": [4, 64], "t_multipliers": [0.5, 2.0],
+     "schedule": {"kind": "das_wei"}},
+    {"experiment": "bound-audit", "model": {"model": "tsp-rank"}, "instance": {"cities": 3},
+     "t_values": [0.2], "step_policy": {"step_bound_factor": 0.5}},
+], ids=["tsp-finite", "grover-das_wei", "tsp-rank"])
+def test_validate_prints_the_steps_each_run_takes(tmp_path, capsys, payload):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert main(["validate", "--config", cfg]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("planned steps"))
+    planned = [int(n) for n in line.removeprefix("planned steps").split(",")]
+    manifest = cli.run_experiment(payload["experiment"], payload, out_dir=str(tmp_path / "o"))
+    capsys.readouterr()
+    assert planned == [row["n_steps"] for row in manifest["rows"]]
 
 
 def test_validate_needs_declared_experiment(tmp_path, capsys):
@@ -638,6 +665,12 @@ def test_sigma_scan_runs_past_the_enumeration_cap(tmp_path, capsys):
 
 TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
            "instance": {"cities": 3}, "t_values": [1.0]}
+GROVER_AUDIT = {"experiment": "bound-audit", "model": {"model": "grover", "n": 4},
+                "t_values": [1.0]}
+#: exits 2 by its drift guard at the default norm_tol
+DRIFT_ABORT = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
+               "instance": {"cities": 4, "seed": 1},
+               "schedule": {"kind": "local_adiabatic_grover"}}
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -693,6 +726,47 @@ TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
      "sampler value must be finite and >= 0, got -2.0"),
     ({"experiment": "fraction-decay", "m_values": [8, 10**400]},
      "bad fraction-decay config: sizes must be in 1..2**53 - 1"),
+    ({**GROVER_AUDIT, "t_values": [10**400]}, "t_values[0] is too large for a number"),
+    # json reads NaN and Infinity; no check may pass them
+    ({**DRIFT_ABORT, "step_policy": {"norm_tol": math.nan}},
+     "step_policy.norm_tol must be a finite number, got NaN"),
+    ({**GROVER_AUDIT, "betas": [math.nan, "mean"]}, "betas[0] must be a finite number, got NaN"),
+    ({**GROVER_AUDIT, "betas": ["mean", math.inf]},
+     "betas[1] must be a finite number, got Infinity"),
+    ({**GROVER_AUDIT, "betas": [1e308]},
+     "beta 1e+308 gives a denominator ||(H_P - beta) g_I|| that is not finite"),
+    ({**GROVER_AUDIT, "betas": [1e150], "t_values": [1e160]},
+     "beta 1e+150 gives a phase beta * int g that is not finite at T=1e+160"),
+    # a step count past int64, and a grid or sample count past what memory holds
+    ({**GROVER_AUDIT, "t_values": [1e300]}, "the step plan needs inf steps"),
+    ({"experiment": "grover-sweep", "n_values": [4], "t_multipliers": [1e300]},
+     "the step plan needs inf steps"),
+    ({**GROVER_AUDIT, "step_policy": {"norm_tol": 1e-300}}, "the step plan needs 1.85e+59 steps"),
+    ({**GROVER_AUDIT, "step_policy": {"step_bound_factor": 1e-300}},
+     "the step plan needs 2e+300 steps"),
+    ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "grid": 10**10},
+     f"grid must be <= {cli.MAX_GRID}, got 10000000000"),
+    ({"experiment": "sigma-scan", "m_values": [3], "samples": 10**12},
+     f"samples must be <= {cli.MAX_SAMPLES}, got 1000000000000"),
+    # a key the chosen model never reads
+    ({**GROVER_AUDIT, "model": {"model": "grover", "n": 4, "alpha_scale": 5}},
+     "model.alpha_scale is not read by model grover"),
+    ({**TSP_RUN, "model": {"model": "tsp-rank", "dsq_policy": "random"}},
+     "model.dsq_policy is not read by model tsp-rank"),
+    ({**TSP_RUN, "model": {"model": "tsp-tuple", "n": 7}}, "model.n is not read by model tsp-tuple"),
+    ({**TSP_RUN, "model": {"model": "tsp-finite", "alpha_scale": 5, "n_max_override": 3}},
+     "model.alpha_scale is not read by model tsp-finite"),
+    ({**GROVER_AUDIT, "instance": {"cities": 9}}, "instance.cities is not read by model grover"),
+    ({**TSP_RUN, "instance": {"cities": 3, "format": "matrix"}},
+     "instance.format is read only with instance.path"),
+    ({**TSP_RUN, "instance": {"path": "i4.matrix", "seed": 1}},
+     "instance.seed is not read with instance.path"),
+    ({**TSP_RUN, "instance": {"path": "i4.matrix", "stream": 1}},
+     "instance.stream is not read with instance.path"),
+    ({**TSP_RUN, "instance": {"path": "i4.matrix", "name": "x"}},
+     "instance.name is not read with instance.path"),
+    ({**TSP_RUN, "instance": {"path": "i4.matrix", "sampler": {}}},
+     "instance.sampler is not read with instance.path"),
 ])
 def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message):
     cfg = _write_config(tmp_path, "c.json", payload)

@@ -23,6 +23,7 @@ from adiabound import (
     evolve,
     invariant_sector,
     make_schedule,
+    plan_steps,
     random_instance,
     reference_phase_state,
     schedule_integral,
@@ -186,7 +187,7 @@ def test_evolve_checks_bases():
 
 def test_evolve_default_start_is_driver_ground():
     h_i, h_p, start = _grover_ops(4)
-    pol = StepPolicy(n_steps_override=200, track_ground_overlap=False)
+    pol = StepPolicy(n_steps_override=200)
     auto = evolve(h_i, h_p, Schedule("linear", 2.0), pol)
     explicit = evolve(h_i, h_p, Schedule("linear", 2.0), pol, psi0=start)
     assert np.array_equal(auto.state.amps, explicit.state.amps)
@@ -195,7 +196,7 @@ def test_evolve_default_start_is_driver_ground():
 def test_step_rule_respects_norm_bound():
     h_i, h_p, _ = _grover_ops(4)
     sch = Schedule("das_wei", 5.0, n=4)
-    res = evolve(h_i, h_p, sch, StepPolicy(track_ground_overlap=False))
+    res = evolve(h_i, h_p, sch, StepPolicy())
     # B = max_f * 1 + max_g * 1 with das_wei max_g = 9/8
     assert res.norm_bound == pytest.approx(1.0 + 9.0 / 8.0)
     assert res.h * res.norm_bound <= 0.1 + 1e-12
@@ -204,7 +205,7 @@ def test_step_rule_respects_norm_bound():
 def test_trajectory_sampling():
     h_i, h_p, _ = _grover_ops(4)
     res = evolve(h_i, h_p, Schedule("linear", 3.0),
-                 StepPolicy(samples_per_run=8, track_ground_overlap=False))
+                 StepPolicy(samples_per_run=8))
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(3.0)
     assert len(res.times) <= 10
@@ -212,7 +213,7 @@ def test_trajectory_sampling():
     assert np.all(np.isnan(res.ground_overlaps))  # not tracked
 
     none = evolve(h_i, h_p, Schedule("linear", 3.0),
-                  StepPolicy(samples_per_run=0, track_ground_overlap=False))
+                  StepPolicy(samples_per_run=0))
     assert none.times.size == 0
 
 
@@ -223,7 +224,7 @@ def test_trajectory_sampling():
 def test_stationary_eigenstate_preserved():
     basis = BasisSpec.flat(2)
     op = Diagonal(basis, np.array([0.0, 1.0]))
-    res = evolve(op, op, Schedule("linear", 5.0), StepPolicy(track_ground_overlap=False))
+    res = evolve(op, op, Schedule("linear", 5.0), StepPolicy())
     target = basis_vector(basis, 0)
     assert abs(np.vdot(target.amps, res.state.amps)) == pytest.approx(1.0, abs=1e-8)
 
@@ -235,7 +236,7 @@ def test_stationary_phase_matches_integrals():
     basis = BasisSpec.flat(3)
     op = Diagonal(basis, np.array([-1.0, 0.0, 3.0]))
     sch = Schedule("das_wei", 4.0, n=9)
-    res = evolve(op, op, sch, StepPolicy(track_ground_overlap=False),
+    res = evolve(op, op, sch, StepPolicy(),
                  psi0=basis_vector(basis, 0))
     phase = -(-1.0) * (schedule_integral(sch, "f") + schedule_integral(sch, "g"))
     assert res.state.amps[0] == pytest.approx(np.exp(1j * phase), abs=1e-7)
@@ -247,7 +248,7 @@ def test_grover_adiabatic_limit_against_two_level_oracle():
     n = 4
     h_i, h_p, _ = _grover_ops(n)
     sch = Schedule("linear", 100.0)
-    res = evolve(h_i, h_p, sch, StepPolicy(track_ground_overlap=False))
+    res = evolve(h_i, h_p, sch, StepPolicy())
     got = success_probability(res.state, [0])
     want = _two_level_grover_success(n, sch)
     assert got >= 0.99
@@ -256,7 +257,8 @@ def test_grover_adiabatic_limit_against_two_level_oracle():
 
 def test_ground_overlap_tracking():
     h_i, h_p, _ = _grover_ops(4)
-    res = evolve(h_i, h_p, Schedule("linear", 100.0), StepPolicy(samples_per_run=32))
+    pol = StepPolicy(samples_per_run=32, track_ground_overlap=True)
+    res = evolve(h_i, h_p, Schedule("linear", 100.0), pol)
     assert res.ground_overlaps[0] == pytest.approx(1.0, abs=1e-10)
     assert res.ground_overlaps[-1] >= 0.99
     assert np.min(res.ground_overlaps) >= 0.9  # stays adiabatic throughout
@@ -271,7 +273,7 @@ def test_phase_exactness_against_reference():
     beta = 0.7
     h_p = Diagonal(basis, np.full(4, beta))
     for sch in (Schedule("linear", 3.0), Schedule("das_wei", 3.0, n=4)):
-        res = evolve(h_i, h_p, sch, StepPolicy(track_ground_overlap=False), psi0=start)
+        res = evolve(h_i, h_p, sch, StepPolicy(), psi0=start)
         want = reference_phase_state(start, 0.0, sch, beta)
         assert np.linalg.norm(res.state.amps - want.amps) <= 1e-8
 
@@ -294,7 +296,7 @@ def test_reparameterization_invariance():
     h_i, h_p, start = _grover_ops(4)
     h_i2 = LinearCombination(h_i.basis, ((2.0, h_i),))
     h_p2 = LinearCombination(h_p.basis, ((2.0, h_p),))
-    pol = StepPolicy(n_steps_override=500, track_ground_overlap=False)
+    pol = StepPolicy(n_steps_override=500)
     slow = evolve(h_i, h_p, Schedule("das_wei", 6.0, n=4), pol, psi0=start)
     fast = evolve(h_i2, h_p2, Schedule("das_wei", 3.0, n=4), pol, psi0=start)
     assert np.max(np.abs(slow.state.amps - fast.state.amps)) <= 1e-12
@@ -308,7 +310,7 @@ def test_shifted_problem_operator_moves_only_the_global_phase():
     start = uniform_state(basis)
     h_i = ProjectorComplement(basis, start.amps)
     values = rng.uniform(0.0, 30.0, size=6)
-    pol = StepPolicy(step_bound_factor=1.0, track_ground_overlap=False)
+    pol = StepPolicy(step_bound_factor=1.0)
     for sch in (Schedule("linear", 10.0), Schedule("das_wei", 10.0, n=6)):
         base = evolve(h_i, Diagonal(basis, values), sch, pol, psi0=start)
         shifted = evolve(h_i, Diagonal(basis, values + 100.0), sch, pol, psi0=start)
@@ -340,7 +342,7 @@ def test_chunked_step_tables_match_bit_for_bit(monkeypatch, pair):
     # the four-stage kernel and the projector-plus-diagonal kernel read their
     # stage scalars under one budget rule, so one budget sets both chunkings
     _, (h_i, h_p, start) = pair
-    pol = StepPolicy(n_steps_override=1000, samples_per_run=16, track_ground_overlap=False)
+    pol = StepPolicy(n_steps_override=1000, samples_per_run=16)
     step_bytes = 16 * 4 + 2048  # one step of the budget at dim 4
     for sch in (Schedule("linear", 7.0), Schedule("local_adiabatic_grover", 7.0, n=4)):
         whole = evolve(h_i, h_p, sch, pol, psi0=start)
@@ -445,7 +447,7 @@ def test_projector_diagonal_kernel_ignores_the_blas_thread_count(tmp_path):
         "from test_evolution import _projector_diagonal\n"
         "from adiabound import Schedule, StepPolicy, evolve\n"
         "(h_i, h_p), start = _projector_diagonal(4096, 'projector-first')\n"
-        "pol = StepPolicy(n_steps_override=200, samples_per_run=0, track_ground_overlap=False)\n"
+        "pol = StepPolicy(n_steps_override=200, samples_per_run=0)\n"
         "res = evolve(h_i, h_p, Schedule('linear', 2.0), pol, psi0=start)\n"
         "print(hashlib.sha256(res.state.amps.tobytes()).hexdigest())\n"
     ).format(tests=str(Path(__file__).resolve().parent))
@@ -467,7 +469,7 @@ def test_integrator_is_fourth_order():
     sch = Schedule("linear", 5.0)
 
     def final(n_steps):
-        pol = StepPolicy(n_steps_override=n_steps, track_ground_overlap=False)
+        pol = StepPolicy(n_steps_override=n_steps)
         return evolve(h_i, h_p, sch, pol, psi0=start).state.amps
 
     ref = final(16384)
@@ -479,14 +481,54 @@ def test_integrator_is_fourth_order():
 
 def test_norm_drift_stays_within_tolerance():
     h_i, h_p, _ = _grover_ops(16)
-    res = evolve(h_i, h_p, Schedule("linear", 30.0), StepPolicy(track_ground_overlap=False))
+    res = evolve(h_i, h_p, Schedule("linear", 30.0), StepPolicy())
     assert res.max_drift <= 1e-8
     assert res.state.norm() == pytest.approx(1.0, abs=1e-8)
 
 
+def test_step_policy_rejects_a_nan_norm_tol():
+    # a NaN tolerance would pass every drift check
+    with pytest.raises(ValueError, match="norm_tol"):
+        StepPolicy(norm_tol=math.nan)
+
+
+@pytest.mark.parametrize("pair", ["projector-diagonal", "two-diagonals"])
+def test_a_nan_drift_trips_the_guard(pair):
+    # one step over a 1e300 spectrum overflows, and inf - inf makes the state NaN
+    basis = BasisSpec.flat(4)
+    start = uniform_state(basis)
+    h_p = Diagonal(basis, [0.0, 1e300, 1e300, 1e300])
+    h_i = (ProjectorComplement(basis, start.amps.copy()) if pair == "projector-diagonal"
+           else Diagonal(basis, [0.0, 1e300, 0.0, 1e300]))
+    with np.errstate(all="ignore"), pytest.raises(NumericGuardError, match="norm drift nan"):
+        evolve(h_i, h_p, Schedule("linear", 1.0), StepPolicy(n_steps_override=1), psi0=start)
+
+
+@pytest.mark.parametrize("t_total, policy", [
+    (1e300, StepPolicy()),
+    (1.0, StepPolicy(norm_tol=1e-300)),
+    (1.0, StepPolicy(step_bound_factor=1e-300)),
+    (1.0, StepPolicy(n_steps_override=2 ** 63)),
+])
+def test_a_step_plan_past_int64_is_a_value_error(t_total, policy):
+    h_i, h_p, start = _grover_ops(4)
+    sch = Schedule("linear", t_total)
+    with pytest.raises(ValueError, match="an int64 holds"):
+        plan_steps(h_i, h_p, sch, policy)
+    with pytest.raises(ValueError, match="an int64 holds"):
+        evolve(h_i, h_p, sch, policy, psi0=start)
+
+
+def test_evolve_takes_the_planned_steps():
+    h_i, h_p, start = _grover_ops(16)
+    for sch in (Schedule("linear", 30.0), Schedule("das_wei", 5.0, n=16)):
+        res = evolve(h_i, h_p, sch, StepPolicy(samples_per_run=0), psi0=start)
+        assert res.n_steps == plan_steps(h_i, h_p, sch) > 1
+
+
 def test_norm_drift_violation_raises():
     h_i, h_p, _ = _grover_ops(4)
-    pol = StepPolicy(n_steps_override=40, track_ground_overlap=False)
+    pol = StepPolicy(n_steps_override=40)
     with pytest.raises(NumericGuardError, match="norm drift"):
         evolve(h_i, h_p, Schedule("linear", 10.0), pol)
 

@@ -32,7 +32,7 @@ from adiabound import cli
 
 SCHEDULES = ("linear", "das_wei", "local_adiabatic_grover")
 POLICIES = {"parity": DsqPolicy(), "random": DsqPolicy("random", sigma_d=0.5, seed=123)}
-STEP = StepPolicy(samples_per_run=64, track_ground_overlap=False)
+STEP = StepPolicy(samples_per_run=64)
 TOL = 1e-12
 
 
