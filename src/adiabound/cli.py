@@ -4,7 +4,7 @@ Usage:
     adiabound <experiment> --config <path> [--out <dir>] [--threads <n>] [--seed <u64>]
     adiabound validate --config <path>
 
-Experiments: grover-sweep, tsp-run, bound-audit, sigma-scan, gap-scan,
+Experiments: grover-sweep, bound-audit, sigma-scan, gap-scan,
 fraction-decay.  Configs are JSON checked against one typed schema per
 experiment (see README); unknown keys and wrong JSON types are hard errors.
 All outputs are written atomically and listed in a manifest.json carrying a
@@ -114,7 +114,6 @@ _COMMON = {"experiment": (str, None), "out_dir": (str, None), "seed": (int, 0, 0
 _TIMED = {"schedule": _SCHEDULE_SCHEMA, "t_multipliers": ([float], None),
           "t_values": ([float], None), "betas": ([(float, str)], ["mean"]),
           "step_policy": _STEP_SCHEMA}
-_AUDIT_SCHEMA = {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA, **_TIMED}
 
 #: keys that one config object may not give together
 _EXCLUSIVE = (("t_values", "t_multipliers"), ("path", "cities"))
@@ -124,6 +123,9 @@ _MODEL_READS = {"grover": ("n", "marked"), "tsp-rank": ("alpha_scale", "n_max_ov
                 "tsp-finite": ("dsq_policy", "sigma_d", "seed")}
 #: instance keys that only a sampled instance reads
 _SAMPLED_ONLY = ("seed", "stream", "name", "sampler")
+#: the keys that each d^2 policy kind, and each sampler kind, reads of its object
+_POLICY_READS = {"parity": (), "random": ("sigma_d", "seed")}
+_SAMPLER_READS = {"uniform": ("low", "high"), "constant": ("value",)}
 
 #: python type -> (JSON values it accepts, name in error messages)
 _JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
@@ -172,7 +174,8 @@ def _typed(obj, schema: dict, path: str = "", fill: bool = True) -> dict:
     ``_EXCLUSIVE`` pair given together raise :class:`UsageError`.  Absent
     keys take their defaults; an explicit null counts as absent only where
     the default is None.  With ``fill=False`` the copy holds only the keys
-    given, at every level: the config as the manifest hashes it.
+    given, at every level, less each null and each empty object: the config
+    as the manifest hashes it, one copy however an absent key is spelled.
     """
     if not isinstance(obj, dict):
         raise UsageError(f"{path[:-1] or 'config'} must be an object, got {_shown(obj)}")
@@ -184,15 +187,16 @@ def _typed(obj, schema: dict, path: str = "", fill: bool = True) -> dict:
     for key, spec in schema.items():
         where = path + key
         if isinstance(spec, dict):
-            if fill or key in obj:
-                out[key] = _typed(obj.get(key, {}), spec, where + ".", fill)
+            sub = _typed(obj.get(key, {}), spec, where + ".", fill)
+            if fill or sub:
+                out[key] = sub
             continue
         typ, default, *limits = spec
         if key in obj and not (obj[key] is None and default is None):
             out[key] = _leaf(obj[key], typ, limits, where)
         elif default is _REQUIRED:
             raise UsageError(f"config needs {where!r}")
-        elif fill or key in obj:
+        elif fill:
             out[key] = default
     for a, b in _EXCLUSIVE:
         if out.get(a) is not None and out.get(b) is not None:
@@ -200,19 +204,35 @@ def _typed(obj, schema: dict, path: str = "", fill: bool = True) -> dict:
     return out
 
 
-def _unread_keys(given: dict) -> None:
-    """Reject a model or instance key that the chosen model never reads: it
-    would move the manifest hash and nothing else.  ``given`` holds only the
-    keys the config gave; a null one counts as absent."""
-    model = {k: v for k, v in given["model"].items() if v is not None}
-    reads = _MODEL_READS.get(model["model"])
+def _kind_reads(obj: dict, kind: str, reads: dict, where: str, label: str) -> None:
+    """Reject a key of ``obj`` that only another kind of ``reads`` reads; an
+    unknown kind is left for its constructor to name."""
+    if kind in reads:
+        for key in sorted({k for keys in reads.values() for k in keys} - {*reads[kind]}):
+            if key in obj:
+                raise UsageError(f"{where}{key} is not read by {label} {kind}")
+
+
+def _unread_keys(raw: dict, cfg: dict) -> None:
+    """Reject a key that the run never reads: it would move the manifest hash
+    and nothing else.  ``raw`` is the config as given, where a null counts as
+    absent, and ``cfg`` its typed copy, whose defaults name each kind."""
+    if "sampler" in raw:  # sigma-scan's
+        _kind_reads(raw["sampler"], cfg["sampler"]["kind"], _SAMPLER_READS, "sampler.", "sampler")
+    if "model" not in raw:
+        return
+    model = {k: v for k, v in raw["model"].items() if v is not None}
+    kind = cfg["model"]["model"]
+    reads = _MODEL_READS.get(kind)
     if reads is None:  # _model_from names the unknown kind
         return
     for key in model:
         if key not in (*reads, "model"):
-            raise UsageError(f"model.{key} is not read by model {model['model']}")
-    inst = {k: v for k, v in given.get("instance", {}).items() if v is not None}
-    if inst and model["model"] == "grover":
+            raise UsageError(f"model.{key} is not read by model {kind}")
+    if "dsq_policy" in reads:
+        _kind_reads(model, cfg["model"]["dsq_policy"], _POLICY_READS, "model.", "dsq_policy")
+    inst = {k: v for k, v in raw.get("instance", {}).items() if v is not None}
+    if inst and kind == "grover":
         raise UsageError(f"instance.{min(inst)} is not read by model grover")
     if "path" in inst:
         for key in _SAMPLED_ONLY:
@@ -220,34 +240,21 @@ def _unread_keys(given: dict) -> None:
                 raise UsageError(f"instance.{key} is not read with instance.path")
     elif "format" in inst:
         raise UsageError("instance.format is read only with instance.path")
+    elif "sampler" in inst:
+        _kind_reads(inst["sampler"], cfg["instance"]["sampler"]["kind"], _SAMPLER_READS,
+                    "instance.sampler.", "sampler")
 
 
-def load_config(path, experiment: str | None = None) -> dict:
-    """Read a JSON config and return it as parsed.
-
-    With no ``experiment`` given, the config's own ``experiment`` key names
-    it.  Keys and types are checked by the preflight that ``validate`` and
-    every run share.
-    """
+def load_config(path) -> dict:
+    """Read a JSON config file and return it as parsed; the preflight that
+    ``validate`` and every run share checks it."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object at top level")
-    declared = cfg.get("experiment")
-    if experiment is None:
-        if not (isinstance(declared, str) and declared in EXPERIMENTS):
-            raise UsageError(f"config must declare its experiment; got {declared!r}")
-    elif experiment not in EXPERIMENTS:
-        raise UsageError(f"unknown experiment {experiment!r}")
-    elif declared is not None and declared != experiment:
-        raise UsageError(f"config declares experiment {declared!r} but "
-                         f"{experiment!r} was requested")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +280,12 @@ def _instance_from(cfg: dict, default_seed: int) -> TspInstance:
 def _model_from(cfg: dict) -> ModelBundle:
     model = cfg["model"]
     kind = model["model"]
+    if kind not in _MODEL_READS:
+        raise UsageError(f"model must be one of {', '.join(_MODEL_READS)}; got {kind!r}")
     if kind == "grover":
         if model["n"] is None:
             raise UsageError("grover model needs integer 'n'")
         return build_grover(model["n"], model["marked"])
-    if kind not in ("tsp-rank", "tsp-tuple", "tsp-finite"):
-        raise UsageError(f"model must be one of grover, tsp-rank, tsp-tuple, tsp-finite; "
-                         f"got {kind!r}")
     inst = _instance_from(cfg["instance"], cfg["seed"])
     scale, n_max = model["alpha_scale"], model["n_max_override"]
     if kind == "tsp-rank":
@@ -639,9 +645,6 @@ def _plan_model_audit(cfg: dict) -> dict:
 
 
 def _plan_sigma_scan(cfg: dict) -> dict:
-    for m in cfg["m_values"]:
-        if not 3 <= m <= MAX_SPREAD_CITIES:
-            raise UsageError(f"sigma-scan m={m} outside 3..{MAX_SPREAD_CITIES}")
     return {"m_values": cfg["m_values"], "samples": cfg["samples"], "seed": cfg["seed"],
             "sampler": DistanceSampler(**cfg["sampler"]), "checks": [("m range", "ok")]}
 
@@ -676,11 +679,12 @@ EXPERIMENTS = {
     "grover-sweep": _Experiment(
         {**_COMMON, "n_values": ([int], _REQUIRED), "marked": (int, 0), **_TIMED},
         _plan_grover_sweep, _run_grover_sweep),
-    "tsp-run": _Experiment(_AUDIT_SCHEMA, _plan_model_audit, _run_model_audit),
-    "bound-audit": _Experiment(_AUDIT_SCHEMA, _plan_model_audit, _run_model_audit),
+    "bound-audit": _Experiment(
+        {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA, **_TIMED},
+        _plan_model_audit, _run_model_audit),
     "sigma-scan": _Experiment(
-        {**_COMMON, "m_values": ([int], _REQUIRED), "samples": (int, 200, 1, MAX_SAMPLES),
-         "sampler": _SAMPLER_SCHEMA},
+        {**_COMMON, "m_values": ([int], _REQUIRED, 3, MAX_SPREAD_CITIES),
+         "samples": (int, 200, 1, MAX_SAMPLES), "sampler": _SAMPLER_SCHEMA},
         _plan_sigma_scan, _run_sigma_scan),
     "gap-scan": _Experiment(
         {**_COMMON, "model": _MODEL_SCHEMA, "instance": _INSTANCE_SCHEMA,
@@ -692,18 +696,31 @@ EXPERIMENTS = {
 }
 
 
-def _preflight(experiment: str, raw: dict, **flags) -> tuple[dict, dict]:
-    """Type-check a raw config and the flags given over its keys, then build
-    everything its run needs.  No output exists yet, so every config error
+def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, dict]:
+    """The one check of a config, shared by ``validate``, every CLI run and
+    :func:`run_experiment`: the experiment name, then the declared
+    ``experiment`` (which names it for ``validate``, where ``experiment`` is
+    None), then the keys and the flags given over them.  Returns the
+    experiment, the typed config, the copy the manifest hashes and the plan
+    of everything the run needs.  No output exists yet, so every config error
     leaves nothing behind; a domain constructor's ValueError is a usage error.
     """
+    names = ", ".join(EXPERIMENTS)
+    if experiment is not None and experiment not in EXPERIMENTS:
+        raise UsageError(f"unknown experiment {experiment!r}; use one of {names}")
+    declared = raw.get("experiment") if isinstance(raw, dict) else None
+    if experiment is None and not (isinstance(declared, str) and declared in EXPERIMENTS):
+        raise UsageError(f"config must declare its experiment, one of {names}; got {declared!r}")
+    if declared is not None and experiment not in (None, declared):
+        raise UsageError(f"config declares experiment {declared!r} but "
+                         f"{experiment!r} was requested")
+    experiment = experiment or declared
     spec = EXPERIMENTS[experiment]
-    given = {k: v for k, v in flags.items() if v is not None}
-    cfg = {**_typed(raw, spec.schema), **_typed(given, {k: _COMMON[k] for k in given})}
-    if "model" in spec.schema:
-        _unread_keys(_typed(raw, spec.schema, fill=False))
+    flags = {k: v for k, v in flags.items() if v is not None}
+    cfg = {**_typed(raw, spec.schema), **_typed(flags, {k: _COMMON[k] for k in flags})}
+    _unread_keys(raw, cfg)
     try:
-        return cfg, spec.plan(cfg)
+        return experiment, cfg, _typed(raw, spec.schema, fill=False), spec.plan(cfg)
     except ValueError as exc:
         raise UsageError(f"bad {experiment} config: {exc}") from exc
 
@@ -716,13 +733,12 @@ def run_experiment(experiment: str, cfg: dict, out_dir=None, threads: int | None
     keys.  The same preflight as ``validate`` runs first, so a config error
     raises :class:`UsageError` before the output directory is created.
     """
-    typed, plan = _preflight(experiment, cfg, out_dir=out_dir, threads=threads, seed=seed)
+    _, typed, given, plan = _preflight(experiment, cfg, out_dir=out_dir, threads=threads,
+                                       seed=seed)
     if typed["out_dir"] is None:
         raise UsageError("give --out or set out_dir in the config")
     out = OutputDir(Path(typed["out_dir"]))
     rows = EXPERIMENTS[experiment].run(plan, out, typed["threads"])
-    # the config as given, typed: one run spelled [1, 2] or [1.0, 2.0] gets one hash
-    given = _typed(cfg, EXPERIMENTS[experiment].schema, fill=False)
     return _finish_manifest(out, experiment, given, rows)
 
 
@@ -757,15 +773,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.experiment is None:
             raise UsageError("pick an experiment: " + ", ".join((*EXPERIMENTS, "validate")))
-        validate = args.experiment == "validate"
-        cfg = load_config(args.config, None if validate else args.experiment)
-        experiment = cfg["experiment"] if validate else args.experiment
+        cfg = load_config(args.config)
         flags = {"out_dir": args.out or None, "threads": args.threads, "seed": args.seed}
-        if validate:
-            _, plan = _preflight(experiment, cfg, **flags)
+        if args.experiment == "validate":
+            *_, plan = _preflight(None, cfg, **flags)
             _print_table(["check", "result"], [["config keys", "ok"], *plan["checks"]])
         else:
-            run_experiment(experiment, cfg, **flags)
+            run_experiment(args.experiment, cfg, **flags)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,18 +112,10 @@ class Schedule:
         return 0.5
 
 
-def make_schedule(kind: str, t_total: float | None = None, *, n: int | None = None,
+def make_schedule(kind: str, t_total: float, *, n: int | None = None,
                   eps: float | None = None) -> Schedule:
-    """Build a schedule; for local_adiabatic_grover with no explicit t_total,
-    the sweep-rate constant eps fixes T = n*atan(sqrt(n-1))/(eps*sqrt(n-1))."""
-    if t_total is None:
-        if kind != "local_adiabatic_grover" or eps is None or n is None:
-            raise ValueError("t_total is required unless eps fixes it for local_adiabatic_grover")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        Schedule(kind=kind, t_total=1.0, n=n)  # checks n before T divides by sqrt(n - 1)
-        root = math.sqrt(n - 1.0)
-        t_total = n * math.atan(root) / (eps * root)
+    """Build a schedule.  ``eps`` is accepted for call compatibility and
+    ignored, as :func:`bounds.t_min` ignores it."""
     return Schedule(kind=kind, t_total=float(t_total), n=n)
 
 

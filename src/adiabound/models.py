@@ -53,7 +53,6 @@ __all__ = [
     "delta_ie_asymptote_study",
 ]
 
-MODEL_KINDS = ("grover", "tsp-rank", "tsp-tuple", "tsp-finite")
 #: tuple-model product dimension guard
 _TUPLE_DIM_BUDGET = 4_000_000
 _GROVER_MAX_N = 1 << 20
@@ -264,8 +263,7 @@ class AsymptoteReport:
 
 
 def delta_ie_asymptote_study(m_values, policy: tsp.DsqPolicy = tsp.DsqPolicy(),
-                             seed: int = 0,
-                             sampler: tsp.DistanceSampler | None = None) -> AsymptoteReport:
+                             seed: int = 0) -> AsymptoteReport:
     """How the uniform-state spread of the finite model approaches the spread
     of the penalty entries alone as the tour fraction M!/M^M dies off.
 
@@ -276,7 +274,7 @@ def delta_ie_asymptote_study(m_values, policy: tsp.DsqPolicy = tsp.DsqPolicy(),
     """
     rows = []
     for m in m_values:
-        inst = tsp.random_instance(m, seed, sampler, stream=0)
+        inst = tsp.random_instance(m, seed, stream=0)
         eff, mask = tsp.effective_lengths_all(inst, policy), tsp.tour_index_mask(m)
         # uniform start state: the spread is the population std of the diagonal
         delta = float(np.std(eff))

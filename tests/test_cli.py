@@ -25,7 +25,6 @@ from adiabound.cli import (
     InvariantViolation,
     UsageError,
     _check_run_invariants,
-    load_config,
     main,
 )
 from adiabound import cli, hilbert
@@ -51,7 +50,7 @@ def _grover_sweep_cfg():
 
 def _tsp_run_cfg():
     return {
-        "experiment": "tsp-run",
+        "experiment": "bound-audit",
         "model": {"model": "tsp-finite", "dsq_policy": "random", "sigma_d": 0.5, "seed": 123},
         "instance": {"cities": 3, "seed": 0, "sampler": {"symmetric": True}},
         "t_values": [2.0, 5.0],
@@ -102,7 +101,7 @@ def test_nested_unknown_key(tmp_path, capsys):
     payload = _tsp_run_cfg()
     payload["model"]["surprise"] = True
     cfg = _write_config(tmp_path, "c.json", payload)
-    assert main(["tsp-run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(["bound-audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "unknown key 'model.surprise'" in capsys.readouterr().err
 
 
@@ -122,7 +121,7 @@ def test_missing_instance_file_names_path(tmp_path, capsys):
     payload = _tsp_run_cfg()
     payload["instance"] = {"path": str(tmp_path / "ghost.tsp")}
     cfg = _write_config(tmp_path, "c.json", payload)
-    assert main(["tsp-run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(["bound-audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "instance file not found" in err
     assert "ghost.tsp" in err
@@ -132,7 +131,7 @@ def test_both_t_values_and_multipliers(tmp_path, capsys):
     payload = _tsp_run_cfg()
     payload["t_multipliers"] = [1.0]
     cfg = _write_config(tmp_path, "c.json", payload)
-    assert main(["tsp-run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(["bound-audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "not both" in capsys.readouterr().err
 
 
@@ -144,12 +143,28 @@ def test_unknown_beta_word(tmp_path, capsys):
     assert "unknown beta word" in capsys.readouterr().err
 
 
-def test_load_config_is_reusable(tmp_path):
-    cfg_path = _write_config(tmp_path, "c.json", _grover_sweep_cfg())
-    cfg = load_config(cfg_path, "grover-sweep")
-    assert cfg["n_values"] == [2, 4]
-    with pytest.raises(UsageError):
-        load_config(cfg_path, "sigma-scan")
+@pytest.mark.parametrize("name", ["zebra", "tsp-run"])
+def test_an_unknown_experiment_names_the_five(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, "c.json", {"m_values": [8]})
+    assert main([name, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(f"'{experiment}'" in err for experiment in cli.EXPERIMENTS)
+    with pytest.raises(UsageError) as exc:
+        cli.run_experiment(name, {"m_values": [8]}, out_dir=str(out))
+    assert str(exc.value) == (f"unknown experiment {name!r}; use one of grover-sweep, "
+                              "bound-audit, sigma-scan, gap-scan, fraction-decay")
+    assert not out.exists()
+
+
+def test_run_experiment_rejects_a_mismatched_experiment_key(tmp_path):
+    # the library checks the declared experiment as validate and the CLI do
+    out = tmp_path / "o"
+    with pytest.raises(UsageError, match="declares experiment 'gap-scan' but "
+                                         "'fraction-decay' was requested"):
+        cli.run_experiment("fraction-decay", {"experiment": "gap-scan", "m_values": [8]},
+                           out_dir=str(out))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("out_dir", Path("o")), ("seed", np.int64(1))],
@@ -211,11 +226,11 @@ def test_runtime_guard_exits_two(tmp_path, capsys, monkeypatch):
 
 def test_real_drift_abort_exits_two(tmp_path, capsys):
     # the Grover-tuned local schedule is too fast for this TSP model at t_min
-    payload = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
+    payload = {"experiment": "bound-audit", "model": {"model": "tsp-finite"},
                "instance": {"cities": 4, "seed": 1},
                "schedule": {"kind": "local_adiabatic_grover"}}
     cfg = _write_config(tmp_path, "c.json", payload)
-    assert main(["tsp-run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(["bound-audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "invariant violation: norm drift" in capsys.readouterr().err
 
 
@@ -287,7 +302,7 @@ def test_grover_sweep_deterministic_reruns(tmp_path, capsys):
 def test_tsp_run_outputs(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", _tsp_run_cfg())
     out = tmp_path / "out"
-    assert main(["tsp-run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["bound-audit", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     for rel in ("slack-vs-T.dat", "success-vs-T.dat", "cells/cell-000.json",
                 "cells/margins-000.csv", "cells/report-000.json", "manifest.json"):
@@ -314,10 +329,10 @@ def test_tsp_rank_run_evolves_from_the_audited_g_i(tmp_path, capsys, monkeypatch
     # not from an eigensolver vector with its own global phase; below the dense
     # limit that phase happens to agree, so force the iterative path
     monkeypatch.setattr(hilbert, "DENSE_LIMIT", 16)
-    payload = {"experiment": "tsp-run", "model": {"model": "tsp-rank"},
+    payload = {"experiment": "bound-audit", "model": {"model": "tsp-rank"},
                "instance": {"cities": 3}, "t_values": [1.0]}
     out = tmp_path / "out"
-    assert main(["tsp-run", "--config", _write_config(tmp_path, "c.json", payload),
+    assert main(["bound-audit", "--config", _write_config(tmp_path, "c.json", payload),
                  "--out", str(out)]) == 0
     capsys.readouterr()
     [row] = json.loads((out / "manifest.json").read_text())["rows"]
@@ -327,8 +342,8 @@ def test_tsp_rank_run_evolves_from_the_audited_g_i(tmp_path, capsys, monkeypatch
 def test_threads_do_not_change_results(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", _tsp_run_cfg())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["tsp-run", "--config", cfg, "--out", str(out_a), "--threads", "1"]) == 0
-    assert main(["tsp-run", "--config", cfg, "--out", str(out_b), "--threads", "2"]) == 0
+    assert main(["bound-audit", "--config", cfg, "--out", str(out_a), "--threads", "1"]) == 0
+    assert main(["bound-audit", "--config", cfg, "--out", str(out_b), "--threads", "2"]) == 0
     capsys.readouterr()
     hash_a = json.loads((out_a / "manifest.json").read_text())["content_hash"]
     hash_b = json.loads((out_b / "manifest.json").read_text())["content_hash"]
@@ -375,6 +390,19 @@ def test_output_bytes_are_frozen(tmp_path, capsys, payload, prefix):
     manifest = cli.run_experiment(payload["experiment"], payload, out_dir=str(tmp_path), seed=1)
     capsys.readouterr()
     assert manifest["content_hash"][:12] == prefix
+
+
+def test_a_null_or_an_empty_object_does_not_move_the_hash(tmp_path, capsys):
+    # each spelling leaves a key absent, so the manifest records one config
+    base = {"experiment": "bound-audit", "model": {"model": "grover", "n": 4},
+            "t_values": [1.0]}
+    spellings = [base, {**base, "model": {**base["model"], "n_max_override": None}},
+                 {**base, "instance": {}}]
+    manifests = [cli.run_experiment("bound-audit", payload, out_dir=str(tmp_path / str(i)),
+                                    seed=1) for i, payload in enumerate(spellings)]
+    capsys.readouterr()
+    assert {m["content_hash"][:12] for m in manifests} == {"d95254c2bc9d"}
+    assert all(m["config"] == base for m in manifests)
 
 
 def test_threads_come_from_the_flag_then_the_config_then_one(tmp_path, capsys, monkeypatch):
@@ -437,7 +465,7 @@ def _no_constant(token):
     {"experiment": "gap-scan", "model": {"model": "tsp-rank"}, "instance": {"cities": 3},
      "grid": 11},
     _tsp_run_cfg(),
-], ids=["gap-scan-closed-gap", "tsp-run"])
+], ids=["gap-scan-closed-gap", "bound-audit"])
 def test_json_outputs_are_strict(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path, "c.json", payload)
     out = tmp_path / "out"
@@ -650,7 +678,7 @@ def test_validate_rejects_out_of_range(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", {"experiment": "sigma-scan",
                                              "m_values": [2049]})
     assert main(["validate", "--config", cfg]) == 1
-    assert "sigma-scan m=2049 outside 3..2048" in capsys.readouterr().err
+    assert "m_values[0] must be <= 2048, got 2049" in capsys.readouterr().err
 
 
 def test_sigma_scan_runs_past_the_enumeration_cap(tmp_path, capsys):
@@ -663,12 +691,12 @@ def test_sigma_scan_runs_past_the_enumeration_cap(tmp_path, capsys):
     assert [int(r.split(",")[0]) for r in rows] == [12, 64]
 
 
-TSP_RUN = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
+TSP_RUN = {"experiment": "bound-audit", "model": {"model": "tsp-finite"},
            "instance": {"cities": 3}, "t_values": [1.0]}
 GROVER_AUDIT = {"experiment": "bound-audit", "model": {"model": "grover", "n": 4},
                 "t_values": [1.0]}
 #: exits 2 by its drift guard at the default norm_tol
-DRIFT_ABORT = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
+DRIFT_ABORT = {"experiment": "bound-audit", "model": {"model": "tsp-finite"},
                "instance": {"cities": 4, "seed": 1},
                "schedule": {"kind": "local_adiabatic_grover"}}
 
@@ -718,7 +746,7 @@ DRIFT_ABORT = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
     ({**TSP_RUN, "instance": {"path": "i4.matrix", "format": "matrix", "cities": 3}},
      "config must give instance.path or instance.cities, not both"),
     # the closed-form spread has one bound, checked before any output exists
-    ({"experiment": "sigma-scan", "m_values": [3, 2049]}, "sigma-scan m=2049 outside 3..2048"),
+    ({"experiment": "sigma-scan", "m_values": [3, 2049]}, "m_values[1] must be <= 2048, got 2049"),
     # a sampler may draw only distances an instance accepts
     ({"experiment": "sigma-scan", "m_values": [3], "sampler": {"low": -1.0}},
      "sampler low must be finite and >= 0, got -1.0"),
@@ -767,6 +795,21 @@ DRIFT_ABORT = {"experiment": "tsp-run", "model": {"model": "tsp-finite"},
      "instance.name is not read with instance.path"),
     ({**TSP_RUN, "instance": {"path": "i4.matrix", "sampler": {}}},
      "instance.sampler is not read with instance.path"),
+    # a key that the chosen d^2 policy or sampler kind never reads
+    ({**TSP_RUN, "model": {"model": "tsp-finite", "sigma_d": 3.0}},
+     "model.sigma_d is not read by dsq_policy parity"),
+    ({**TSP_RUN, "model": {"model": "tsp-tuple", "dsq_policy": "parity", "seed": 5}},
+     "model.seed is not read by dsq_policy parity"),
+    ({**TSP_RUN, "instance": {"cities": 3, "sampler": {"value": 7.0}}},
+     "instance.sampler.value is not read by sampler uniform"),
+    ({**TSP_RUN, "instance": {"cities": 3, "sampler": {"kind": "constant", "high": 4.0}}},
+     "instance.sampler.high is not read by sampler constant"),
+    ({**TSP_RUN, "instance": {"cities": 3, "sampler": {"kind": "constant", "low": 0.0}}},
+     "instance.sampler.low is not read by sampler constant"),
+    ({"experiment": "sigma-scan", "m_values": [3], "sampler": {"kind": "constant", "low": 0.5}},
+     "sampler.low is not read by sampler constant"),
+    ({"experiment": "sigma-scan", "m_values": [3], "sampler": {"value": 2.0}},
+     "sampler.value is not read by sampler uniform"),
 ])
 def test_validate_and_run_share_one_preflight(tmp_path, capsys, payload, message):
     cfg = _write_config(tmp_path, "c.json", payload)
@@ -786,12 +829,24 @@ def _schema_keys(schema):
             yield from _schema_keys(spec)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_documents_every_schema_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
+    section = README.read_text().split("### Config schema", 1)[1].split("\n### ", 1)[0]
     keys = {key for exp in cli.EXPERIMENTS.values() for key in _schema_keys(exp.schema)}
     assert len(keys) > 30
     assert sorted(k for k in keys if f"`{k}`" not in section) == []
+
+
+def test_readme_lists_the_experiments_and_its_example_validates(tmp_path, capsys):
+    readme = README.read_text()
+    listed = readme.split("\nExperiments: ", 1)[1].split(".  ", 1)[0]
+    assert [name.strip(" `\n") for name in listed.split(",")] == list(cli.EXPERIMENTS)
+    example = readme.split("### Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert main(["validate", "--config", _write_config(tmp_path, "c.json",
+                                                       json.loads(example))]) == 0
+    assert "planned steps" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from adiabound import (
     build_tsp_rank,
     evolve,
     invariant_sector,
-    make_schedule,
     plan_steps,
     random_instance,
     reference_phase_state,
@@ -79,8 +78,6 @@ def test_schedule_validation():
         Schedule("das_wei", 1.0)  # needs n
     with pytest.raises(ValueError):
         Schedule("local_adiabatic_grover", 1.0, n=1)  # n >= 2
-    with pytest.raises(ValueError, match="needs n >= 2"):
-        make_schedule("local_adiabatic_grover", n=1, eps=0.1)  # checked before T is set
 
 
 def test_schedule_boundaries():
@@ -135,17 +132,6 @@ def test_schedule_integral_quadrature_cross_check():
             func = sch.f if comp == "f" else sch.g
             want, _ = quad(func, 0.0, sch.t_total, epsabs=1e-12, epsrel=1e-12, limit=200)
             assert schedule_integral(sch, comp) == pytest.approx(want, abs=1e-9)
-
-
-def test_make_schedule_eps_fixes_time():
-    n, eps = 4, 0.1
-    sch = make_schedule("local_adiabatic_grover", n=n, eps=eps)
-    root = math.sqrt(n - 1.0)
-    assert sch.t_total == pytest.approx(n * math.atan(root) / (eps * root), rel=1e-12)
-    with pytest.raises(ValueError):
-        make_schedule("linear")  # t_total required
-    with pytest.raises(ValueError):
-        make_schedule("local_adiabatic_grover", n=4, eps=0.0)
 
 
 def test_vectorized_schedule_table_matches_scalar():
