@@ -111,6 +111,8 @@ _INSTANCE_SCHEMA = {"path": (str, None), "format": (str, "tsplib"), "cities": (i
                     "sampler": _SAMPLER_SCHEMA}
 _COMMON = {"experiment": (str, None), "out_dir": (str, None), "seed": (int, 0, 0),
            "threads": (int, 1, 1)}
+#: shared keys that no output reads, so the hashed config leaves them out
+_UNHASHED = ("out_dir", "threads")
 _TIMED = {"schedule": _SCHEDULE_SCHEMA, "t_multipliers": ([float], None),
           "t_values": ([float], None), "betas": ([(float, str)], ["mean"]),
           "step_policy": _STEP_SCHEMA}
@@ -701,8 +703,9 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     :func:`run_experiment`: the experiment name, then the declared
     ``experiment`` (which names it for ``validate``, where ``experiment`` is
     None), then the keys and the flags given over them.  Returns the
-    experiment, the typed config, the copy the manifest hashes and the plan
-    of everything the run needs.  No output exists yet, so every config error
+    experiment, the typed config, the copy the manifest hashes (without
+    ``out_dir`` and ``threads``, which no output reads) and the plan of
+    everything the run needs.  No output exists yet, so every config error
     leaves nothing behind; a domain constructor's ValueError is a usage error.
     """
     names = ", ".join(EXPERIMENTS)
@@ -719,8 +722,10 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     flags = {k: v for k, v in flags.items() if v is not None}
     cfg = {**_typed(raw, spec.schema), **_typed(flags, {k: _COMMON[k] for k in flags})}
     _unread_keys(raw, cfg)
+    given = {k: v for k, v in _typed(raw, spec.schema, fill=False).items()
+             if k not in _UNHASHED}
     try:
-        return experiment, cfg, _typed(raw, spec.schema, fill=False), spec.plan(cfg)
+        return experiment, cfg, given, spec.plan(cfg)
     except ValueError as exc:
         raise UsageError(f"bad {experiment} config: {exc}") from exc
 

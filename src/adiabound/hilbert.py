@@ -52,7 +52,8 @@ NORM_TOL = 1e-10
 DEGENERACY_RTOL = 1e-9
 #: hard cap on matrix-vector products per iterative eigensolve
 MATVEC_BUDGET = 10_000
-#: :func:`lowest` diagonalizes the dense matrix at or below this dimension
+#: :func:`lowest` diagonalizes the dense matrix at or below this dimension, and
+#: the sector of a projector-plus-diagonal operator at or below this many levels
 DENSE_LIMIT = 2048
 #: every eigenpair from :func:`lowest` has ||H v - lambda v|| below this times
 #: max(1, norm_bound)
@@ -430,6 +431,21 @@ def argmin_set(values: np.ndarray) -> tuple[tuple[int, ...], float]:
     return tuple(int(i) for i in np.nonzero(values <= e0 + degeneracy_tol(e0))[0]), e0
 
 
+class LevelGroups(NamedTuple):
+    levels: np.ndarray   # the distinct values, ascending
+    group: np.ndarray    # each entry's position in ``levels``
+    weights: np.ndarray  # w_j = ||P_j v||, the norm of v over level j's entries
+
+
+def level_groups(values: np.ndarray, vector: np.ndarray) -> LevelGroups:
+    """The levels of a diagonal and their weights in ``vector``: only
+    bit-identical entries group, and level j weighs ||P_j v||, with P_j the
+    projector onto its entries."""
+    levels, group = np.unique(values, return_inverse=True)
+    weights = np.sqrt(np.bincount(group, weights=np.abs(vector) ** 2, minlength=levels.size))
+    return LevelGroups(levels, group, weights)
+
+
 def ground_state(op: HamiltonianOp) -> GroundState:
     """Lowest eigenpair. Structured cases are exact; everything else comes
     from :func:`lowest`.
@@ -484,12 +500,21 @@ class Eigenpairs(NamedTuple):
 def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     """The k lowest eigenpairs of ``op`` (fewer only when dim < k).
 
-    Up to ``DENSE_LIMIT`` dimensions this diagonalizes the dense matrix.  Above
-    it, ARPACK's implicitly restarted Lanczos (eigsh) runs matrix-free from a
-    seeded start vector, starting afresh if it stalls, all under
-    ``MATVEC_BUDGET``; a Rayleigh-Ritz step then refines its vectors together
-    with the exact ground vectors of every ``Diagonal``/``ProjectorComplement``
-    term, a level Lanczos can miss (the zero mode of Grover's H_P at s = 1).
+    A ``LinearCombination`` of one ``ProjectorComplement`` a (1 - |v><v|) and
+    one ``Diagonal`` b diag(d), in either order, is solved exactly in its
+    invariant sector whenever v reaches at most ``DENSE_LIMIT`` levels of d:
+    with the levels lam_j and weights w_j of :func:`level_groups`, the K
+    reached levels span a sector where the operator is the real K x K matrix
+    a (1 - w w^T) + b diag(lam), and every other eigenvector lies inside one
+    level, orthogonal to v, at a + b lam_j.  The lowest values of both merge,
+    and only the k chosen vectors are built in the full space.
+
+    Any other operator up to ``DENSE_LIMIT`` dimensions is diagonalized as a
+    dense matrix.  Above it, ARPACK's implicitly restarted Lanczos (eigsh)
+    runs matrix-free from a seeded start vector, starting afresh if it stalls,
+    all under ``MATVEC_BUDGET``; a Rayleigh-Ritz step then refines its vectors
+    together with the exact ground vectors of every
+    ``Diagonal``/``ProjectorComplement`` term, a level Lanczos can miss.
     Every returned pair must satisfy
     ||H v - lambda v|| <= RESIDUAL_RTOL * max(1, norm_bound).  Every failed
     guard, and any other ARPACK error, raises :class:`NumericGuardError`.
@@ -499,8 +524,12 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     # (it does on a one-mode ModeSum), so it always computes two or more, and it
     # needs dim > n_ritz + 1
     n_ritz = max(k, 2)
-    if dim <= max(DENSE_LIMIT, n_ritz + 1):
+    sector = _RankOneSector.of(op)
+    if sector is not None:
+        small = sector.matrix()
+    elif dim <= max(DENSE_LIMIT, n_ritz + 1):
         basis, h_basis, matvecs = None, to_dense(op), dim
+        small = h_basis
     else:
         count = 0
 
@@ -534,17 +563,100 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
         basis = np.linalg.qr(np.column_stack([ritz, *exact]))[0]
         h_basis = op.apply_amps(basis.T).T
         matvecs = count + basis.shape[1]
-    small = h_basis if basis is None else basis.conj().T @ h_basis
+        small = basis.conj().T @ h_basis
     if not small.imag.any():
         small = small.real  # LAPACK's real symmetric driver takes about half the time
-    k = min(k, small.shape[0])
-    values, coeffs = eigh(small, subset_by_index=[0, k - 1])
-    vectors = coeffs if basis is None else basis @ coeffs
-    residuals = np.linalg.norm(h_basis @ coeffs - vectors * values, axis=0)
+    values, coeffs = eigh(small, subset_by_index=[0, min(k, small.shape[0]) - 1])
+    if sector is not None:
+        values, vectors = sector.lift(values, coeffs, min(k, dim))
+        h_vectors = op.apply_amps(vectors.T).T
+        matvecs = vectors.shape[1]
+    else:
+        vectors = coeffs if basis is None else basis @ coeffs
+        h_vectors = h_basis @ coeffs
+    residuals = np.linalg.norm(h_vectors - vectors * values, axis=0)
     tol = RESIDUAL_RTOL * max(1.0, op.norm_bound())
     if np.any(residuals > tol):
         raise NumericGuardError(f"eigenpair residual {residuals.max():.3e} above {tol:.3e}")
     return Eigenpairs(values, vectors, residuals, matvecs)
+
+
+@dataclass(frozen=True)
+class _RankOneSector:
+    """a (1 - |v><v|) + b diag(d) split by the levels of d: the levels that v
+    reaches (``reached``) span the invariant sector, and the rest of each
+    level's eigenspace is orthogonal to v."""
+
+    a: float
+    b: float
+    vector: np.ndarray
+    groups: LevelGroups
+    reached: np.ndarray
+
+    @staticmethod
+    def of(op: HamiltonianOp) -> "_RankOneSector | None":
+        """The split of a one-projector, one-diagonal combination that reaches
+        at most ``DENSE_LIMIT`` levels; None for any other operator."""
+        if not (isinstance(op, LinearCombination) and len(op.terms) == 2):
+            return None
+        (a, proj), (b, diag) = sorted(op.terms,
+                                      key=lambda t: not isinstance(t[1], ProjectorComplement))
+        if not (isinstance(proj, ProjectorComplement) and isinstance(diag, Diagonal)):
+            return None
+        groups = level_groups(diag.values, proj.vector)
+        reached = np.flatnonzero(groups.weights > 0)
+        if reached.size > DENSE_LIMIT:
+            return None
+        return _RankOneSector(a, b, proj.vector, groups, reached)
+
+    def matrix(self) -> np.ndarray:
+        """a (1 - w w^T) + b diag(lam) over the reached levels."""
+        w = self.groups.weights[self.reached]
+        return (self.a * (np.eye(w.size) - np.outer(w, w))
+                + self.b * np.diag(self.groups.levels[self.reached]))
+
+    def lift(self, values: np.ndarray, coeffs: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest of the sector's pairs and the closed-form levels
+        a + b lam_j (each m_j - 1 times, or m_j times when v misses it), with
+        unit vectors in the full space, ascending; ties keep sector pairs first."""
+        levels, group, weights = self.groups
+        spare = np.bincount(group, minlength=levels.size)
+        spare[self.reached] -= 1
+        closed = np.repeat(np.arange(levels.size), np.minimum(spare, k))
+        merged = np.concatenate([values, self.a + self.b * levels[closed]])
+        order = np.argsort(merged, kind="stable")[:k]
+        vectors = np.empty((group.size, k), dtype=np.complex128)
+        # a sector pair's vector is sum_j c_j P_j v / w_j over the reached levels
+        in_sector = order < values.size
+        full = np.zeros((levels.size, np.count_nonzero(in_sector)))
+        full[self.reached] = coeffs[:, order[in_sector]]
+        scale = np.where(weights > 0, weights, 1.0)
+        vectors[:, in_sector] = full[group] * (self.vector / scale[group])[:, None]
+        for col in np.flatnonzero(~in_sector):
+            i = order[col] - values.size  # copy i - (first copy) of level closed[i]
+            vectors[:, col] = self._inside(closed[i], i - np.searchsorted(closed, closed[i]))
+        return merged[order], vectors
+
+    def _inside(self, j: int, r: int) -> np.ndarray:
+        """The r-th of an orthonormal set of unit vectors inside level j and
+        orthogonal to v: column r + 1 of the Householder reflection that maps
+        v's unit part on the level to its first entry, or the level's r-th
+        entry when v misses the level."""
+        members = np.flatnonzero(self.groups.group == j)
+        out = np.zeros(self.groups.group.size, dtype=np.complex128)
+        w = self.groups.weights[j]
+        if not w > 0:
+            out[members[r]] = 1.0
+            return out
+        u = self.vector[members] / w
+        head = abs(u[0])
+        tail = np.conj(u[r + 1])
+        u[0] += u[0] / head if head > 0 else 1.0  # |u|^2 = 2 (1 + head)
+        col = u * (-tail / (1.0 + head))
+        col[r + 1] += 1.0
+        out[members] = col
+        return out
 
 
 class _BudgetExceeded(Exception):

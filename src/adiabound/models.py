@@ -35,6 +35,7 @@ from .hilbert import (
     argmin_set,
     coherent_state,
     default_fock_cutoff,
+    level_groups,
     mode_digits,
     uniform_state,
 )
@@ -235,8 +236,7 @@ def invariant_sector(bundle: ModelBundle) -> InvariantSector | None:
     if not (isinstance(h_i, ProjectorComplement) and np.array_equal(h_i.vector, g)
             and isinstance(h_p, Diagonal)):
         return None
-    levels, group = np.unique(h_p.values, return_inverse=True)
-    w = np.sqrt(np.bincount(group, weights=np.abs(g) ** 2, minlength=levels.size))
+    levels, _, w = level_groups(h_p.values, g)
     basis = BasisSpec.flat(levels.size)
     return InvariantSector(h_i=ProjectorComplement(basis, w), h_p=Diagonal(basis, levels),
                            g_i=StateVector(basis, w), target_indices=argmin_set(levels)[0])

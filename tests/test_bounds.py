@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from adiabound import (
     BasisSpec,
     BoundReport,
     Diagonal,
+    DsqPolicy,
     ProjectorComplement,
     Schedule,
     StateVector,
@@ -30,6 +35,7 @@ from adiabound import (
     uniform_state,
     verify_distance_bound,
 )
+import adiabound
 from adiabound import bounds, hilbert
 from adiabound.cli import strict_json
 
@@ -280,9 +286,49 @@ def test_gap_scan_iterative_path_matches_dense(monkeypatch):
 
 
 def test_gap_scan_finds_the_grover_zero_mode_at_s1():
-    # eigsh alone returns (1, 1) at s = 1; the Rayleigh-Ritz step with H_P's
-    # exact ground vector recovers the zero mode
+    # dim 4096 with 2 levels: the projector-plus-diagonal sector gives the
+    # zero mode at s = 1 exactly
     bundle = build_grover(4096)
+    rep = gap_scan(bundle.h_i, bundle.h_p, make_schedule("linear", 1.0), grid=41)
+    assert rep.s_grid[-1] == 1.0
+    assert abs(rep.e0[-1]) <= 1e-10
+    assert abs(rep.e1[-1] - 1.0) <= 1e-10
+    assert rep.g_min == pytest.approx(1.0 / 64.0, abs=1e-10)
+
+
+def test_full_space_grover_gap_scan_rows_hold_across_fresh_interpreters():
+    # every point of this dim-4096 scan is a 2-level sector solve, so its rows,
+    # the 4095-fold degenerate level at s = 1 among them, repeat bit for bit
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from adiabound import build_grover, gap_scan, make_schedule\n"
+        "b = build_grover(4096)\n"
+        "rep = gap_scan(b.h_i, b.h_p, make_schedule('linear', 1.0), grid=41)\n"
+        "rows = np.stack([rep.s_grid, rep.e0, rep.e1])\n"
+        "print(hashlib.sha256(rows.tobytes()).hexdigest(), rep.g_min == 1 / 64, rep.e0[-1] == 0)\n"
+    )
+    pkg_root = str(Path(adiabound.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else "")}
+    outputs = set()
+    for _ in range(3):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    [out] = outputs
+    assert out.split()[1:] == ["True", "True"]
+
+
+def test_gap_scan_recovers_the_grover_zero_mode_through_eigsh(monkeypatch):
+    # below 2 levels the sector is off and dim 4096 goes to eigsh, which alone
+    # returns (1, 1) at s = 1; the Rayleigh-Ritz step with H_P's exact ground
+    # vector recovers the zero mode
+    monkeypatch.setattr(hilbert, "DENSE_LIMIT", 1)
+    bundle = build_grover(4096)
+    h_s = hilbert.LinearCombination(bundle.h_i.basis, ((0.0, bundle.h_i), (1.0, bundle.h_p)))
+    assert hilbert.lowest(h_s, 2).matvecs > 2  # not the sector's one block apply
     rep = gap_scan(bundle.h_i, bundle.h_p, make_schedule("linear", 1.0), grid=41)
     assert rep.s_grid[-1] == 1.0
     assert abs(rep.e0[-1]) <= 1e-10
@@ -310,9 +356,12 @@ def test_gap_scan_closes_a_gap_within_the_degeneracy_rule(ratio, closed):
 
 
 def test_gap_scan_reads_a_roundoff_gap_as_closed():
-    # eigsh path (dim 3125): the rotated optimal tours tie at s = 1, and the
-    # measured gap there is 0 only up to roundoff
-    bundle = build_tsp_finite(random_instance(5, 1))
+    # eigsh path (dim 3125, 3029 levels, past the sector's limit): the rotated
+    # optimal tours tie at s = 1, and the measured gap there is 0 only up to
+    # roundoff
+    bundle = build_tsp_finite(random_instance(5, 1), DsqPolicy("random"))
+    groups = hilbert.level_groups(bundle.h_p.values, bundle.g_i.amps)
+    assert groups.levels.size > hilbert.DENSE_LIMIT
     rep = gap_scan(bundle.h_i, bundle.h_p, make_schedule("linear", 1.0), grid=5, refine_rounds=0)
     assert rep.s_at_min == 1.0
     assert 0.0 <= rep.g_min <= hilbert.degeneracy_tol(rep.e0[-1])

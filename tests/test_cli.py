@@ -405,6 +405,18 @@ def test_a_null_or_an_empty_object_does_not_move_the_hash(tmp_path, capsys):
     assert all(m["config"] == base for m in manifests)
 
 
+def test_threads_and_out_dir_do_not_move_the_hash(tmp_path, capsys):
+    # no output reads either key, so the hashed config leaves both out
+    base = {"experiment": "bound-audit", "model": {"model": "grover", "n": 4},
+            "t_values": [1.0]}
+    spellings = [base, {**base, "threads": 2}, {**base, "out_dir": str(tmp_path / "ignored")}]
+    manifests = [cli.run_experiment("bound-audit", payload, out_dir=str(tmp_path / str(i)),
+                                    seed=1) for i, payload in enumerate(spellings)]
+    capsys.readouterr()
+    assert {m["content_hash"][:12] for m in manifests} == {"d95254c2bc9d"}
+    assert all(m["config"] == base for m in manifests)
+
+
 def test_threads_come_from_the_flag_then_the_config_then_one(tmp_path, capsys, monkeypatch):
     seen = []
     pool_map = cli._pool_map
@@ -522,8 +534,8 @@ def test_gap_scan_scans_the_tsp_finite_sector(tmp_path, capsys):
 
 
 def test_grover_gap_scan_hash_holds_across_fresh_interpreters(tmp_path):
-    # n = 4096 is past the dense limit: a full-space scan goes through eigsh,
-    # whose s = 1 row, a 4095-fold degenerate level, moves between fresh runs
+    # the CLI scans the 2-dimensional sector; test_bounds checks the rows of
+    # the library's full-space scan across fresh interpreters
     cfg = _write_config(tmp_path, "c.json", {"experiment": "gap-scan",
                                              "model": {"model": "grover", "n": 4096},
                                              "grid": 41})

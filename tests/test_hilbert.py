@@ -9,11 +9,13 @@ import pytest
 from adiabound import (
     BasisSpec,
     Diagonal,
+    DsqPolicy,
     LinearCombination,
     ModeSum,
     ProjectorComplement,
     StateVector,
     basis_vector,
+    build_tsp_finite,
     build_tsp_tuple,
     coherent_state,
     default_fock_cutoff,
@@ -596,10 +598,12 @@ def test_lowest_matches_dense_oracle(monkeypatch, name, path):
         residuals = np.linalg.norm(applied - pairs.vectors * pairs.values, axis=0)
         assert np.all(residuals <= hilbert.RESIDUAL_RTOL * scale)
         assert np.allclose(pairs.residuals, residuals, atol=1e-12 * scale)
-        if path == "dense":
-            assert pairs.matvecs == op.basis.dim
-        else:
+        if path == "eigsh":
             assert op.basis.dim > hilbert.DENSE_LIMIT and pairs.matvecs > 0
+        elif isinstance(op, LinearCombination):
+            assert pairs.matvecs == k  # the projector-plus-diagonal sector: one block apply
+        else:
+            assert pairs.matvecs == op.basis.dim
 
 
 def test_lowest_rejects_a_bad_eigsh_pair(monkeypatch):
@@ -648,6 +652,53 @@ def test_lowest_restarts_a_stalled_eigsh(monkeypatch):
     monkeypatch.setattr(hilbert, "eigsh", arpack_fails)
     with pytest.raises(hilbert.NumericGuardError, match="eigensolve failed"):
         hilbert.lowest(op, 1)
+
+
+def _sector_cases():
+    cases = {}
+    for n in (4, 64, 256):
+        basis = BasisSpec.flat(n)
+        for marked in ((0,), (1, 2, n - 1)):
+            values = np.ones(n)
+            values[list(marked)] = 0.0
+            cases[f"grover-n{n}-marked{len(marked)}"] = (
+                ProjectorComplement(basis, uniform_state(basis).amps), Diagonal(basis, values))
+    for m in (3, 4):
+        for kind in ("parity", "random"):
+            bundle = build_tsp_finite(random_instance(m, SEED), DsqPolicy(kind))
+            cases[f"tsp-finite-m{m}-{kind}"] = (bundle.h_i, bundle.h_p)
+    rng = np.random.default_rng(SEED)
+    basis = BasisSpec.flat(27)
+    levels = Diagonal(basis, rng.integers(0, 4, 27).astype(float))
+    # v on one basis vector: every level but that entry's carries weight 0
+    cases["projector-on-a-basis-vector"] = (
+        ProjectorComplement(basis, basis_vector(basis, 5).amps), levels)
+    # a complex v spread over 4 levels of 4 to 9 entries each
+    cases["complex-axis"] = (ProjectorComplement(basis, _random_state(rng, basis).amps), levels)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_sector_cases()))
+def test_lowest_solves_the_projector_plus_diagonal_sector_exactly(name):
+    h_i, h_p = _sector_cases()[name]
+    ops = [LinearCombination(h_i.basis, ((1.0 - s, h_i), (s, h_p))) for s in (0.0, 0.25, 0.5, 1.0)]
+    # +-(H_P - H_I), the second with the diagonal first
+    ops += [LinearCombination(h_i.basis, ((-1.0, h_i), (1.0, h_p))),
+            LinearCombination(h_i.basis, ((-1.0, h_p), (1.0, h_i)))]
+    for op in ops:
+        oracle = np.linalg.eigvalsh(to_dense(op))
+        scale = max(1.0, op.norm_bound())
+        for k in (1, 2, 3):
+            pairs = hilbert.lowest(op, k)
+            assert pairs.matvecs == k
+            want = oracle[:k]
+            assert np.all(np.abs(pairs.values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            assert np.allclose(pairs.vectors.conj().T @ pairs.vectors, np.eye(k), rtol=0.0,
+                               atol=1e-12)
+            applied = np.column_stack([op.apply_amps(v) for v in pairs.vectors.T])
+            residuals = np.linalg.norm(applied - pairs.vectors * pairs.values, axis=0)
+            assert np.all(residuals <= hilbert.RESIDUAL_RTOL * scale)
+            assert np.allclose(pairs.residuals, residuals, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_one_eigensolver_call_site():
