@@ -48,9 +48,8 @@ from .evolution import (
     schedule_integral,
     success_probability,
 )
-from .hilbert import NumericGuardError, expectation
+from .hilbert import InvariantSector, NumericGuardError, expectation
 from .models import (
-    InvariantSector,
     ModelBundle,
     build_grover,
     build_tsp_finite,
@@ -111,7 +110,8 @@ _INSTANCE_SCHEMA = {"path": (str, None), "format": (str, "tsplib"), "cities": (i
                     "sampler": _SAMPLER_SCHEMA}
 _COMMON = {"experiment": (str, None), "out_dir": (str, None), "seed": (int, 0, 0),
            "threads": (int, 1, 1)}
-#: shared keys that no output reads, so the hashed config leaves them out
+#: shared keys that no output reads, so the hashed config leaves them out;
+#: :func:`_preflight` drops step_policy.samples_per_run for the same reason
 _UNHASHED = ("out_dir", "threads")
 _TIMED = {"schedule": _SCHEDULE_SCHEMA, "t_multipliers": ([float], None),
           "t_values": ([float], None), "betas": ([(float, str)], ["mean"]),
@@ -614,9 +614,9 @@ def _run_fraction_decay(plan: dict, out: OutputDir, threads: int) -> list[dict]:
 # preflight: everything a run needs, built before any output exists
 # ---------------------------------------------------------------------------
 
-def _model_checks(bundle: ModelBundle) -> list[tuple[str, str]]:
-    sector = invariant_sector(bundle)
-    size = f", sector {sector.h_p.basis.dim}" if sector else ""
+def _model_checks(bundle: ModelBundle,
+                  space: InvariantSector | ModelBundle) -> list[tuple[str, str]]:
+    size = f", sector {space.h_p.basis.dim}" if space is not bundle else ""
     return [("model build", f"ok ({bundle.name}, dim {bundle.h_p.basis.dim}{size})"),
             ("energy budget", f"alpha_cost {bundle.budget.alpha_cost:g}, "
                               f"path bound {bundle.budget.linear_path_norm_bound:g}"),
@@ -643,7 +643,7 @@ def _plan_model_audit(cfg: dict) -> dict:
     bundle, step = _model_from(cfg), StepPolicy(**cfg["step_policy"])
     cells = _audit_cells(bundle, cfg)
     return {"cells": cells, "step": step,
-            "checks": [*_model_checks(bundle), *_run_plan(cells, step)]}
+            "checks": [*_model_checks(bundle, cells[0].space), *_run_plan(cells, step)]}
 
 
 def _plan_sigma_scan(cfg: dict) -> dict:
@@ -659,9 +659,10 @@ def _plan_gap_scan(cfg: dict) -> dict:
     bundle = _model_from(cfg)
     kind = cfg["schedule"]["kind"]
     schedule = make_schedule(kind, 1.0, n=bundle.h_p.basis.dim)
-    return {"bundle": bundle, "space": invariant_sector(bundle) or bundle, "schedule": schedule,
+    space = invariant_sector(bundle) or bundle
+    return {"bundle": bundle, "space": space, "schedule": schedule,
             "grid": cfg["grid"], "rounds": cfg["refine_rounds"],
-            "checks": [*_model_checks(bundle), ("schedule", kind)]}
+            "checks": [*_model_checks(bundle, space), ("schedule", kind)]}
 
 
 def _plan_fraction_decay(cfg: dict) -> dict:
@@ -704,9 +705,10 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     ``experiment`` (which names it for ``validate``, where ``experiment`` is
     None), then the keys and the flags given over them.  Returns the
     experiment, the typed config, the copy the manifest hashes (without
-    ``out_dir`` and ``threads``, which no output reads) and the plan of
-    everything the run needs.  No output exists yet, so every config error
-    leaves nothing behind; a domain constructor's ValueError is a usage error.
+    ``out_dir``, ``threads`` and ``step_policy.samples_per_run``, which no
+    output reads) and the plan of everything the run needs.  No output exists
+    yet, so every config error leaves nothing behind; a domain constructor's
+    ValueError is a usage error.
     """
     names = ", ".join(EXPERIMENTS)
     if experiment is not None and experiment not in EXPERIMENTS:
@@ -722,8 +724,9 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     flags = {k: v for k, v in flags.items() if v is not None}
     cfg = {**_typed(raw, spec.schema), **_typed(flags, {k: _COMMON[k] for k in flags})}
     _unread_keys(raw, cfg)
-    given = {k: v for k, v in _typed(raw, spec.schema, fill=False).items()
-             if k not in _UNHASHED}
+    given = _typed(raw, spec.schema, fill=False)
+    given.get("step_policy", {}).pop("samples_per_run", None)
+    given = {k: v for k, v in given.items() if k not in _UNHASHED and v != {}}
     try:
         return experiment, cfg, given, spec.plan(cfg)
     except ValueError as exc:

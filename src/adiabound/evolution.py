@@ -38,8 +38,6 @@ __all__ = [
 #: boundary conditions are enforced to this absolute tolerance
 BOUNDARY_TOL = 1e-12
 SCHEDULE_KINDS = ("linear", "das_wei", "local_adiabatic_grover")
-#: densify H(t) for instantaneous-ground tracking only up to this dimension
-_OVERLAP_DENSE_LIMIT = 512
 #: bytes of precomputed RK4 tables per chunk of steps; bounds evolve's table memory
 _STAGE_TABLE_BYTES = 1 << 19
 #: the most steps a plan may take: the step index must fit an int64
@@ -204,7 +202,6 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     c_i, c_p = _centering(h_i)[0], _centering(h_p)[0]
 
     sample_steps = _sample_steps(n_steps, policy.samples_per_run)
-    track = policy.track_ground_overlap and h_i.basis.dim <= _OVERLAP_DENSE_LIMIT
 
     psi = psi0.amps.astype(np.complex128, copy=True)
     times, norms, overlaps = [], [], []
@@ -215,7 +212,8 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         nrm = math.sqrt(np.vdot(psi, psi).real)
         times.append(t)
         norms.append(nrm)
-        overlaps.append(_ground_overlap(h_i, h_p, schedule, t, psi) if track else math.nan)
+        overlaps.append(_ground_overlap(h_i, h_p, schedule, t, psi)
+                        if policy.track_ground_overlap else math.nan)
 
     # the kernel goes by operator type alone; both take the same steps
     pair = isinstance(h_i, ProjectorComplement) and isinstance(h_p, Diagonal)

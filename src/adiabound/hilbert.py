@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "LinearCombination",
     "GroundState",
     "Eigenpairs",
+    "InvariantSector",
     "CoherentPrep",
     "NumericGuardError",
     "basis_vector",
@@ -203,6 +205,14 @@ class Diagonal(HamiltonianOp):
 
     def apply_amps(self, amps: np.ndarray) -> np.ndarray:
         return self.values * amps
+
+    @cached_property
+    def level_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct values ascending, each entry's position among them and
+        each value's multiplicity; only bit-identical entries share a value.
+        The values cannot change, so this is computed once, on first use."""
+        split = np.unique(self.values, return_inverse=True, return_counts=True)
+        return tuple(part.setflags(write=False) or part for part in split)
 
     def norm_bound(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -431,21 +441,6 @@ def argmin_set(values: np.ndarray) -> tuple[tuple[int, ...], float]:
     return tuple(int(i) for i in np.nonzero(values <= e0 + degeneracy_tol(e0))[0]), e0
 
 
-class LevelGroups(NamedTuple):
-    levels: np.ndarray   # the distinct values, ascending
-    group: np.ndarray    # each entry's position in ``levels``
-    weights: np.ndarray  # w_j = ||P_j v||, the norm of v over level j's entries
-
-
-def level_groups(values: np.ndarray, vector: np.ndarray) -> LevelGroups:
-    """The levels of a diagonal and their weights in ``vector``: only
-    bit-identical entries group, and level j weighs ||P_j v||, with P_j the
-    projector onto its entries."""
-    levels, group = np.unique(values, return_inverse=True)
-    weights = np.sqrt(np.bincount(group, weights=np.abs(vector) ** 2, minlength=levels.size))
-    return LevelGroups(levels, group, weights)
-
-
 def ground_state(op: HamiltonianOp) -> GroundState:
     """Lowest eigenpair. Structured cases are exact; everything else comes
     from :func:`lowest`.
@@ -502,12 +497,10 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
 
     A ``LinearCombination`` of one ``ProjectorComplement`` a (1 - |v><v|) and
     one ``Diagonal`` b diag(d), in either order, is solved exactly in its
-    invariant sector whenever v reaches at most ``DENSE_LIMIT`` levels of d:
-    with the levels lam_j and weights w_j of :func:`level_groups`, the K
-    reached levels span a sector where the operator is the real K x K matrix
-    a (1 - w w^T) + b diag(lam), and every other eigenvector lies inside one
-    level, orthogonal to v, at a + b lam_j.  The lowest values of both merge,
-    and only the k chosen vectors are built in the full space.
+    :class:`InvariantSector` whenever v reaches at most ``DENSE_LIMIT`` levels
+    of d: the lowest values of the sector's K x K matrix merge with the
+    closed-form levels a + b lam_j, and only the k chosen vectors are built in
+    the full space.
 
     Any other operator up to ``DENSE_LIMIT`` dimensions is diagonalized as a
     dense matrix.  Above it, ARPACK's implicitly restarted Lanczos (eigsh)
@@ -524,9 +517,10 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     # (it does on a one-mode ModeSum), so it always computes two or more, and it
     # needs dim > n_ritz + 1
     n_ritz = max(k, 2)
-    sector = _RankOneSector.of(op)
-    if sector is not None:
-        small = sector.matrix()
+    split = _sector_split(op)
+    if split is not None:
+        a, b, sector = split
+        small = sector.matrix(a, b)
     elif dim <= max(DENSE_LIMIT, n_ritz + 1):
         basis, h_basis, matvecs = None, to_dense(op), dim
         small = h_basis
@@ -567,8 +561,8 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     if not small.imag.any():
         small = small.real  # LAPACK's real symmetric driver takes about half the time
     values, coeffs = eigh(small, subset_by_index=[0, min(k, small.shape[0]) - 1])
-    if sector is not None:
-        values, vectors = sector.lift(values, coeffs, min(k, dim))
+    if split is not None:
+        values, vectors = sector.lift(a, b, values, coeffs, min(k, dim))
         h_vectors = op.apply_amps(vectors.T).T
         matvecs = vectors.shape[1]
     else:
@@ -581,50 +575,78 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     return Eigenpairs(values, vectors, residuals, matvecs)
 
 
-@dataclass(frozen=True)
-class _RankOneSector:
-    """a (1 - |v><v|) + b diag(d) split by the levels of d: the levels that v
-    reaches (``reached``) span the invariant sector, and the rest of each
-    level's eigenspace is orthogonal to v."""
+def _sector_split(op: HamiltonianOp) -> tuple[float, float, InvariantSector] | None:
+    """(a, b, sector) of a (1 - |v><v|) + b diag(d) that :func:`lowest` can solve, else None."""
+    if not (isinstance(op, LinearCombination) and len(op.terms) == 2):
+        return None
+    (a, proj), (b, diag) = sorted(op.terms, key=lambda t: not isinstance(t[1], ProjectorComplement))
+    if not (isinstance(proj, ProjectorComplement) and isinstance(diag, Diagonal)):
+        return None
+    sector = InvariantSector.of(proj, diag)
+    return (a, b, sector) if sector.reached.size <= DENSE_LIMIT else None
 
-    a: float
-    b: float
-    vector: np.ndarray
-    groups: LevelGroups
-    reached: np.ndarray
+
+@dataclass(frozen=True)
+class InvariantSector:
+    """A projector axis v and a diagonal d split by the levels lam_j of d
+    (:attr:`Diagonal.level_split`).  With P_j the projector onto level j and
+    w_j = ||P_j v||, the vectors P_j v / w_j span a sector that holds v and is
+    invariant under every a (1 - |v><v|) + b diag(d), which acts there as
+    a (1 - w w^T) + b diag(lam); the rest of level j is orthogonal to v.
+
+    ``h_i`` = 1 - |w><w|, ``h_p`` = diag(lam), ``g_i`` = w and the targets of
+    :func:`argmin_set` are that model on every level, weight 0 where v misses
+    one; :meth:`matrix` and :meth:`lift` serve :func:`lowest` on the
+    ``reached`` levels.
+    """
+
+    vector: np.ndarray   # the axis v
+    levels: np.ndarray   # the distinct values lam_j of d, ascending
+    group: np.ndarray    # each entry's level j
+    counts: np.ndarray   # each level's multiplicity m_j
+    weights: np.ndarray  # w_j = ||P_j v||
+    reached: np.ndarray  # the levels with w_j > 0
 
     @staticmethod
-    def of(op: HamiltonianOp) -> "_RankOneSector | None":
-        """The split of a one-projector, one-diagonal combination that reaches
-        at most ``DENSE_LIMIT`` levels; None for any other operator."""
-        if not (isinstance(op, LinearCombination) and len(op.terms) == 2):
-            return None
-        (a, proj), (b, diag) = sorted(op.terms,
-                                      key=lambda t: not isinstance(t[1], ProjectorComplement))
-        if not (isinstance(proj, ProjectorComplement) and isinstance(diag, Diagonal)):
-            return None
-        groups = level_groups(diag.values, proj.vector)
-        reached = np.flatnonzero(groups.weights > 0)
-        if reached.size > DENSE_LIMIT:
-            return None
-        return _RankOneSector(a, b, proj.vector, groups, reached)
+    def of(proj: ProjectorComplement, diag: Diagonal) -> "InvariantSector":
+        _check_same_basis(proj.basis, diag.basis)
+        levels, group, counts = diag.level_split
+        weights = np.sqrt(np.bincount(group, weights=np.abs(proj.vector) ** 2,
+                                      minlength=levels.size))
+        return InvariantSector(proj.vector, levels, group, counts, weights,
+                               np.flatnonzero(weights > 0))
 
-    def matrix(self) -> np.ndarray:
+    @cached_property
+    def g_i(self) -> StateVector:
+        return StateVector(BasisSpec.flat(self.levels.size), self.weights)
+
+    @cached_property
+    def h_i(self) -> ProjectorComplement:
+        return ProjectorComplement(self.g_i.basis, self.weights)
+
+    @cached_property
+    def h_p(self) -> Diagonal:
+        return Diagonal(self.g_i.basis, self.levels)
+
+    @property
+    def target_indices(self) -> tuple[int, ...]:
+        return argmin_set(self.levels)[0]
+
+    def matrix(self, a: float, b: float) -> np.ndarray:
         """a (1 - w w^T) + b diag(lam) over the reached levels."""
-        w = self.groups.weights[self.reached]
-        return (self.a * (np.eye(w.size) - np.outer(w, w))
-                + self.b * np.diag(self.groups.levels[self.reached]))
+        w = self.weights[self.reached]
+        return a * (np.eye(w.size) - np.outer(w, w)) + b * np.diag(self.levels[self.reached])
 
-    def lift(self, values: np.ndarray, coeffs: np.ndarray,
+    def lift(self, a: float, b: float, values: np.ndarray, coeffs: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest of the sector's pairs and the closed-form levels
-        a + b lam_j (each m_j - 1 times, or m_j times when v misses it), with
-        unit vectors in the full space, ascending; ties keep sector pairs first."""
-        levels, group, weights = self.groups
-        spare = np.bincount(group, minlength=levels.size)
-        spare[self.reached] -= 1
+        """The k lowest of the eigenpairs (``values``, ``coeffs``) of
+        :meth:`matrix` and the closed-form levels a + b lam_j (each m_j - 1
+        times, or m_j times when v misses it), with unit vectors in the full
+        space, ascending; ties keep sector pairs first."""
+        levels, group, weights = self.levels, self.group, self.weights
+        spare = self.counts - (weights > 0)
         closed = np.repeat(np.arange(levels.size), np.minimum(spare, k))
-        merged = np.concatenate([values, self.a + self.b * levels[closed]])
+        merged = np.concatenate([values, a + b * levels[closed]])
         order = np.argsort(merged, kind="stable")[:k]
         vectors = np.empty((group.size, k), dtype=np.complex128)
         # a sector pair's vector is sum_j c_j P_j v / w_j over the reached levels
@@ -643,9 +665,9 @@ class _RankOneSector:
         orthogonal to v: column r + 1 of the Householder reflection that maps
         v's unit part on the level to its first entry, or the level's r-th
         entry when v misses the level."""
-        members = np.flatnonzero(self.groups.group == j)
-        out = np.zeros(self.groups.group.size, dtype=np.complex128)
-        w = self.groups.weights[j]
+        members = np.flatnonzero(self.group == j)
+        out = np.zeros(self.group.size, dtype=np.complex128)
+        w = self.weights[j]
         if not w > 0:
             out[members[r]] = 1.0
             return out

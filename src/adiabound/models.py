@@ -29,13 +29,13 @@ from .hilbert import (
     CoherentPrep,
     Diagonal,
     HamiltonianOp,
+    InvariantSector,
     ModeSum,
     ProjectorComplement,
     StateVector,
     argmin_set,
     coherent_state,
     default_fock_cutoff,
-    level_groups,
     mode_digits,
     uniform_state,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "build_tsp_rank",
     "build_tsp_tuple",
     "build_tsp_finite",
-    "InvariantSector",
     "invariant_sector",
     "delta_ie_asymptote_study",
 ]
@@ -207,39 +206,16 @@ def _bundle(kind: str, name: str, h_i: HamiltonianOp, h_p: Diagonal, g_i: StateV
 # invariant sector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantSector:
-    """A model restricted to the span of the vectors P_lam g_I, one basis
-    vector P_lam g_I / ||P_lam g_I|| per distinct level lam of H_P, in
-    ascending level order."""
-
-    h_i: ProjectorComplement
-    h_p: Diagonal
-    g_i: StateVector
-    target_indices: tuple[int, ...]
-
-
 def invariant_sector(bundle: ModelBundle) -> InvariantSector | None:
-    """Exact reduction of a model with H_I = 1 - |g_I><g_I| and a diagonal H_P.
-
-    With P_lam the projector onto the level-lam eigenspace of H_P, the span of
-    the vectors P_lam g_I holds g_I and is invariant under every f H_I + g H_P,
-    so an evolution from g_I never leaves it.  In the basis
-    e_lam = P_lam g_I / w_lam, with w_lam = ||P_lam g_I||, the path is
-    f (1 - w w^T) + g diag(levels): one dimension per distinct level, 2 for
-    Grover at any N.  Only bit-identical levels are grouped, so distances,
-    energies and level populations equal the full model's up to roundoff.
-    The targets are the levels inside :func:`argmin_set`.  Any other
-    structure of H_I or H_P gives None.
-    """
+    """Exact reduction of a model with H_I = 1 - |g_I><g_I| and a diagonal H_P
+    to its :class:`InvariantSector`, which an evolution from g_I never leaves:
+    one dimension per distinct level of H_P, 2 for Grover at any N.  Any other
+    structure of H_I or H_P gives None."""
     h_i, h_p, g = bundle.h_i, bundle.h_p, bundle.g_i.amps
     if not (isinstance(h_i, ProjectorComplement) and np.array_equal(h_i.vector, g)
             and isinstance(h_p, Diagonal)):
         return None
-    levels, _, w = level_groups(h_p.values, g)
-    basis = BasisSpec.flat(levels.size)
-    return InvariantSector(h_i=ProjectorComplement(basis, w), h_p=Diagonal(basis, levels),
-                           g_i=StateVector(basis, w), target_indices=argmin_set(levels)[0])
+    return InvariantSector.of(h_i, h_p)
 
 
 # ---------------------------------------------------------------------------

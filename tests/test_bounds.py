@@ -27,6 +27,7 @@ from adiabound import (
     evolve,
     expectation,
     gap_scan,
+    invariant_sector,
     make_schedule,
     random_instance,
     residual_norm,
@@ -360,8 +361,7 @@ def test_gap_scan_reads_a_roundoff_gap_as_closed():
     # optimal tours tie at s = 1, and the measured gap there is 0 only up to
     # roundoff
     bundle = build_tsp_finite(random_instance(5, 1), DsqPolicy("random"))
-    groups = hilbert.level_groups(bundle.h_p.values, bundle.g_i.amps)
-    assert groups.levels.size > hilbert.DENSE_LIMIT
+    assert invariant_sector(bundle).levels.size > hilbert.DENSE_LIMIT
     rep = gap_scan(bundle.h_i, bundle.h_p, make_schedule("linear", 1.0), grid=5, refine_rounds=0)
     assert rep.s_at_min == 1.0
     assert 0.0 <= rep.g_min <= hilbert.degeneracy_tol(rep.e0[-1])

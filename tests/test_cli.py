@@ -417,6 +417,20 @@ def test_threads_and_out_dir_do_not_move_the_hash(tmp_path, capsys):
     assert all(m["config"] == base for m in manifests)
 
 
+def test_samples_per_run_does_not_move_the_hash(tmp_path, capsys):
+    # no output reads the trajectory samples, so the hashed config leaves the
+    # key out, and an emptied step_policy with it
+    base = {"experiment": "bound-audit", "model": {"model": "grover", "n": 4},
+            "t_values": [1.0]}
+    spellings = [base, *({**base, "step_policy": {"samples_per_run": n}} for n in (8, 0, 256))]
+    manifests = [cli.run_experiment("bound-audit", payload, out_dir=str(tmp_path / str(i)),
+                                    seed=1) for i, payload in enumerate(spellings)]
+    capsys.readouterr()
+    assert {m["content_hash"][:12] for m in manifests} == {"d95254c2bc9d"}
+    assert all(m["config"] == base for m in manifests)
+    assert {m["rows"][0]["success_prob"] for m in manifests} == {0.2654678942378125}
+
+
 def test_threads_come_from_the_flag_then_the_config_then_one(tmp_path, capsys, monkeypatch):
     seen = []
     pool_map = cli._pool_map

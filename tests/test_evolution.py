@@ -18,8 +18,10 @@ from adiabound import (
     StepPolicy,
     StateVector,
     basis_vector,
+    build_grover,
     build_tsp_finite,
     build_tsp_rank,
+    delta_ie,
     evolve,
     invariant_sector,
     plan_steps,
@@ -27,6 +29,7 @@ from adiabound import (
     reference_phase_state,
     schedule_integral,
     success_probability,
+    t_min,
     to_dense,
     uniform_state,
 )
@@ -248,6 +251,17 @@ def test_ground_overlap_tracking():
     assert res.ground_overlaps[0] == pytest.approx(1.0, abs=1e-10)
     assert res.ground_overlaps[-1] >= 0.99
     assert np.min(res.ground_overlaps) >= 0.9  # stays adiabatic throughout
+
+
+def test_ground_overlap_tracking_past_dimension_512():
+    # each sample solves the 2-level sector of H(t), so no dimension cap applies
+    bundle = build_grover(1024)
+    sch = Schedule("linear", 2.0 * t_min("linear", delta_ie(bundle.g_i, bundle.h_p), n=1024))
+    pol = StepPolicy(samples_per_run=32, track_ground_overlap=True)
+    res = evolve(bundle.h_i, bundle.h_p, sch, pol)
+    assert res.ground_overlaps.size == 33
+    assert np.all(np.isfinite(res.ground_overlaps))
+    assert res.ground_overlaps[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_phase_exactness_against_reference():

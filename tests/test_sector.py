@@ -16,6 +16,7 @@ from adiabound import (
     InvariantSector,
     NumericGuardError,
     ProjectorComplement,
+    StateVector,
     StepPolicy,
     basis_vector,
     build_grover,
@@ -141,6 +142,37 @@ def test_tsp_finite_sector_levels_are_full_space_levels():
         spectrum = np.linalg.eigvalsh(f * full[0] + g * full[1])
         for level in np.linalg.eigvalsh(f * reduced[0] + g * reduced[1]):
             assert np.min(np.abs(spectrum - level)) <= 1e-12
+
+
+def test_sector_keeps_a_level_that_the_start_state_misses():
+    # g_I is 0 on the marked label, so the lowest level of H_P has weight 0;
+    # the sector still holds it, and it is still the target
+    grover = build_grover(8)
+    basis = grover.h_p.basis
+    amps = np.full(8, 1.0 / math.sqrt(7.0))
+    amps[0] = 0.0
+    start = StateVector(basis, amps)
+    bundle = dataclasses.replace(grover, h_i=ProjectorComplement(basis, amps), g_i=start)
+    sector = invariant_sector(bundle)
+    assert sector.h_p.values.tolist() == [0.0, 1.0]
+    assert sector.g_i.amps[0] == 0.0 and sector.g_i.amps[1] == pytest.approx(1.0, rel=1e-15)
+    assert np.array_equal(sector.h_i.vector, sector.g_i.amps)
+    assert sector.target_indices == (0,)
+    assert sector.reached.tolist() == [1]
+
+
+def test_sectors_of_one_diagonal_share_its_level_split(monkeypatch):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    grover = build_grover(8)
+    tilted = ProjectorComplement(grover.h_p.basis, basis_vector(grover.h_p.basis, 3).amps)
+    first = InvariantSector.of(grover.h_i, grover.h_p)
+    second = InvariantSector.of(tilted, grover.h_p)
+    assert first.levels is second.levels and first.group is second.group
+    # a gap scan then sorts H_P no more
+    gap_scan(grover.h_i, grover.h_p, make_schedule("linear", 1.0), grid=11)
+    assert len(calls) == 1
 
 
 def test_sector_needs_a_rank_one_driver_and_a_diagonal_problem():
