@@ -704,11 +704,11 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     :func:`run_experiment`: the experiment name, then the declared
     ``experiment`` (which names it for ``validate``, where ``experiment`` is
     None), then the keys and the flags given over them.  Returns the
-    experiment, the typed config, the copy the manifest hashes (without
-    ``out_dir``, ``threads`` and ``step_policy.samples_per_run``, which no
-    output reads) and the plan of everything the run needs.  No output exists
-    yet, so every config error leaves nothing behind; a domain constructor's
-    ValueError is a usage error.
+    experiment, the typed config, the copy the manifest hashes (with
+    ``experiment`` always, without ``out_dir``, ``threads`` and
+    ``step_policy.samples_per_run``, which no output reads) and the plan of
+    everything the run needs.  No output exists yet, so every config error
+    leaves nothing behind; a domain constructor's ValueError is a usage error.
     """
     names = ", ".join(EXPERIMENTS)
     if experiment is not None and experiment not in EXPERIMENTS:
@@ -727,6 +727,7 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     given = _typed(raw, spec.schema, fill=False)
     given.get("step_policy", {}).pop("samples_per_run", None)
     given = {k: v for k, v in given.items() if k not in _UNHASHED and v != {}}
+    given["experiment"] = experiment
     try:
         return experiment, cfg, given, spec.plan(cfg)
     except ValueError as exc:

@@ -431,6 +431,18 @@ def test_samples_per_run_does_not_move_the_hash(tmp_path, capsys):
     assert {m["rows"][0]["success_prob"] for m in manifests} == {0.2654678942378125}
 
 
+def test_the_experiment_key_is_always_hashed(tmp_path, capsys):
+    # the manifest records the experiment whether or not the config names it
+    base = {"experiment": "bound-audit", "model": {"model": "grover", "n": 4},
+            "t_values": [1.0]}
+    keyless = {k: v for k, v in base.items() if k != "experiment"}
+    manifests = [cli.run_experiment("bound-audit", payload, out_dir=str(tmp_path / str(i)),
+                                    seed=1) for i, payload in enumerate((base, keyless))]
+    capsys.readouterr()
+    assert {m["content_hash"][:12] for m in manifests} == {"d95254c2bc9d"}
+    assert all(m["config"] == base for m in manifests)
+
+
 def test_threads_come_from_the_flag_then_the_config_then_one(tmp_path, capsys, monkeypatch):
     seen = []
     pool_map = cli._pool_map

@@ -366,6 +366,34 @@ def test_random_effective_lengths_match_a_fresh_philox_per_index():
     assert DsqPolicy("random", seed=3).dsq(s, 1.0) == draw * draw
 
 
+def _fresh_dsq(seed: int, sigma_d: float, s: int) -> float:
+    draw = np.random.Generator(np.random.Philox(key=seed, counter=s)).normal(0.0, sigma_d)
+    return draw * draw
+
+
+def _fresh_words(seed: int, s: int) -> int:
+    """64-bit words that one normal draw takes from a fresh Philox at counter s < 2**64."""
+    bits = np.random.Philox(key=seed, counter=s)
+    np.random.Generator(bits).normal()
+    state = bits.state
+    return 4 * (int(state["state"]["counter"][0]) - s - 1) + state["buffer_pos"]
+
+
+@pytest.mark.parametrize("sigma_d", [0.5, 0.7, 2.0])
+def test_bulk_random_surcharges_match_a_fresh_philox_per_counter(sigma_d):
+    seed = 11
+    span = list(range(1, 1201))
+    # the bulk draw must also hold where a fresh draw takes more than one word
+    assert any(_fresh_words(seed, s) > 1 for s in span)
+    scattered = [40, 7, 8, 9, 9, 3, 1000, 2, 2, 41, 39, 40]
+    wide = list(range(2 ** 64 - 3, 2 ** 64 + 4))  # one run across the 64-bit word
+    policy = DsqPolicy("random", sigma_d=sigma_d, seed=seed)
+    for s_values in (span, np.arange(1, 1201), scattered, np.array(scattered), wide, [17], []):
+        expected = [_fresh_dsq(seed, sigma_d, int(s)) for s in s_values]
+        assert policy._dsq_all(s_values, 1.0).tolist() == expected  # bit-identical
+        assert [policy.dsq(s, 1.0) for s in s_values] == expected
+
+
 def test_effective_lengths_tours_below_penalties():
     inst = random_instance(4, SEED)
     vec = effective_lengths_all(inst, DsqPolicy("random", sigma_d=0.5, seed=1))
