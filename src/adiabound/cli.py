@@ -247,6 +247,16 @@ def _unread_keys(raw: dict, cfg: dict) -> None:
                     "instance.sampler.", "sampler")
 
 
+def _reads_seed(experiment: str, cfg: dict) -> bool:
+    """Whether the run reads the top-level ``seed``: sigma-scan's samples do,
+    and so does a sampled TSP instance that gives no seed of its own."""
+    if experiment == "sigma-scan":
+        return True
+    inst = cfg.get("instance")
+    return (inst is not None and cfg["model"]["model"] != "grover"
+            and inst["path"] is None and inst["seed"] is None)
+
+
 def load_config(path) -> dict:
     """Read a JSON config file and return it as parsed; the preflight that
     ``validate`` and every run share checks it."""
@@ -704,11 +714,12 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     :func:`run_experiment`: the experiment name, then the declared
     ``experiment`` (which names it for ``validate``, where ``experiment`` is
     None), then the keys and the flags given over them.  Returns the
-    experiment, the typed config, the copy the manifest hashes (with
-    ``experiment`` always, without ``out_dir``, ``threads`` and
-    ``step_policy.samples_per_run``, which no output reads) and the plan of
-    everything the run needs.  No output exists yet, so every config error
-    leaves nothing behind; a domain constructor's ValueError is a usage error.
+    experiment, the typed config, the copy the manifest hashes and the plan
+    of everything the run needs.  The hashed copy holds ``experiment`` always
+    and leaves out what no output reads: ``out_dir``, ``threads``,
+    ``step_policy.samples_per_run``, and ``seed`` where the run reads none.
+    No output exists yet, so every config error leaves nothing behind; a
+    domain constructor's ValueError is a usage error.
     """
     names = ", ".join(EXPERIMENTS)
     if experiment is not None and experiment not in EXPERIMENTS:
@@ -727,6 +738,8 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     given = _typed(raw, spec.schema, fill=False)
     given.get("step_policy", {}).pop("samples_per_run", None)
     given = {k: v for k, v in given.items() if k not in _UNHASHED and v != {}}
+    if not _reads_seed(experiment, cfg):
+        given.pop("seed", None)
     given["experiment"] = experiment
     try:
         return experiment, cfg, given, spec.plan(cfg)

@@ -499,6 +499,7 @@ def success_probability(psi: StateVector, indices) -> float:
         raise ValueError("need at least one target index")
     if np.any(idx < 0) or np.any(idx >= psi.basis.dim):
         raise ValueError("target index outside basis")
-    if len(np.unique(idx)) != idx.size:
+    ordered = np.sort(idx)  # np.unique would import numpy.ma on its first call
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("duplicate target indices")
     return float(np.sum(np.abs(psi.amps[idx]) ** 2))

@@ -18,9 +18,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
-from scipy.special import pdtrc
 
 __all__ = [
     "BasisSpec",
@@ -394,10 +391,10 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentPrep:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     mu = abs(alpha) ** 2
-    tail = float(pdtrc(n_max, mu)) if mu > 0 else 0.0
+    tail = poisson_tail(n_max, mu) if mu > 0 else 0.0
     if tail > COHERENT_TAIL_TOL:
         needed = n_max
-        while float(pdtrc(needed, mu)) > COHERENT_TAIL_TOL:
+        while poisson_tail(needed, mu) > COHERENT_TAIL_TOL:
             needed = max(needed + 1, int(needed * 1.25))
         raise ValueError(
             f"coherent tail mass {tail:.3e} above {COHERENT_TAIL_TOL:.1e} at n_max={n_max}; "
@@ -415,6 +412,23 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentPrep:
     state = StateVector(BasisSpec.modes(1, n_max), amps * renorm)
     return CoherentPrep(state=state, n_max=n_max, captured_mass=captured,
                         tail_mass=tail, renorm_factor=renorm)
+
+
+def poisson_tail(k: int, mu: float) -> float:
+    """P(X > k) for X ~ Poisson(mu), mu > 0: the sum of e^-mu mu^j / j! over
+    j > k, each term taken in log space so none overflows.  Past the mode each
+    term is mu / j times the one before, so the terms left sum to at most
+    t mu / (j - mu) after a term t; the sum stops once that is below e^-40
+    (4e-18) of its largest term."""
+    log_mu = math.log(mu)
+    logs, top, j = [], -math.inf, k + 1
+    while True:
+        logs.append(j * log_mu - mu - math.lgamma(j + 1))
+        top = max(top, logs[-1])
+        j += 1
+        if j > mu and logs[-1] + math.log(mu / (j - mu)) < top - 40.0:
+            break
+    return math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +522,9 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     all under ``MATVEC_BUDGET``; a Rayleigh-Ritz step then refines its vectors
     together with the exact ground vectors of every
     ``Diagonal``/``ProjectorComplement`` term, a level Lanczos can miss.
+    Each of the three small matrices (sector, dense, Rayleigh-Ritz) goes to
+    ``numpy.linalg.eigh``, real where it has no imaginary part, whose full
+    spectrum is sliced to the k lowest pairs; scipy loads only for Lanczos.
     Every returned pair must satisfy
     ||H v - lambda v|| <= RESIDUAL_RTOL * max(1, norm_bound).  Every failed
     guard, and any other ARPACK error, raises :class:`NumericGuardError`.
@@ -533,6 +550,8 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
             if count > MATVEC_BUDGET:
                 raise _BudgetExceeded
             return op.apply_amps(np.asarray(x, dtype=np.complex128).reshape(-1))
+
+        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
         linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
         rng = np.random.default_rng(7)
@@ -560,7 +579,8 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
         small = basis.conj().T @ h_basis
     if not small.imag.any():
         small = small.real  # LAPACK's real symmetric driver takes about half the time
-    values, coeffs = eigh(small, subset_by_index=[0, min(k, small.shape[0]) - 1])
+    values, coeffs = np.linalg.eigh(small)
+    values, coeffs = values[:k], coeffs[:, :k]
     if split is not None:
         values, vectors = sector.lift(a, b, values, coeffs, min(k, dim))
         h_vectors = op.apply_amps(vectors.T).T
@@ -683,6 +703,23 @@ class InvariantSector:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+def eigsh(*args, **kwargs):
+    """scipy's ARPACK ``eigsh``.  scipy loads on the first call: no other code
+    path needs it, and importing it costs more than most runs."""
+    from scipy.sparse.linalg import eigsh as arpack_eigsh
+
+    return arpack_eigsh(*args, **kwargs)
+
+
+def __getattr__(name):
+    # ARPACK's two exceptions, loaded with scipy.sparse.linalg on first use
+    if name in ("ArpackError", "ArpackNoConvergence"):
+        import scipy.sparse.linalg
+
+        return getattr(scipy.sparse.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def to_dense(op: HamiltonianOp) -> np.ndarray:

@@ -379,7 +379,7 @@ _FROZEN_HASHES = [
     ({"experiment": "bound-audit", "model": {"model": "grover", "n": 16},
       "t_multipliers": [1.0, 2.0]}, "9a3d79671be4"),
     ({"experiment": "gap-scan", "model": {"model": "tsp-finite"}, "instance": {"cities": 3},
-      "grid": 41}, "7f41d4149a9a"),
+      "grid": 41}, "dac35a859424"),
     ({"experiment": "grover-sweep", "n_values": [64]}, "00c66554605d"),
 ]
 
@@ -429,6 +429,19 @@ def test_samples_per_run_does_not_move_the_hash(tmp_path, capsys):
     assert {m["content_hash"][:12] for m in manifests} == {"d95254c2bc9d"}
     assert all(m["config"] == base for m in manifests)
     assert {m["rows"][0]["success_prob"] for m in manifests} == {0.2654678942378125}
+
+
+def test_a_seed_that_the_run_never_reads_does_not_move_the_hash(tmp_path, capsys):
+    # fraction-decay reads no seed, nor does a grover model
+    for base, prefix in (({"experiment": "fraction-decay", "m_values": [8]}, "2c79093caeb9"),
+                         ({"experiment": "bound-audit", "model": {"model": "grover", "n": 4},
+                           "t_values": [1.0]}, "d95254c2bc9d")):
+        manifests = [cli.run_experiment(base["experiment"], payload,
+                                        out_dir=str(tmp_path / f"{prefix}-{i}"), seed=1)
+                     for i, payload in enumerate((base, {**base, "seed": 3}))]
+        assert {m["content_hash"][:12] for m in manifests} == {prefix}
+        assert all(m["config"] == base for m in manifests)
+    capsys.readouterr()
 
 
 def test_the_experiment_key_is_always_hashed(tmp_path, capsys):
@@ -931,14 +944,37 @@ def decay_cfg(tmp_path):
                                               "m_values": [8]})
 
 
-def test_import_leaves_out_unused_scipy_packages():
-    # the package uses scipy.linalg, scipy.sparse.linalg and scipy.special only
-    code = "import sys, adiabound, adiabound.cli; print(' '.join(sys.modules))"
+#: the scipy packages that nothing but ARPACK's Lanczos branch may load
+_SCIPY_AT_RUN_TIME = {"scipy.linalg", "scipy.sparse", "scipy.special", "scipy.stats",
+                      "scipy.optimize", "scipy.integrate"}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded once a fresh interpreter has run ``code``."""
+    code += "\nimport sys; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), check=True)
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_import_leaves_out_unused_scipy_packages():
+    loaded = _modules_after("import adiabound, adiabound.cli")
     assert "adiabound.cli" in loaded
-    assert not loaded & {"scipy.stats", "scipy.optimize", "scipy.integrate"}
+    assert not loaded & _SCIPY_AT_RUN_TIME
+
+
+def test_dense_scans_and_ground_states_load_no_scipy():
+    # the gap scans and ground states of the benchmark's stats-spectrum pass
+    loaded = _modules_after("""
+import adiabound as ab
+schedule = ab.make_schedule("linear", 1.0)
+for bundle in (ab.build_grover(4096), ab.build_tsp_finite(ab.random_instance(4, 7))):
+    ab.gap_scan(bundle.h_i, bundle.h_p, schedule, grid=41)
+ab.ground_state(ab.build_tsp_rank(ab.random_instance(4, 7)).h_i)
+ab.ground_state(ab.build_tsp_tuple(ab.random_instance(3, 7)).h_i)
+""")
+    assert "adiabound.bounds" in loaded
+    assert not loaded & _SCIPY_AT_RUN_TIME
 
 
 def test_blas_thread_count_does_not_move_the_hash(tmp_path):

@@ -553,5 +553,6 @@ def test_success_probability_validation():
         success_probability(sv, [4])
     with pytest.raises(ValueError):
         success_probability(sv, [-1])
-    with pytest.raises(ValueError):
-        success_probability(sv, [1, 1])
+    for dup in ([1, 1], [2, 0, 3, 2]):
+        with pytest.raises(ValueError, match="duplicate target indices"):
+            success_probability(sv, dup)

@@ -442,6 +442,20 @@ def test_coherent_state_rejects_fat_tail():
         coherent_state(1.0, n_max=-1)
 
 
+def test_poisson_tail_matches_scipy_on_a_grid():
+    # P(X > k) against scipy's incomplete-gamma form, from k = 0 far into the tail
+    from scipy.special import pdtrc
+
+    for mu in np.geomspace(1e-3, 800.0, 40):
+        k_max = int(mu + 60.0 * math.sqrt(mu) + 80.0)
+        ks = np.union1d(np.arange(min(k_max, 60) + 1), np.linspace(0, k_max, 80).astype(int))
+        for k in ks.tolist():
+            got, want = hilbert.poisson_tail(k, mu), float(pdtrc(k, mu))
+            if want > 1e-300:
+                assert abs(got - want) <= 1e-10 * want, (mu, k)
+            assert (got > hilbert.COHERENT_TAIL_TOL) == (want > hilbert.COHERENT_TAIL_TOL)
+
+
 def test_default_cutoff_keeps_tail_small():
     rng = np.random.default_rng(SEED)
     for _ in range(20):
