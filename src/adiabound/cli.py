@@ -717,7 +717,8 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     experiment, the typed config, the copy the manifest hashes and the plan
     of everything the run needs.  The hashed copy holds ``experiment`` always
     and leaves out what no output reads: ``out_dir``, ``threads``,
-    ``step_policy.samples_per_run``, and ``seed`` where the run reads none.
+    ``step_policy.samples_per_run``, and ``seed`` where the run reads none;
+    where it reads one, it holds the seed the run reads, after any flag.
     No output exists yet, so every config error leaves nothing behind; a
     domain constructor's ValueError is a usage error.
     """
@@ -738,7 +739,9 @@ def _preflight(experiment: str | None, raw, **flags) -> tuple[str, dict, dict, d
     given = _typed(raw, spec.schema, fill=False)
     given.get("step_policy", {}).pop("samples_per_run", None)
     given = {k: v for k, v in given.items() if k not in _UNHASHED and v != {}}
-    if not _reads_seed(experiment, cfg):
+    if _reads_seed(experiment, cfg):
+        given["seed"] = cfg["seed"]
+    else:
         given.pop("seed", None)
     given["experiment"] = experiment
     try:

@@ -188,7 +188,9 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     tsp-finite, in full space or sector) takes each step as one diagonal
     product and a rank-4 correction (:func:`_projector_diagonal_steps`);
     every other pair takes the four stages (:func:`_stage_steps`).  Both
-    take the same steps, to roundoff.
+    take the same steps, to roundoff, and hand over the states of a block of
+    steps at a time; the drift is checked on every state of each block, so
+    the first step past ``policy.norm_tol`` is the one reported.
     """
     if h_i.basis != h_p.basis:
         raise ValueError(f"operator bases differ: {h_i.basis} vs {h_p.basis}")
@@ -201,34 +203,39 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     h = schedule.t_total / n_steps
     c_i, c_p = _centering(h_i)[0], _centering(h_p)[0]
 
-    sample_steps = _sample_steps(n_steps, policy.samples_per_run)
+    samples = sorted(_sample_steps(n_steps, policy.samples_per_run))
 
     psi = psi0.amps.astype(np.complex128, copy=True)
     times, norms, overlaps = [], [], []
     max_drift = 0.0
 
-    def record(step: int) -> None:
+    def record(step: int, amps: np.ndarray, nrm: float) -> None:
         t = step * h
-        nrm = math.sqrt(np.vdot(psi, psi).real)
         times.append(t)
         norms.append(nrm)
-        overlaps.append(_ground_overlap(h_i, h_p, schedule, t, psi)
+        overlaps.append(_ground_overlap(h_i, h_p, schedule, t, amps)
                         if policy.track_ground_overlap else math.nan)
 
     # the kernel goes by operator type alone; both take the same steps
     pair = isinstance(h_i, ProjectorComplement) and isinstance(h_p, Diagonal)
-    steps = (_projector_diagonal_steps if pair else _stage_steps)(h_i, h_p, schedule, n_steps, psi)
-    if 0 in sample_steps:
-        record(0)
-    for step, _ in enumerate(steps, 1):
-        drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
-        if not drift <= policy.norm_tol:  # a NaN drift fails too
+    blocks = (_projector_diagonal_steps if pair else _stage_steps)(h_i, h_p, schedule, n_steps, psi)
+    if samples and samples[0] == 0:
+        record(samples.pop(0), psi, float(_row_norms(psi[None])[0]))
+    done = 0
+    for block in blocks:
+        first, done = done + 1, done + len(block)
+        nrm = _row_norms(block)
+        drift = np.abs(nrm - 1.0)
+        bad = ~(drift <= policy.norm_tol)  # a NaN drift fails too
+        if bad.any():
+            i = int(bad.argmax())
             raise NumericGuardError(
-                f"norm drift {drift:.3e} exceeded {policy.norm_tol:.1e} at step "
-                f"{step}/{n_steps}; shrink step_bound_factor")
-        max_drift = max(max_drift, drift)
-        if step in sample_steps:
-            record(step)
+                f"norm drift {float(drift[i]):.3e} exceeded {policy.norm_tol:.1e} at step "
+                f"{first + i}/{n_steps}; shrink step_bound_factor")
+        max_drift = max(max_drift, float(drift.max()))
+        while samples and samples[0] <= done:
+            step = samples.pop(0)
+            record(step, block[step - first], float(nrm[step - first]))
     psi *= np.exp(-1j * (c_i * schedule_integral(schedule, "f")
                          + c_p * schedule_integral(schedule, "g")))
 
@@ -297,8 +304,10 @@ def _centering(op: HamiltonianOp) -> tuple[float, float, float]:
 def _stage_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule, n_steps: int,
                  psi: np.ndarray):
     """Advance psi in place by the n_steps RK4 steps of the centered path
-    H_c = f (H_I - c_I) + g (H_P - c_P), yielding after each: the kernel for
-    any pair of operators.
+    H_c = f (H_I - c_I) + g (H_P - c_P): the kernel for any pair of
+    operators.  Per chunk of :func:`_stage_scalars`, it yields a (steps, dim)
+    block whose row j is the state after the chunk's step j; psi already
+    holds the last row, and the block is overwritten on the next resume.
 
     Stage s returns K_s = a H_I y_s + b H_P y_s - (a c_I + b c_P) y_s, with
     (a, b) = -i h w_s (f, g) at the stage time (:func:`_stage_scalars`) and
@@ -311,6 +320,7 @@ def _stage_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule, n_s
     k = np.empty((4, psi.size), dtype=np.complex128)
     k1, k2, k3, k4 = k
     y, tmp = np.empty_like(psi), np.empty_like(psi)
+    block = None
 
     def stage(a: complex, b: complex, v: np.ndarray, out: np.ndarray) -> None:
         np.multiply(h_i.apply_amps(v), a, out=out)
@@ -320,29 +330,36 @@ def _stage_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule, n_s
         out -= tmp
 
     for cf, cg in _stage_scalars(schedule, n_steps, psi.size):
-        for (a_lo, a_mid, a_hi), (b_lo, b_mid, b_hi) in zip(cf.T.tolist(), cg.T.tolist()):
-            stage(a_lo, b_lo, psi, k1)
-            np.add(psi, k1, out=y)
+        if block is None:  # one block for every chunk; the first is the largest
+            block = np.empty((cf.shape[1], psi.size), dtype=np.complex128)
+        prev = psi
+        for row, (a_lo, a_mid, a_hi), (b_lo, b_mid, b_hi) in zip(block, cf.T.tolist(),
+                                                                 cg.T.tolist()):
+            stage(a_lo, b_lo, prev, k1)
+            np.add(prev, k1, out=y)
             stage(a_mid, b_mid, y, k2)
             np.multiply(k2, 0.5, out=y)
-            y += psi
+            y += prev
             stage(a_mid, b_mid, y, k3)
-            np.add(psi, k3, out=y)
+            np.add(prev, k3, out=y)
             stage(a_hi, b_hi, y, k4)
             np.add.reduce(k, axis=0, out=y)
             y *= 1.0 / 3.0
-            psi += y
-            yield
+            np.add(prev, y, out=row)
+            prev = row
+        psi[...] = prev
+        yield block[:cf.shape[1]]
 
 
 def _stage_scalars(schedule: Schedule, n_steps: int, dim: int):
     """Per chunk of steps, the RK4 stage scalars -i h w f and -i h w g at t,
     t + h/2 and t + h of every step, with w = (1/2, 1, 1/2); each has shape
-    (3, steps).  A step is budgeted one complex row of dim and the ~2 KB
-    that :func:`_step_maps` takes to build its 4x4 map, and a chunk stays
-    under ``_STAGE_TABLE_BYTES`` (one step at least), so memory stays flat
-    however many steps the run takes.  A step's scalars have the same bits
-    in any chunking."""
+    (3, steps).  A step is budgeted one complex row of dim (a state in
+    :func:`_stage_steps`, a Horner row in :func:`_step_maps`) and the ~2 KB
+    that :func:`_step_increment` takes to build its 4x4 map, and a chunk
+    stays under ``_STAGE_TABLE_BYTES`` (one step at least), so memory stays
+    flat however many steps the run takes; dim 0 budgets the 2 KB alone.  A
+    step's scalars have the same bits in any chunking."""
     h = schedule.t_total / n_steps
     chunk = max(1, _STAGE_TABLE_BYTES // (16 * dim + 2048))
     weight = -1j * h * np.array([0.5, 1.0, 0.5])[:, None]
@@ -355,7 +372,8 @@ def _stage_scalars(schedule: Schedule, n_steps: int, dim: int):
 def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
                               n_steps: int, psi: np.ndarray):
     """The steps of :func:`_stage_steps` when H_I is 1 - |u><u| and H_P is
-    diag(d): each one diagonal product and a rank-4 correction.
+    diag(d): each one diagonal product and a rank-4 correction, yielded in
+    blocks of states as there.
 
     With lam = d - c_d and P = |u><u|, every stage operator of the centered
     path is a + b diag(lam) - g P for scalars a, b, g, and P diag(lam^r) P =
@@ -364,30 +382,36 @@ def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: 
     a polynomial of degree 4 (:func:`_step_maps`).  Adding that increment,
     as the stage kernel does, keeps its rounding small: multiplying by 1 + E
     instead put the norm 1e-14 off a long-double RK4 within 1,500 steps.
+    Each step's row of the E table becomes that step's state, so the block
+    of states costs no memory beyond the table.
 
-    The rank-4 term is three gemv calls.  Their bits hold at any BLAS thread
-    count only while BLAS threads a gemv by splitting its outputs, each
-    output's sum kept in one thread, as OpenBLAS does; a BLAS that splits
-    the sums instead fails
-    ``test_projector_diagonal_kernel_ignores_the_blas_thread_count``.
+    The rank-4 term is three gemv calls, made through ``ndarray.dot``, which
+    dispatches them at about half the cost of ``matmul``.  Their bits need
+    not hold across BLAS thread counts: with OpenBLAS they match at 1 and 2
+    threads up to dim 4096
+    (``test_projector_diagonal_kernel_ignores_the_blas_thread_count``), but
+    not at dim 32768 or 100,003.
     """
     lam = h_p.values - _centering(h_p)[0]
     u = h_i.vector
     powers = lam ** np.arange(4.0)[:, None]
     rows, cols = powers * u.conj(), (powers * u).T.copy()
     mu = (powers[:3] * np.abs(u) ** 2).sum(axis=1)
-    y, tmp = np.empty_like(psi), np.empty_like(psi)
+    y = np.empty_like(psi)
     for table, maps in _step_maps(schedule, n_steps, 1.0 - _centering(h_i)[0], lam, mu):
-        for e, c in zip(table, maps):
-            np.matmul(cols, c @ (rows @ psi), out=y)
-            np.multiply(e, psi, out=tmp)
-            y += tmp
-            psi += y
-            yield
+        prev = psi
+        for row, c in zip(table, maps):
+            cols.dot(c.dot(rows.dot(prev)), out=y)
+            row *= prev  # E(lam) psi
+            row += y
+            row += prev
+            prev = row
+        psi[...] = prev
+        yield table
 
 
 def _step_maps(schedule: Schedule, n_steps: int, shift: float, lam: np.ndarray, mu: np.ndarray):
-    """Per chunk of steps, the increments of :func:`_projector_diagonal_steps`:
+    """Per block of steps, the increments of :func:`_projector_diagonal_steps`:
     E(lam) of every step, shape (steps, dim), and C, shape (steps, 4, 4).
 
     Stage s is B_s = a + b D - g P with D = diag(lam) and (a, b, g) =
@@ -397,22 +421,25 @@ def _step_maps(schedule: Schedule, n_steps: int, shift: float, lam: np.ndarray, 
     K_2 = B_2 (1 + K_1), K_3 = B_2 (1 + K_2 / 2) and K_4 = B_4 (1 + K_3), and
     the increment is (K_1 + K_2 + K_3 + K_4) / 3.  Each is carried as (e, C),
     meaning sum_j e_j D^j + sum C[r, k] D^r P D^k, with every scalar an array
-    over the chunk's steps, and E is summed by Horner.  All of it is
-    elementwise, with no BLAS call, so a step has the same bits in any
-    chunking and at any BLAS thread count.
+    over the chunk's steps, and E is summed by Horner.  The scalars come in
+    chunks of the 2 KB step budget alone (256 steps at the default budget),
+    whatever the dimension, and E fills one table of the full budget's rows
+    at a time.  All of it is elementwise, with no BLAS call, so a step has
+    the same bits in any chunking and at any BLAS thread count.
     """
-    table = None
-    for x, y in _stage_scalars(schedule, n_steps, lam.size):
+    rows = max(1, _STAGE_TABLE_BYTES // (16 * lam.size + 2048))
+    table = np.empty((min(rows, n_steps), lam.size), dtype=np.complex128)
+    for x, y in _stage_scalars(schedule, n_steps, 0):
         e, maps = _step_increment(shift * x, y, x, mu)
-        if table is None:  # one buffer for every chunk; the first is the largest
-            table = np.empty((x.shape[1], lam.size), dtype=np.complex128)
-        out = table[:x.shape[1]]
-        np.multiply(e[4][:, None], lam, out=out)
-        for j in (3, 2, 1):
-            out += e[j][:, None]
-            out *= lam
-        out += e[0][:, None]
-        yield out, maps
+        for lo in range(0, x.shape[1], rows):
+            hi = min(lo + rows, x.shape[1])
+            out = table[:hi - lo]
+            np.multiply(e[4, lo:hi, None], lam, out=out)
+            for j in (3, 2, 1):
+                out += e[j, lo:hi, None]
+                out *= lam
+            out += e[0, lo:hi, None]
+            yield out, maps[lo:hi]
 
 
 def _step_increment(a: np.ndarray, b: np.ndarray, g: np.ndarray, mu: np.ndarray):
@@ -466,6 +493,13 @@ def _drift_budget(schedule: Schedule, b_i: float, b_p: float, h_cap: float) -> f
         e_max = schedule.max_f() * b_i + schedule.max_g() * b_p
         integral = t * e_max ** 6
     return integral + h_cap * e_max ** 6
+
+
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex block, summed by einsum over the
+    float64 view: no BLAS call and no temporary the size of the block."""
+    v = block.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 def _sample_steps(n_steps: int, samples: int) -> set[int]:

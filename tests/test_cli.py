@@ -373,13 +373,13 @@ def test_config_spelling_does_not_move_the_hash(tmp_path, capsys):
 #: one config per output writer, with the content_hash prefix each gives at --seed 1
 _FROZEN_HASHES = [
     ({"experiment": "fraction-decay", "m_values": [8, 10, 12]}, "1dcbd95072da"),
-    ({"experiment": "sigma-scan", "m_values": [3, 4], "samples": 5}, "ff445c1e6f66"),
+    ({"experiment": "sigma-scan", "m_values": [3, 4], "samples": 5}, "42481cad8609"),
     ({"experiment": "gap-scan", "model": {"model": "grover", "n": 4}, "grid": 41},
      "b7c326d463a2"),
     ({"experiment": "bound-audit", "model": {"model": "grover", "n": 16},
       "t_multipliers": [1.0, 2.0]}, "9a3d79671be4"),
     ({"experiment": "gap-scan", "model": {"model": "tsp-finite"}, "instance": {"cities": 3},
-      "grid": 41}, "dac35a859424"),
+      "grid": 41}, "e0ec7a387278"),
     ({"experiment": "grover-sweep", "n_values": [64]}, "00c66554605d"),
 ]
 
@@ -403,6 +403,17 @@ def test_a_null_or_an_empty_object_does_not_move_the_hash(tmp_path, capsys):
     capsys.readouterr()
     assert {m["content_hash"][:12] for m in manifests} == {"d95254c2bc9d"}
     assert all(m["config"] == base for m in manifests)
+
+
+def test_the_hashed_config_records_the_seed_the_run_reads(tmp_path, capsys):
+    # a seed flag over the config's seed is the seed the samples come from
+    base = {"experiment": "sigma-scan", "m_values": [3], "samples": 4}
+    flagged = cli.run_experiment("sigma-scan", {**base, "seed": 9}, out_dir=str(tmp_path / "a"),
+                                 seed=5)
+    spelled = cli.run_experiment("sigma-scan", {**base, "seed": 5}, out_dir=str(tmp_path / "b"))
+    capsys.readouterr()
+    assert flagged["config"] == spelled["config"] == {**base, "seed": 5}
+    assert flagged["content_hash"] == spelled["content_hash"]
 
 
 def test_threads_and_out_dir_do_not_move_the_hash(tmp_path, capsys):

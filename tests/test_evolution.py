@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from scipy.integrate import quad, solve_ivp
 from adiabound import (
     BasisSpec,
     Diagonal,
+    DsqPolicy,
     LinearCombination,
     NumericGuardError,
     ProjectorComplement,
@@ -414,9 +416,12 @@ def _stage_kernel_run(h_i, h_p, schedule, n_steps, start, samples):
     psi = start.amps.astype(complex)
     sample_steps = evolution._sample_steps(n_steps, samples)
     norms = [math.sqrt(np.vdot(psi, psi).real)] if 0 in sample_steps else []
-    for step, _ in enumerate(evolution._stage_steps(h_i, h_p, schedule, n_steps, psi), 1):
-        if step in sample_steps:
-            norms.append(math.sqrt(np.vdot(psi, psi).real))
+    done = 0
+    for block in evolution._stage_steps(h_i, h_p, schedule, n_steps, psi):
+        for step, row in enumerate(block, done + 1):
+            if step in sample_steps:
+                norms.append(math.sqrt(np.vdot(row, row).real))
+        done += len(block)
     (c_i, _, _), (c_p, _, _) = evolution._centering(h_i), evolution._centering(h_p)
     phase = c_i * schedule_integral(schedule, "f") + c_p * schedule_integral(schedule, "g")
     return np.exp(-1j * phase) * psi, np.array(norms)
@@ -531,6 +536,76 @@ def test_norm_drift_violation_raises():
     pol = StepPolicy(n_steps_override=40)
     with pytest.raises(NumericGuardError, match="norm drift"):
         evolve(h_i, h_p, Schedule("linear", 10.0), pol)
+
+
+def _guard_pairs():
+    # test_norm_drift_violation_raises's operators, and the projector-plus-
+    # diagonal pair with the same spectrum
+    basis = BasisSpec.flat(4)
+    start = uniform_state(basis)
+    pc = ProjectorComplement(basis, start.amps)
+    yield "stage", pc, ProjectorComplement(basis, basis_vector(basis, 0).amps), start
+    yield "projector-diagonal", pc, Diagonal(basis, [0.0, 1.0, 1.0, 1.0]), start
+
+
+@pytest.mark.parametrize("fault", ["drift", "nan"])
+@pytest.mark.parametrize("pair", list(_guard_pairs()), ids=lambda pair: pair[0])
+def test_the_block_drift_guard_reports_the_first_failing_step(monkeypatch, pair, fault):
+    # blocks of 5 steps, and a first failing step inside one: a tolerance the
+    # drift crosses mid-run, or a NaN stage scalar at step 7
+    _, h_i, h_p, start = pair
+    n_steps = 40
+    monkeypatch.setattr(evolution, "_STAGE_TABLE_BYTES", 5 * (16 * 4 + 2048))
+    if fault == "drift":
+        sch, pol = Schedule("linear", 10.0), StepPolicy(n_steps_override=n_steps, norm_tol=1e-7)
+    else:
+        sch, pol = Schedule("linear", 1.0), StepPolicy(n_steps_override=n_steps)
+        scalars = evolution._stage_scalars
+
+        def nan_at_step_7(schedule, n, dim):
+            done = 0
+            for f, g in scalars(schedule, n, dim):
+                if done < 7 <= done + f.shape[1]:
+                    f = f.copy()
+                    f[1, 6 - done] = math.nan
+                done += f.shape[1]
+                yield f, g
+
+        monkeypatch.setattr(evolution, "_stage_scalars", nan_at_step_7)
+    pair_kernel = isinstance(h_i, ProjectorComplement) and isinstance(h_p, Diagonal)
+    kernel = evolution._projector_diagonal_steps if pair_kernel else evolution._stage_steps
+    psi, step, first = start.amps.astype(complex), 0, None
+    for block in kernel(h_i, h_p, sch, n_steps, psi):
+        assert len(block) == 5
+        for row in block:
+            step += 1
+            drift = abs(math.sqrt(np.vdot(row, row).real) - 1.0)
+            if first is None and not drift <= pol.norm_tol:
+                first, drift_text = step, "nan" if math.isnan(drift) else f"{drift:.3e}"
+    assert first is not None and first % 5 not in (0, 1)
+    assert (drift_text == "nan") == (fault == "nan")
+    with pytest.raises(NumericGuardError,
+                       match=rf"norm drift {drift_text} exceeded .* at step {first}/{n_steps};"):
+        evolve(h_i, h_p, sch, pol, psi0=start)
+
+
+def _frozen_state_cases():
+    # one full-space projector-plus-diagonal run and one four-stage run
+    finite = build_tsp_finite(random_instance(4, 3),
+                              policy=DsqPolicy("random", sigma_d=0.5, seed=5))
+    yield ("tsp-finite-random", finite, Schedule("linear", 20.0),
+           "8253d7a9a0cad08ee16462d1b8f74ef6577783044930b1c00f15355fe7cc4a04")
+    yield ("tsp-rank", build_tsp_rank(random_instance(3, 3)), Schedule("linear", 0.5),
+           "e23f6a05ab439994a0f0574d25bb7d743d455ca56fa14616ea795fe3594d8d62")
+
+
+@pytest.mark.parametrize("case", list(_frozen_state_cases()), ids=lambda case: case[0])
+def test_final_state_bits_are_frozen(case):
+    # a kernel change that moves any RK4 step's arithmetic moves these digests
+    _, bundle, sch, digest = case
+    pol = StepPolicy(n_steps_override=2000, samples_per_run=0, track_ground_overlap=False)
+    res = evolve(bundle.h_i, bundle.h_p, sch, pol, psi0=bundle.g_i)
+    assert hashlib.sha256(res.state.amps.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
