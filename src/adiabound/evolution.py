@@ -135,15 +135,15 @@ def schedule_integral(schedule: Schedule, component: str = "g") -> float:
 class StepPolicy:
     """Fixed-step RK4 controls.
 
-    The step obeys h * B <= step_bound_factor with B the schedule-weighted
-    operator-norm bound.  On long runs it shrinks further so the worst-case
-    accumulated drift stays at half of norm_tol (:func:`plan_steps`).  That
-    drift budget sees each operator's spectrum centered on zero: RK4
+    The step obeys h * B <= step_bound_factor, with B the schedule-weighted
+    operator-norm bound.  On long runs the step shrinks further, so that the
+    worst-case accumulated drift stays at half of norm_tol (:func:`plan_steps`).
+    That drift budget sees each operator's spectrum centered on zero: RK4
     integrates f (H_I - c_I) + g (H_P - c_P), with c the midpoint of the
-    operator's known spectral range, so the budget grows with the
-    half-widths of the two spectra rather than their norms, and the exact
-    global phase of the shift is put back at the end.  Norm drift past norm_tol aborts the run rather than silently
-    renormalizing.
+    operator's known spectral range.  So the budget grows with the half-widths
+    of the two spectra, not with their norms.  The exact global phase of the
+    shift is put back at the end.  Norm drift past norm_tol aborts the run; it
+    is never silently renormalized.
     """
 
     step_bound_factor: float = 0.1

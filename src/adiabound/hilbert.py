@@ -12,6 +12,7 @@ models encode labels by reshaping to ``BasisSpec.dims``.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -393,9 +394,12 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentPrep:
     mu = abs(alpha) ** 2
     tail = poisson_tail(n_max, mu) if mu > 0 else 0.0
     if tail > COHERENT_TAIL_TOL:
-        needed = n_max
-        while poisson_tail(needed, mu) > COHERENT_TAIL_TOL:
-            needed = max(needed + 1, int(needed * 1.25))
+        hi = n_max + 1
+        while poisson_tail(hi, mu) > COHERENT_TAIL_TOL:
+            hi *= 2
+        # the tail falls as n grows: bisect for the first n at or below the tolerance
+        needed = bisect.bisect_left(range(hi + 1), True, lo=n_max + 1,
+                                    key=lambda n: poisson_tail(n, mu) <= COHERENT_TAIL_TOL)
         raise ValueError(
             f"coherent tail mass {tail:.3e} above {COHERENT_TAIL_TOL:.1e} at n_max={n_max}; "
             f"n_max={needed} suffices")
@@ -440,7 +444,6 @@ class GroundState:
     energy: float
     state: StateVector
     residual: float
-    degenerate: bool
     matvecs: int = 0
 
 
@@ -461,24 +464,20 @@ def ground_state(op: HamiltonianOp) -> GroundState:
 
     A ``ModeSum`` is a sum of commuting one-mode terms, so its ground state is
     the product of the modes' ground states, each from :func:`lowest` on one
-    ladder (mode 1 varies fastest), at the sum of their energies; the first
-    excited level sits one smallest per-mode gap above.  The product pair
-    passes the same residual check as :func:`lowest`'s.
+    ladder (mode 1 varies fastest), at the sum of their energies.  The product
+    pair passes the same residual check as :func:`lowest`'s.
     """
     if isinstance(op, Diagonal):
         ties, e0 = argmin_set(op.values)
-        return GroundState(energy=e0, state=basis_vector(op.basis, ties[0]), residual=0.0,
-                           degenerate=len(ties) > 1)
+        return GroundState(energy=e0, state=basis_vector(op.basis, ties[0]), residual=0.0)
     if isinstance(op, ProjectorComplement):
         # |v> is the unique zero mode; the rest of the spectrum sits at 1
         return GroundState(energy=0.0, state=StateVector(op.basis, op.vector.copy()),
-                           residual=0.0, degenerate=False)
+                           residual=0.0)
     if isinstance(op, ModeSum):
         ladder = BasisSpec.modes(1, op.basis.n_max)
-        modes = [lowest(ModeSum(ladder, (alpha,)), 2) for alpha in op.alphas]
+        modes = [lowest(ModeSum(ladder, (alpha,)), 1) for alpha in op.alphas]
         energy = sum(float(p.values[0]) for p in modes)
-        gap = min((p.values[1] - p.values[0] for p in modes if p.values.size > 1),
-                  default=math.inf)
         amps = modes[0].vectors[:, 0]
         for p in modes[1:]:
             amps = np.kron(p.vectors[:, 0], amps)
@@ -488,15 +487,11 @@ def ground_state(op: HamiltonianOp) -> GroundState:
             raise NumericGuardError(
                 f"product ground state residual {residual:.3e} above {tol:.3e}")
         return GroundState(energy=energy, state=StateVector(op.basis, amps), residual=residual,
-                           degenerate=bool(gap <= degeneracy_tol(energy)),
                            matvecs=sum(p.matvecs for p in modes) + 1)
-    pairs = lowest(op, 2)
-    e = pairs.values
-    gap = e[1] - e[0] if e.size > 1 else math.inf
-    return GroundState(energy=float(e[0]), state=StateVector(op.basis, pairs.vectors[:, 0]),
-                       residual=float(pairs.residuals[0]),
-                       degenerate=bool(gap <= degeneracy_tol(e[0])),
-                       matvecs=pairs.matvecs)
+    pairs = lowest(op, 1)
+    return GroundState(energy=float(pairs.values[0]),
+                       state=StateVector(op.basis, pairs.vectors[:, 0]),
+                       residual=float(pairs.residuals[0]), matvecs=pairs.matvecs)
 
 
 class Eigenpairs(NamedTuple):
@@ -529,6 +524,8 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     ||H v - lambda v|| <= RESIDUAL_RTOL * max(1, norm_bound).  Every failed
     guard, and any other ARPACK error, raises :class:`NumericGuardError`.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     dim = op.basis.dim
     # asked for one pair, ARPACK's complex driver can settle on the second level
     # (it does on a one-mode ModeSum), so it always computes two or more, and it
@@ -551,7 +548,8 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
                 raise _BudgetExceeded
             return op.apply_amps(np.asarray(x, dtype=np.complex128).reshape(-1))
 
-        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
+        from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
+                                          eigsh)
 
         linop = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
         rng = np.random.default_rng(7)
@@ -703,23 +701,6 @@ class InvariantSector:
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def eigsh(*args, **kwargs):
-    """scipy's ARPACK ``eigsh``.  scipy loads on the first call: no other code
-    path needs it, and importing it costs more than most runs."""
-    from scipy.sparse.linalg import eigsh as arpack_eigsh
-
-    return arpack_eigsh(*args, **kwargs)
-
-
-def __getattr__(name):
-    # ARPACK's two exceptions, loaded with scipy.sparse.linalg on first use
-    if name in ("ArpackError", "ArpackNoConvergence"):
-        import scipy.sparse.linalg
-
-        return getattr(scipy.sparse.linalg, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def to_dense(op: HamiltonianOp) -> np.ndarray:

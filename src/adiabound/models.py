@@ -235,7 +235,6 @@ class AsymptoteRow:
 @dataclass
 class AsymptoteReport:
     rows: list[AsymptoteRow]
-    policy: tsp.DsqPolicy
 
 
 def delta_ie_asymptote_study(m_values, policy: tsp.DsqPolicy = tsp.DsqPolicy(),
@@ -264,4 +263,4 @@ def delta_ie_asymptote_study(m_values, policy: tsp.DsqPolicy = tsp.DsqPolicy(),
             ratio=delta / non_tour,
             tour_fraction=math.factorial(m) / m ** m,
         ))
-    return AsymptoteReport(rows=rows, policy=policy)
+    return AsymptoteReport(rows=rows)

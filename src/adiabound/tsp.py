@@ -480,8 +480,6 @@ class SigmaRow:
 @dataclass
 class SigmaReport:
     rows: list[SigmaRow]
-    seed: int
-    sampler: DistanceSampler
 
 
 def sigma_scaling_study(sampler: DistanceSampler, m_values, samples: int,
@@ -505,7 +503,7 @@ def sigma_scaling_study(sampler: DistanceSampler, m_values, samples: int,
         stderr = float(np.std(sigmas, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
         rows.append(SigmaRow(m=m, samples=samples, sigma_mean=mean,
                              sigma_stderr=stderr, ratio_sqrtm=mean / math.sqrt(m)))
-    return SigmaReport(rows=rows, seed=seed, sampler=sampler)
+    return SigmaReport(rows=rows)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1001,6 +1002,25 @@ def test_blas_thread_count_does_not_move_the_hash(tmp_path):
         assert proc.returncode == 0, proc.stderr
         hashes.append(json.loads((out / "manifest.json").read_text())["content_hash"])
     assert hashes[0] == hashes[1]
+
+
+def test_readme_quotes_the_one_thread_hash_of_its_blas_example(tmp_path):
+    # README names a gap scan whose hash moves with the BLAS thread count; its
+    # one-thread value must stay what a fresh one-thread interpreter writes
+    readme = " ".join(README.read_text().split())
+    quoted = re.search(r"gap-scan tsp-finite `dsq_policy random` `cities 4` `grid 11` "
+                       r"`--seed 1` \(a 238-dimensional sector\) gives `([0-9a-f]{12})` "
+                       r"with one BLAS thread", readme).group(1)
+    cfg = _write_config(tmp_path, "c.json", {
+        "experiment": "gap-scan", "model": {"model": "tsp-finite", "dsq_policy": "random"},
+        "instance": {"cities": 4}, "grid": 11})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "adiabound.cli", "gap-scan", "--config", cfg,
+         "--out", str(out), "--seed", "1"],
+        capture_output=True, text=True, env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["content_hash"][:12] == quoted
 
 
 def test_console_script_installed(decay_cfg):

@@ -442,6 +442,16 @@ def test_coherent_state_rejects_fat_tail():
         coherent_state(1.0, n_max=-1)
 
 
+@pytest.mark.parametrize("mu, n_max, needed", [(24, 20, 61), (3, 5, 19), (720, 700, 897)])
+def test_coherent_state_names_the_smallest_sufficient_cutoff(mu, n_max, needed):
+    alpha = math.sqrt(mu)
+    with pytest.raises(ValueError, match=f"n_max={needed} suffices"):
+        coherent_state(alpha, n_max)
+    assert coherent_state(alpha, needed).tail_mass <= hilbert.COHERENT_TAIL_TOL
+    with pytest.raises(ValueError, match=f"n_max={needed} suffices"):
+        coherent_state(alpha, needed - 1)
+
+
 def test_poisson_tail_matches_scipy_on_a_grid():
     # P(X > k) against scipy's incomplete-gamma form, from k = 0 far into the tail
     from scipy.special import pdtrc
@@ -482,19 +492,16 @@ def test_ground_state_diagonal():
     basis = BasisSpec.flat(5)
     gs = ground_state(Diagonal(basis, np.array([3.0, -1.0, 0.5, -1.0, 2.0])))
     assert gs.energy == -1.0
-    assert gs.degenerate
     assert gs.residual == 0.0
     assert gs.state.amps.tolist() == basis_vector(basis, 1).amps.tolist()
 
     gs2 = ground_state(Diagonal(basis, np.arange(5.0)))
-    assert not gs2.degenerate
     assert gs2.state.amps.tolist() == basis_vector(basis, 0).amps.tolist()
 
     # levels whose exact float minimum (position 3) is not the first member
     # of the tolerance set: the state follows the set
     levels = np.array([2.0, 1.0 + 2.0 ** -52, 3.0, 1.0, 1.0 + 2.0 ** -51, 1.5])
     gs3 = ground_state(Diagonal(BasisSpec.flat(levels.size), levels))
-    assert gs3.degenerate
     assert hilbert.argmin_set(levels)[0] == (1, 3, 4)
     assert int(np.argmin(levels)) == 3
     assert gs3.state.amps.tolist() == basis_vector(gs3.state.basis, 1).amps.tolist()
@@ -505,7 +512,6 @@ def test_ground_state_projector():
     v = uniform_state(basis).amps
     gs = ground_state(ProjectorComplement(basis, v))
     assert gs.energy == 0.0
-    assert not gs.degenerate
     assert np.allclose(gs.state.amps, v)
 
 
@@ -559,7 +565,6 @@ def test_mode_sum_product_ground_state_matches_dense_oracle(name):
     evals, evecs = np.linalg.eigh(to_dense(op))
     assert abs(gs.energy - evals[0]) <= 1e-12
     assert abs(np.vdot(evecs[:, 0], gs.state.amps)) ** 2 >= 1.0 - 1e-12
-    assert gs.degenerate == bool(evals[1] - evals[0] <= hilbert.degeneracy_tol(evals[0]))
     assert gs.residual <= hilbert.RESIDUAL_RTOL
     assert gs.matvecs == len(alphas) * (n_max + 1) + 1
 
@@ -620,8 +625,17 @@ def test_lowest_matches_dense_oracle(monkeypatch, name, path):
             assert pairs.matvecs == op.basis.dim
 
 
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_lowest_rejects_a_count_below_one(k):
+    # values[:k] would count from the end and return dim + k pairs
+    with pytest.raises(ValueError, match="at least 1"):
+        hilbert.lowest(Diagonal(BasisSpec.flat(5), np.arange(5.0)), k)
+
+
 def test_lowest_rejects_a_bad_eigsh_pair(monkeypatch):
     # an eigensolver that hands back a non-eigenvector must not pass
+    import scipy.sparse.linalg as arpack
+
     monkeypatch.setattr(hilbert, "DENSE_LIMIT", 8)
     op = ModeSum(BasisSpec.modes(1, 29), (1.2,))
     rng = np.random.default_rng(SEED)
@@ -630,40 +644,42 @@ def test_lowest_rejects_a_bad_eigsh_pair(monkeypatch):
         vecs = np.linalg.qr(rng.standard_normal((op.basis.dim, k)) + 0j)[0]
         return np.zeros(k), vecs
 
-    monkeypatch.setattr(hilbert, "eigsh", bad_eigsh)
+    monkeypatch.setattr(arpack, "eigsh", bad_eigsh)
     with pytest.raises(hilbert.NumericGuardError, match="residual"):
         hilbert.lowest(op, 1)
 
 
 def test_lowest_restarts_a_stalled_eigsh(monkeypatch):
+    import scipy.sparse.linalg as arpack
+
     monkeypatch.setattr(hilbert, "DENSE_LIMIT", 8)
     op = ModeSum(BasisSpec.modes(1, 29), (1.2,))
-    real_eigsh = hilbert.eigsh
+    real_eigsh = arpack.eigsh
     starts = []
 
     def stalls_twice(linop, k, **kwargs):
         starts.append(kwargs["v0"])
         if len(starts) <= 2:
-            raise hilbert.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((op.basis.dim, 0)))
+            raise arpack.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((op.basis.dim, 0)))
         return real_eigsh(linop, k, **kwargs)
 
-    monkeypatch.setattr(hilbert, "eigsh", stalls_twice)
+    monkeypatch.setattr(arpack, "eigsh", stalls_twice)
     pairs = hilbert.lowest(op, 1)
     assert len(starts) == 3 and not np.allclose(starts[0], starts[1])
     assert pairs.values[0] == pytest.approx(np.linalg.eigvalsh(to_dense(op))[0], abs=1e-9)
 
     def always_stalls(linop, k, **kwargs):
-        raise hilbert.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((op.basis.dim, 0)))
+        raise arpack.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((op.basis.dim, 0)))
 
-    monkeypatch.setattr(hilbert, "eigsh", always_stalls)
+    monkeypatch.setattr(arpack, "eigsh", always_stalls)
     with pytest.raises(hilbert.NumericGuardError, match="converge"):
         hilbert.lowest(op, 1)
 
     def arpack_fails(linop, k, **kwargs):
-        raise hilbert.ArpackError(-9999)
+        raise arpack.ArpackError(-9999)
 
     # any other ARPACK error is a failed guard too, not a bug
-    monkeypatch.setattr(hilbert, "eigsh", arpack_fails)
+    monkeypatch.setattr(arpack, "eigsh", arpack_fails)
     with pytest.raises(hilbert.NumericGuardError, match="eigensolve failed"):
         hilbert.lowest(op, 1)
 

@@ -45,3 +45,37 @@ def test_bench_replay_calls_still_bind():
     mean = ab.beta_minimum(ab.uniform_state(ab.BasisSpec.flat(4)),
                            ab.Diagonal(ab.BasisSpec.flat(4), [0.0, 1.0, 1.0, 1.0])).h_p_mean
     assert mean == 0.75
+
+
+def test_result_fields_the_bench_reads_still_exist():
+    # every result attribute bench/workloads.py reads, one small object each
+    inst = ab.random_instance(3, 7)
+    bundle = ab.build_tsp_finite(inst)
+    schedule = ab.make_schedule("linear", 1.0)
+    policy = ab.StepPolicy()
+    res = ab.evolve(bundle.h_i, bundle.h_p, schedule, policy, psi0=bundle.g_i)
+    margin = ab.verify_distance_bound(res.state, bundle.g_i, bundle.e_i0, bundle.h_p, schedule,
+                                      [0.0])[0]
+    sigma = ab.sigma_scaling_study(ab.DistanceSampler(), [3], 1, 7)
+    dsq = ab.DsqPolicy("random", sigma_d=1.0, seed=7)
+    asymptote = ab.delta_ie_asymptote_study([3], dsq, 7)
+    reads = [
+        (res, ("state", "n_steps", "norm_bound", "max_drift")),
+        (ab.ground_state(bundle.h_i), ("energy", "state", "matvecs")),
+        (ab.gap_scan(bundle.h_i, bundle.h_p, schedule, grid=3), ("s_grid", "e0", "e1")),
+        (ab.brute_force_shortest(inst), ("length", "tour")),
+        (sigma, ("rows",)),
+        (sigma.rows[0], ("ratio_sqrtm",)),
+        (asymptote, ("rows",)),
+        (asymptote.rows[0], ("m", "ratio", "delta_ie", "non_tour_std", "tour_fraction",
+                             "penalty_std_ref")),
+        (margin, ("applicable", "slack", "cap_slack")),
+        (ab.beta_minimum(bundle.g_i, bundle.h_p), ("h_p_mean",)),
+        (bundle, ("e_i0", "target_indices", "target_energy", "g_i", "h_i", "h_p")),
+        (inst, ("d", "l_max")),
+        (policy, ("step_bound_factor", "norm_tol")),
+        (dsq, ("sigma_d",)),
+    ]
+    missing = [f"{type(obj).__name__}.{name}" for obj, names in reads for name in names
+               if not hasattr(obj, name)]
+    assert missing == []
