@@ -51,7 +51,7 @@ Tour = tuple[int, ...]
 
 #: 20! is the largest factorial that fits a signed 64-bit rank
 MAX_RANK_CITIES = 20
-#: full tour enumeration budget (11! ~ 4.0e7 rows)
+#: brute force budget: an all-tie instance still sums all 10! tours from city 0
 MAX_ENUM_CITIES = 11
 #: closed-form spread bound: d is 32 MB at 2048 cities
 MAX_SPREAD_CITIES = 2048
@@ -61,8 +61,12 @@ MAX_FRACTION_CITIES = 2 ** 53 - 1
 LMAX_SAFETY = 1.1
 #: above this M the penalty ceiling falls back to M * max(d)
 _EXACT_LMAX_MAX_M = 10
-#: rows per block of the sorted-leg sum, so a 9!-row scan never holds all its legs
-_LENGTH_CHUNK = 1 << 13
+#: rows per block of the sorted-leg sum and of the rotation ranks, so an 8!-row
+#: scan never holds all its legs or ranks at once
+_LENGTH_CHUNK = 1 << 12
+#: cities after a scanned block's prefix: of 5..8, 6 and 7 timed fastest for
+#: brute force at M = 8..11, and 7 keeps an all-tie M = 11 scan to 720 blocks
+_BLOCK_CITIES = 7
 #: counters per bulk normal draw of the random d^2 policy: of 2..32, 6 and 8
 #: timed fastest on the M = 6 non-tour labels
 _DSQ_CHUNK = 8
@@ -127,13 +131,21 @@ class TspInstance:
         """Build an instance with ``l_max = 1.1 * (worst tour length)``.
 
         The worst tour is found exactly for M <= 10, over the (M-1)! tours
-        from city 0, since a rotation has the same length; beyond that the
-        ceiling falls back to the weaker but safe bound ``1.1 * M * max(d)``.
+        from city 0, since a rotation has the same length: only the prefix
+        blocks whose Held-Karp bound (:func:`_prefix_bounds`) can still reach
+        the running maximum are summed, so the maximum is that of the full
+        scan bit for bit.  Beyond that the ceiling falls back to the weaker
+        but safe bound ``1.1 * M * max(d)``.
         """
         d = _validate_distances(d)
         M = d.shape[0]
         if M <= _EXACT_LMAX_MAX_M:
-            worst = float(np.max(_lengths_of(_block((0,), M), d)))
+            prefixes, bounds, slack = _prefix_bounds(d, np.fmax)
+            worst = -math.inf
+            for i in np.argsort(-bounds, kind="stable"):
+                if bounds[i] + slack < worst:
+                    break  # every later block is bounded lower still
+                worst = max(worst, float(np.max(_lengths_of(_block(prefixes[i], M), d))))
         else:
             worst = M * float(np.max(d))
         return cls(d=d, l_max=LMAX_SAFETY * worst, name=name)
@@ -221,9 +233,9 @@ def _block(prefix: tuple[int, ...], m: int) -> np.ndarray:
 
 @functools.cache
 def _all_perms(m: int) -> np.ndarray:
-    """All permutations of range(m) in lexicographic (rank) order, cached for m <= 9."""
-    if m > 9:
-        raise ValueError("permutation table capped at 9 cities")
+    """All permutations of range(m) in lexicographic (rank) order, cached for m <= 8."""
+    if m > 8:
+        raise ValueError("permutation table capped at 8 cities")
     if m == 0:
         return np.zeros((1, 0), dtype=np.int8)
     arr = np.concatenate([_block((first,), m) for first in range(m)])
@@ -231,10 +243,82 @@ def _all_perms(m: int) -> np.ndarray:
     return arr
 
 
-def _perm_chunks(m: int):
-    """The m! permutations in rank order, in one block per (m-9)-city prefix."""
-    for prefix in itertools.permutations(range(m), max(m - 9, 0)):
-        yield _block(prefix, m)
+def _completions(d: np.ndarray, best) -> np.ndarray:
+    """The Held-Karp table of ``d``: entry [S, j] is the ``best`` (``np.fmin``
+    or ``np.fmax``) length of a path from city j through every city of the
+    set S back to city 0, where bit c - 1 of S stands for city c >= 1.
+
+    It has 2^(M-1) x M entries, filled one subset size at a time (Held & Karp,
+    J. SIAM 10, 196 (1962)).  Entries with j in S are no path and are never
+    read.  Each path is summed from its last leg back, and rounding is
+    monotone, so an entry is the best of its paths' rounded sums.
+    """
+    m = len(d)
+    masks = np.arange(1 << (m - 1))
+    sizes = np.bitwise_count(masks)
+    bits = 1 << np.arange(m - 1)  # bit c - 1 of S is city c
+    table = np.empty((masks.size, m))
+    table[0] = d[:, 0]
+    for size in range(1, m):
+        layer = masks[sizes == size][:, None]
+        # via[S, j, c - 1]: j -> c, then c's best path through S - {c}
+        via = d[:, 1:] + table[layer ^ bits, np.arange(1, m)][:, None, :]
+        in_s = (layer & bits != 0)[:, None, :]
+        table[layer[:, 0]] = best.reduce(np.where(in_s, via, np.nan), axis=2)
+    return table
+
+
+def _prefix_bounds(d: np.ndarray, best) -> tuple[list[Tour], np.ndarray, float]:
+    """The prefix blocks of the (M-1)! tours from city 0, each block's best
+    length from :func:`_completions`, and the rounding slack of those bounds.
+
+    A block holds the tours that start with one prefix (0, a, ...) and end in
+    every order of the other ``min(M - 2, _BLOCK_CITIES)`` cities.  Its bound is
+    the prefix's legs plus the best completion: the best over the block of one
+    rounded sum of each tour's M legs.  :func:`_lengths_of` sums the same legs
+    in another order.  Each sum of M nonnegative legs takes M - 1 roundings, so
+    it is within gamma(M - 1) L of the exact length L <= M max(d), where
+    gamma(n) = n u / (1 - n u) and u = eps / 2 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Sec. 4.2).  So a block's best sorted-leg
+    length is within 2 gamma(M - 1) M max(d) < 2 (M - 1) M u max(d) (1 + 1e-14)
+    of its bound.  The slack M^2 eps max(d) = 2 M^2 u max(d) adds 2 M u max(d),
+    which covers the rounding of a comparison against an optimum <= M max(d).
+    """
+    m = len(d)
+    tail = min(m - 2, _BLOCK_CITIES)
+    prefixes = [(0, *p) for p in itertools.permutations(range(1, m), m - 1 - tail)]
+    rows = np.array(prefixes, dtype=np.intp)
+    legs = d[rows[:, :-1], rows[:, 1:]].sum(axis=1)
+    left = (1 << (m - 1)) - 1 - ((1 << rows[:, 1:]) >> 1).sum(axis=1)
+    bounds = legs + _completions(d, best)[left, rows[:, -1]]
+    return prefixes, bounds, m * m * np.finfo(float).eps * float(np.max(d))
+
+
+def _rotation_ranks(rows: np.ndarray) -> np.ndarray:
+    """1-based ranks of every rotation of each row: column k holds the rank of
+    the row rotated left by k.  Rows of the tours from city 0 give each tour
+    exactly once this way.
+
+    A rank is 1 + sum_i c_i (M-1-i)!, with Lehmer digit c_i the number of later
+    cities below the one at position i.  Moving the first city to the end adds
+    one later city to every other position, so each city's digit goes up by
+    one where the moved city is below it, and the moved city's digit is 0: one
+    (M, rows) update per rotation, never a pairwise table.  Digits and ranks
+    are whole numbers at most M! <= 11! < 2^53, so doubles hold them exactly.
+    """
+    n, m = rows.shape
+    cities = np.ascontiguousarray(rows.T)
+    digits = np.zeros((m, n))
+    for q in range(1, m):
+        digits[:q] += cities[q] < cities[:q]
+    weights = np.array([math.factorial(m - 1 - i) for i in range(m)], dtype=float)
+    ranks = np.empty((m, n))
+    for k in range(m):
+        ranks[k] = np.roll(weights, k) @ digits  # city p is at position (p - k) mod m
+        digits += cities[k] < cities
+        digits[k] = 0
+    ranks += 1
+    return ranks.astype(np.int64).T
 
 
 def rank_to_tour(k: int, m: int) -> Tour:
@@ -403,8 +487,21 @@ def effective_lengths_all(inst: TspInstance, policy: DsqPolicy) -> np.ndarray:
 
 
 def tour_lengths_by_rank(inst: TspInstance) -> np.ndarray:
-    """Tour lengths ordered by 1-based rank (position k-1 holds rank k); M <= 9."""
-    return _lengths_of(_all_perms(inst.M), inst.d)
+    """Tour lengths ordered by 1-based rank (position k-1 holds rank k); M <= 9.
+
+    Only the (M-1)! tours from city 0 are summed; each length is then written
+    at the ranks of the tour's M rotations, which have the same legs and so
+    the same bits.
+    """
+    m = inst.M
+    if m > 9:
+        raise ValueError("rank table capped at 9 cities")
+    rows = _block((0,), m)
+    lengths = _lengths_of(rows, inst.d)
+    out = np.empty(math.factorial(m))
+    for lo in range(0, len(rows), _LENGTH_CHUNK):
+        out[_rotation_ranks(rows[lo:lo + _LENGTH_CHUNK]) - 1] = lengths[lo:lo + _LENGTH_CHUNK, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +520,30 @@ def brute_force_shortest(inst: TspInstance) -> BruteForceResult:
 
     ``tied_ranks`` lists every rank within DEGENERACY_RTOL of the optimum:
     every rotation (and, for a symmetric d, reversal) of each optimal cycle.
+    The lengths are the sorted-leg sums of a full scan, bit for bit, but only
+    the prefix blocks of the tours from city 0 whose Held-Karp bound
+    (:func:`_prefix_bounds`) can still reach the running optimum are summed,
+    best bound first; each tied tour then stands for its M rotations.
     """
     m = inst.M
     if m > MAX_ENUM_CITIES:
         raise ValueError(f"brute force capped at {MAX_ENUM_CITIES} cities")
-    # one pass: keep each length within the tolerance of the best so far; that
-    # only shrinks as the best falls, so the rule applied at the end is exact
-    best, ranks, lengths = math.inf, [], []
-    for k, perms in enumerate(_perm_chunks(m)):
-        block = _lengths_of(perms, inst.d)
-        best = min(best, float(np.min(block)))
-        keep = np.nonzero(block <= best + degeneracy_tol(best))[0]
-        ranks.append(k * len(perms) + keep + 1)  # one m!-row block, or 9!-row blocks
-        lengths.append(block[keep])
+    prefixes, bounds, slack = _prefix_bounds(inst.d, np.fmin)
+    # keep each length within the tolerance of the best so far; that only
+    # shrinks as the best falls, so the rule applied at the end is exact
+    best, rows, lengths = math.inf, [], []
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] - slack > best + degeneracy_tol(best):
+            break  # no tour of this block or a later one can tie
+        block = _block(prefixes[i], m)
+        block_lengths = _lengths_of(block, inst.d)
+        best = min(best, float(np.min(block_lengths)))
+        keep = block_lengths <= best + degeneracy_tol(best)
+        rows.append(block[keep])
+        lengths.append(block_lengths[keep])
     pos, best = argmin_set(np.concatenate(lengths))
-    ties = tuple(int(r) for r in np.concatenate(ranks)[list(pos)])
+    tied = np.concatenate(rows)[list(pos)]
+    ties = tuple(np.sort(_rotation_ranks(tied), axis=None).tolist())
     return BruteForceResult(tour=rank_to_tour(ties[0], m), length=best, tied_ranks=ties)
 
 

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from adiabound import tsp
+from adiabound.hilbert import degeneracy_tol
 from adiabound import (
     DistanceSampler,
     DsqPolicy,
@@ -87,15 +89,46 @@ _LMAX_SAMPLERS = {
 }
 
 
+@functools.cache
+def _lex_table(k: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(k))), dtype=np.int8).reshape(-1, k)
+
+
+def _full_scan(m: int):
+    """Every one of the m! permutation rows in rank order (itertools' order),
+    one block per (m-8)-city prefix."""
+    for prefix in itertools.permutations(range(m), max(m - 8, 0)):
+        rest = np.array([c for c in range(m) if c not in prefix], dtype=np.int8)
+        tails = rest[_lex_table(m - len(prefix))]
+        head = np.tile(np.array(prefix, dtype=np.int8), (len(tails), 1))
+        yield np.hstack([head, tails])
+
+
+def _sorted_leg_sums(rows: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each row's closed-tour legs, sorted and added left to right."""
+    rows = rows.astype(np.intp)
+    legs = np.sort(d[rows, np.roll(rows, -1, axis=1)], axis=1)
+    out = np.zeros(len(rows))
+    for leg in legs.T:
+        out += leg
+    return out
+
+
+def _scan_lengths(inst) -> np.ndarray:
+    return np.concatenate([_sorted_leg_sums(rows, inst.d) for rows in _full_scan(inst.M)])
+
+
+def _scan_worst(inst) -> float:
+    return max(float(np.max(_sorted_leg_sums(rows, inst.d))) for rows in _full_scan(inst.M))
+
+
 @pytest.mark.parametrize("sampler", list(_LMAX_SAMPLERS))
 @pytest.mark.parametrize("m", range(3, 11))
 def test_l_max_is_the_full_scan_bit_for_bit(m, sampler):
-    # oracle: every one of the m! rows, summed in its own leg order
+    # oracle: every one of the m! rows, not only the Held-Karp bounded blocks
     for seed in range(6) if m <= 8 else (SEED,):
         inst = random_instance(m, seed, _LMAX_SAMPLERS[sampler])
-        worst = max(float(np.max(tsp._lengths_of(perms, inst.d)))
-                    for perms in tsp._perm_chunks(m))
-        assert inst.l_max == 1.1 * worst
+        assert inst.l_max == 1.1 * _scan_worst(inst)
 
 
 def test_random_instance_reproducible():
@@ -245,20 +278,105 @@ def test_brute_force_m10_frozen():
 
 
 def test_all_perms_is_the_lexicographic_table():
-    for m in range(1, 10):
-        want = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-        assert np.array_equal(tsp._all_perms(m), want)
+    for m in range(1, 9):
+        assert np.array_equal(tsp._all_perms(m), _lex_table(m))
+    with pytest.raises(ValueError, match="capped at 8"):
+        tsp._all_perms(9)
 
 
-def test_perm_chunks_follow_rank_order():
-    offsets = {0, 1, 362_879, 362_880, math.factorial(10) - 1}
-    offsets |= set(np.random.default_rng(SEED).integers(0, math.factorial(10), 40).tolist())
+def test_prefix_blocks_and_rotation_ranks_follow_rank_order():
+    # the blocks, in the order _prefix_bounds lists them, are the 9! tours from
+    # city 0 in rank order; each row's rotation k has the rank in column k
+    m = 10
+    offsets = {0, 1, 5039, 5040, math.factorial(m - 1) - 1}
+    offsets |= set(np.random.default_rng(SEED).integers(0, math.factorial(m - 1), 40).tolist())
+    prefixes, bounds, _ = tsp._prefix_bounds(random_instance(m, SEED).d, np.fmin)
+    assert len(prefixes) == len(bounds) == math.factorial(m - 1) // math.factorial(7)
     start = 0
-    for block in tsp._perm_chunks(10):
+    for prefix in prefixes:
+        block = tsp._block(prefix, m)
         for off in sorted(o for o in offsets if start <= o < start + len(block)):
-            assert tuple(int(c) for c in block[off - start]) == rank_to_tour(off + 1, 10)
+            row = tuple(int(c) for c in block[off - start])
+            assert row == rank_to_tour(off + 1, m)
+            ranks = tsp._rotation_ranks(block[off - start:off - start + 1])[0]
+            assert [rank_to_tour(int(k), m) for k in ranks] == [row[r:] + row[:r]
+                                                                for r in range(m)]
         start += len(block)
-    assert start == math.factorial(10)
+    assert start == math.factorial(m - 1)
+    # at M = 8 the rotations of the tours from city 0 are every rank exactly once
+    ranks = tsp._rotation_ranks(tsp._block((0,), 8))
+    assert np.array_equal(np.sort(ranks, axis=None), np.arange(1, math.factorial(8) + 1))
+
+
+def _assert_full_scan(inst) -> None:
+    """brute_force_shortest and tour_lengths_by_rank against all M! rows."""
+    m = inst.M
+    lengths = _scan_lengths(inst)
+    table = tour_lengths_by_rank(inst)
+    assert np.array_equal(table.view(np.int64), lengths.view(np.int64))  # bit for bit
+    best = float(np.min(lengths))
+    ties = tuple(int(k) + 1 for k in np.flatnonzero(lengths <= best + degeneracy_tol(best)))
+    res = brute_force_shortest(inst)
+    assert res.length == best
+    assert res.tied_ranks == ties
+    assert res.tour == rank_to_tour(ties[0], m)
+
+
+@pytest.mark.parametrize("sampler", list(_LMAX_SAMPLERS))
+@pytest.mark.parametrize("m", range(3, 10))
+def test_brute_force_and_rank_table_are_the_full_scan_bit_for_bit(m, sampler):
+    for seed in range(3) if m <= 8 else (SEED,):
+        _assert_full_scan(random_instance(m, seed, _LMAX_SAMPLERS[sampler]))
+
+
+def _near_tie(m: int, kind: str, seed: int) -> np.ndarray:
+    """A constant d with about a third of its entries moved by up to 6 ulps,
+    and for "tolerance" also by a quarter to one tie tolerance: Held-Karp
+    bounds within their rounding slack of the lengths they bound."""
+    rng = np.random.default_rng(seed)
+    ulps = rng.integers(-6, 7, size=(m, m)) * np.spacing(0.1)
+    moved = rng.random((m, m)) < 0.3
+    d = 0.1 + np.where(moved, ulps, 0.0)
+    if kind == "tolerance":
+        steps = rng.choice([0.25, 0.5, 1.0], size=(m, m))
+        d += np.where(moved, steps, 0.0) * degeneracy_tol(0.1 * m)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+#: (m, kind, seed): with no rounding slack, the first and the fourth give a
+#: wrong l_max and the second and the third a wrong tie set
+_NEAR_TIES = [(4, "ulps", 30), (4, "tolerance", 22), (5, "tolerance", 54), (7, "ulps", 39),
+              (9, "ulps", 0), (9, "tolerance", 0), (10, "ulps", 0), (10, "tolerance", 0)]
+
+
+@pytest.mark.parametrize("m, kind, seed", _NEAR_TIES)
+def test_near_ties_are_the_full_scan_bit_for_bit(m, kind, seed):
+    inst = TspInstance.from_distances(_near_tie(m, kind, seed))
+    assert inst.l_max == 1.1 * _scan_worst(inst)
+    if m <= 9:
+        _assert_full_scan(inst)
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    tsp._all_perms.cache_clear()  # count the permutation tables each call builds
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_tour_statistics_memory_stays_bounded():
+    # the 9!-row scans that the Held-Karp block bounds replaced peaked at
+    # 12.2, 16.6 and 8.5 MB; the rank table itself is 9! doubles, 2.9 MB
+    assert _traced_peak_mb(random_instance, 10, 1) < 4.0
+    assert _traced_peak_mb(brute_force_shortest, random_instance(10, 2)) < 4.0
+    assert _traced_peak_mb(tour_lengths_by_rank, random_instance(9, 7)) < 6.0
+    # every tour ties, so every block is scanned and kept: 5.25 MB before
+    constant = random_instance(8, SEED, DistanceSampler(kind="constant", value=0.1))
+    assert _traced_peak_mb(brute_force_shortest, constant) < 5.0
 
 
 # ---------------------------------------------------------------------------
