@@ -19,11 +19,10 @@ import numpy as np
 from .evolution import Schedule, make_schedule, reference_phase_state, schedule_integral
 from .hilbert import (
     HamiltonianOp,
-    LinearCombination,
     StateVector,
     degeneracy_tol,
     expectation,
-    lowest,
+    lowest_levels,
     variance,
 )
 
@@ -183,11 +182,17 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
 
     The coarse grid is refined ``refine_rounds`` times around the running
     minimum, each round shrinking the step by ``REFINE_FACTOR``; it ends early
-    once the step no longer moves s.  Every level comes from
-    :func:`hilbert.lowest`.
+    once the step no longer moves s.  The levels of the coarse grid, of each
+    round's new points and of the two points +-(H_P - H_I) come from one
+    :func:`hilbert.lowest_levels` call each.  For a projector-plus-diagonal
+    pair (Grover, tsp-finite) that call is a stacked sector eigensolve that
+    builds no full-space vector, and every level equals
+    :func:`hilbert.lowest`'s bit for bit.
     """
     if grid < 3:
         raise ValueError("grid needs at least 3 points")
+    if refine_rounds < 0:
+        raise ValueError("refine_rounds must be nonnegative")
     if h_i.basis != h_p.basis:
         raise ValueError("operator bases differ")
     if h_i.basis.dim < 2:
@@ -195,17 +200,14 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     t_total = schedule.t_total
     cache: dict[float, tuple[float, float]] = {}
 
-    def eval_at(s: float) -> tuple[float, float]:
-        if s not in cache:
-            h_s = LinearCombination(h_i.basis, ((schedule.f(s * t_total), h_i),
-                                                (schedule.g(s * t_total), h_p)))
-            e = lowest(h_s, 2).values
-            cache[s] = (float(e[0]), float(e[1]))
-        return cache[s]
+    def evaluate(points) -> None:
+        new = [s for s in dict.fromkeys(points) if s not in cache]
+        if new:
+            f = [schedule.f(s * t_total) for s in new]
+            g = [schedule.g(s * t_total) for s in new]
+            cache.update(zip(new, map(tuple, lowest_levels(((f, h_i), (g, h_p)), 2).tolist())))
 
-    coarse = np.linspace(0.0, 1.0, grid)
-    for s in coarse:
-        eval_at(float(s))
+    evaluate(float(s) for s in np.linspace(0.0, 1.0, grid))
     step = 1.0 / (grid - 1)
     for _ in range(refine_rounds):
         s_star = min(cache, key=lambda s: cache[s][1] - cache[s][0])
@@ -214,8 +216,7 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
         step /= REFINE_FACTOR
         if lo == hi or step == 0.0:  # the step no longer moves s: no later round adds a point
             break
-        for s in np.arange(lo, hi + 0.5 * step, step):
-            eval_at(float(min(max(s, 0.0), 1.0)))
+        evaluate(float(min(max(s, 0.0), 1.0)) for s in np.arange(lo, hi + 0.5 * step, step))
 
     s_sorted = np.array(sorted(cache))
     e0 = np.array([cache[s][0] for s in s_sorted])
@@ -224,8 +225,8 @@ def gap_scan(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
     pos = int(np.argmin(gaps))
     g_min = float(gaps[pos])
     # ||H_P - H_I|| = max |lambda_min(+-(H_P - H_I))|
-    diffs = (LinearCombination(h_i.basis, ((-c, h_i), (c, h_p))) for c in (1.0, -1.0))
-    dh_norm = max(abs(float(lowest(d, 1).values[0])) for d in diffs)
+    diffs = lowest_levels((([-1.0, 1.0], h_i), ([1.0, -1.0], h_p)), 1)
+    dh_norm = max(abs(e) for e in diffs[:, 0].tolist())
     # a gap inside the degeneracy rule is closed, whatever roundoff it shows
     t_adb = math.inf if g_min <= degeneracy_tol(e0[pos]) else dh_norm / g_min ** 2
     return GapReport(schedule_kind=schedule.kind, t_total=t_total,

@@ -42,6 +42,7 @@ __all__ = [
     "default_fock_cutoff",
     "ground_state",
     "lowest",
+    "lowest_levels",
     "to_dense",
 ]
 
@@ -58,6 +59,9 @@ DENSE_LIMIT = 2048
 #: every eigenpair from :func:`lowest` has ||H v - lambda v|| below this times
 #: max(1, norm_bound)
 RESIDUAL_RTOL = 1e-8
+#: :meth:`InvariantSector.solve` stacks at most this many bytes of sector
+#: matrices (and at least one) per ``numpy.linalg.eigh`` call
+_STACK_BYTES = 1 << 19
 #: :func:`to_dense` applies the operator to this many basis vectors at a time
 _DENSE_BLOCK = 256
 #: :func:`to_dense` refuses a larger dimension
@@ -507,9 +511,9 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     A ``LinearCombination`` of one ``ProjectorComplement`` a (1 - |v><v|) and
     one ``Diagonal`` b diag(d), in either order, is solved exactly in its
     :class:`InvariantSector` whenever v reaches at most ``DENSE_LIMIT`` levels
-    of d: the lowest values of the sector's K x K matrix merge with the
-    closed-form levels a + b lam_j, and only the k chosen vectors are built in
-    the full space.
+    of d: :meth:`InvariantSector.solve` gives the lowest pairs of the sector's
+    K x K matrix, which merge with the closed-form levels a + b lam_j, and
+    only the k chosen vectors are built in the full space.
 
     Any other operator up to ``DENSE_LIMIT`` dimensions is diagonalized as a
     dense matrix.  Above it, ARPACK's implicitly restarted Lanczos (eigsh)
@@ -531,10 +535,14 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
     # (it does on a one-mode ModeSum), so it always computes two or more, and it
     # needs dim > n_ritz + 1
     n_ritz = max(k, 2)
-    split = _sector_split(op)
+    tol = RESIDUAL_RTOL * max(1.0, op.norm_bound())
+    split = _sector_split(op.terms) if isinstance(op, LinearCombination) else None
     if split is not None:
         a, b, sector = split
-        small = sector.matrix(a, b)
+        values, coeffs = sector.solve(np.array([a]), np.array([b]), k, tol)
+        values, vectors = sector.lift(a, b, values[0], coeffs[0], min(k, dim))
+        h_vectors = op.apply_amps(vectors.T).T
+        matvecs = vectors.shape[1]
     elif dim <= max(DENSE_LIMIT, n_ritz + 1):
         basis, h_basis, matvecs = None, to_dense(op), dim
         small = h_basis
@@ -575,29 +583,55 @@ def lowest(op: HamiltonianOp, k: int) -> Eigenpairs:
         h_basis = op.apply_amps(basis.T).T
         matvecs = count + basis.shape[1]
         small = basis.conj().T @ h_basis
-    if not small.imag.any():
-        small = small.real  # LAPACK's real symmetric driver takes about half the time
-    values, coeffs = np.linalg.eigh(small)
-    values, coeffs = values[:k], coeffs[:, :k]
-    if split is not None:
-        values, vectors = sector.lift(a, b, values, coeffs, min(k, dim))
-        h_vectors = op.apply_amps(vectors.T).T
-        matvecs = vectors.shape[1]
-    else:
+    if split is None:
+        if not small.imag.any():
+            small = small.real  # LAPACK's real symmetric driver takes about half the time
+        values, coeffs = np.linalg.eigh(small)
+        values, coeffs = values[:k], coeffs[:, :k]
         vectors = coeffs if basis is None else basis @ coeffs
         h_vectors = h_basis @ coeffs
     residuals = np.linalg.norm(h_vectors - vectors * values, axis=0)
-    tol = RESIDUAL_RTOL * max(1.0, op.norm_bound())
     if np.any(residuals > tol):
         raise NumericGuardError(f"eigenpair residual {residuals.max():.3e} above {tol:.3e}")
     return Eigenpairs(values, vectors, residuals, matvecs)
 
 
-def _sector_split(op: HamiltonianOp) -> tuple[float, float, InvariantSector] | None:
-    """(a, b, sector) of a (1 - |v><v|) + b diag(d) that :func:`lowest` can solve, else None."""
-    if not (isinstance(op, LinearCombination) and len(op.terms) == 2):
+def lowest_levels(terms: tuple[tuple[np.ndarray, HamiltonianOp], ...], k: int) -> np.ndarray:
+    """The k lowest eigenvalues (fewer only when dim < k) of the
+    ``LinearCombination`` of ``terms`` = ((c_1, op_1), (c_2, op_2), ...) at
+    each entry i of the coefficient arrays c_j, one row per i: each row is
+    :func:`lowest`'s ``values`` for the operator of that entry, bit for bit.
+
+    A projector-plus-diagonal pair is solved in its :class:`InvariantSector`
+    for every entry at once: one stacked :meth:`InvariantSector.solve`, each
+    pair residual-checked in the sector against :func:`lowest`'s tolerance,
+    and :meth:`InvariantSector.merge`'s closed-form levels.  No full-space
+    vector is built.  The sector spans an invariant subspace, and the lift of
+    its coefficients is an isometry onto it, so the sector residual is the
+    full-space one up to rounding.  Any other operator goes to :func:`lowest`
+    one entry at a time.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    terms = [(np.asarray(c, dtype=float), op) for c, op in terms]
+    basis = terms[0][1].basis
+    split = _sector_split(terms)
+    if split is None:
+        return np.array([lowest(LinearCombination(basis, tuple((float(c[i]), op) for c, op in terms)),
+                                k).values for i in range(terms[0][0].size)])
+    a, b, sector = split
+    norm = sum(np.abs(c) * op.norm_bound() for c, op in terms)
+    values, _ = sector.solve(a, b, k, RESIDUAL_RTOL * np.maximum(1.0, norm))
+    return sector.merge(a, b, values, min(k, basis.dim))[0]
+
+
+def _sector_split(terms) -> tuple[float, float, InvariantSector] | None:
+    """(a, b, sector) of terms (a, 1 - |v><v|), (b, diag(d)), in either order,
+    that :func:`lowest` can solve, else None; a and b are the terms'
+    coefficients, scalars or arrays."""
+    if len(terms) != 2:
         return None
-    (a, proj), (b, diag) = sorted(op.terms, key=lambda t: not isinstance(t[1], ProjectorComplement))
+    (a, proj), (b, diag) = sorted(terms, key=lambda t: not isinstance(t[1], ProjectorComplement))
     if not (isinstance(proj, ProjectorComplement) and isinstance(diag, Diagonal)):
         return None
     sector = InvariantSector.of(proj, diag)
@@ -650,22 +684,69 @@ class InvariantSector:
     def target_indices(self) -> tuple[int, ...]:
         return argmin_set(self.levels)[0]
 
-    def matrix(self, a: float, b: float) -> np.ndarray:
-        """a (1 - w w^T) + b diag(lam) over the reached levels."""
-        w = self.weights[self.reached]
-        return a * (np.eye(w.size) - np.outer(w, w)) + b * np.diag(self.levels[self.reached])
+    def matrix(self, a, b) -> np.ndarray:
+        """a (1 - w w^T) + b diag(lam) over the reached levels, one K x K
+        matrix per entry of the arrays a and b (shape (*a.shape, K, K)).  It is
+        built in place, and each entry rounds as that expression does."""
+        w, lam = self.weights[self.reached], self.levels[self.reached]
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        out = np.empty((*a.shape, w.size, w.size))
+        np.multiply(w[:, None], w, out=out)
+        np.subtract(0.0, out, out=out)  # off the diagonal, 1 - w w^T is 0 - w_i w_j
+        out *= a[..., None, None]
+        out += (b * 0.0)[..., None, None]  # and b diag(lam) is b 0, a signed zero
+        out.reshape(*a.shape, -1)[..., ::w.size + 1] = (
+            a[..., None] * (1.0 - w * w) + b[..., None] * lam)
+        return out
+
+    def solve(self, a: np.ndarray, b: np.ndarray, k: int, tol) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest eigenpairs of :meth:`matrix` at each entry i of the
+        1-d arrays a and b: values ascending, shape (n, k), and sector
+        coefficients, shape (n, K, k).  The matrices go to
+        ``numpy.linalg.eigh`` in stacks of at most ``_STACK_BYTES`` (one at
+        least), which gives each matrix the bits a call on it alone gives.
+        Every pair must satisfy ||M c - lambda c|| <= tol (a scalar, or one
+        per i), else :class:`NumericGuardError`."""
+        size = self.reached.size
+        rows = max(1, _STACK_BYTES // (8 * size * size))
+        tol = np.broadcast_to(tol, a.shape)
+        k = min(k, size)
+        values, coeffs = np.empty((a.size, k)), np.empty((a.size, size, k))
+        for lo in range(0, a.size, rows):
+            part = slice(lo, lo + rows)
+            stack = self.matrix(a[part], b[part])
+            lam, vec = np.linalg.eigh(stack)
+            lam, vec = lam[:, :k], vec[:, :, :k]
+            residuals = np.linalg.norm(stack @ vec - vec * lam[:, None, :], axis=1)
+            bad = np.flatnonzero(residuals.max(axis=1) > tol[part])
+            if bad.size:
+                i = bad[0]
+                raise NumericGuardError(f"sector eigenpair residual {residuals[i].max():.3e} "
+                                        f"above {tol[part][i]:.3e}")
+            values[part], coeffs[part] = lam, vec
+            del stack, vec  # free this chunk before the next one is built
+        return values, coeffs
+
+    def merge(self, a, b, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The k lowest of the sector ``values`` (along the last axis; a and b
+        are scalars, or one per row) and the closed-form levels a + b lam_j
+        (each m_j - 1 times, or m_j times when v misses it), ascending; ties
+        keep sector values first.  Also each one's position in the sector
+        values followed by the closed-form ones, and the level of each
+        closed-form one."""
+        spare = self.counts - (self.weights > 0)
+        closed = np.repeat(np.arange(self.levels.size), np.minimum(spare, k))
+        a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+        merged = np.concatenate([values, a + b * self.levels[closed]], axis=-1)
+        order = np.argsort(merged, axis=-1, kind="stable")[..., :k]
+        return np.take_along_axis(merged, order, -1), order, closed
 
     def lift(self, a: float, b: float, values: np.ndarray, coeffs: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest of the eigenpairs (``values``, ``coeffs``) of
-        :meth:`matrix` and the closed-form levels a + b lam_j (each m_j - 1
-        times, or m_j times when v misses it), with unit vectors in the full
-        space, ascending; ties keep sector pairs first."""
+        """:meth:`merge` of the eigenpairs (``values``, ``coeffs``) of
+        :meth:`matrix`, with unit vectors in the full space."""
         levels, group, weights = self.levels, self.group, self.weights
-        spare = self.counts - (weights > 0)
-        closed = np.repeat(np.arange(levels.size), np.minimum(spare, k))
-        merged = np.concatenate([values, a + b * levels[closed]])
-        order = np.argsort(merged, kind="stable")[:k]
+        merged, order, closed = self.merge(a, b, values, k)
         vectors = np.empty((group.size, k), dtype=np.complex128)
         # a sector pair's vector is sum_j c_j P_j v / w_j over the reached levels
         in_sector = order < values.size
@@ -676,7 +757,7 @@ class InvariantSector:
         for col in np.flatnonzero(~in_sector):
             i = order[col] - values.size  # copy i - (first copy) of level closed[i]
             vectors[:, col] = self._inside(closed[i], i - np.searchsorted(closed, closed[i]))
-        return merged[order], vectors
+        return merged, vectors
 
     def _inside(self, j: int, r: int) -> np.ndarray:
         """The r-th of an orthonormal set of unit vectors inside level j and

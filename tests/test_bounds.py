@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -322,6 +323,36 @@ def test_full_space_grover_gap_scan_rows_hold_across_fresh_interpreters():
     assert out.split()[1:] == ["True", "True"]
 
 
+def test_sector_gap_scan_builds_no_full_space_vector(monkeypatch):
+    # InvariantSector.lift is the only place a sector pair becomes a full-space
+    # vector; the scan reads levels alone
+    def no_lift(*args):
+        raise AssertionError("a full-space vector was built")
+
+    monkeypatch.setattr(hilbert.InvariantSector, "lift", no_lift)
+    bundle = build_grover(4096)
+    rep = gap_scan(bundle.h_i, bundle.h_p, make_schedule("linear", 1.0), grid=41)
+    assert rep.g_min == 1.0 / 64.0 and rep.e0[-1] == 0.0
+    assert rep.dh_norm == pytest.approx(math.sqrt(1.0 - 1.0 / 4096), abs=1e-12)
+
+
+def test_sector_gap_scan_memory_stays_bounded():
+    # the 238-level sector of tsp-finite random M=4: the scan before stacked
+    # sector solves peaked at 1.373 MB traced, one 453 kB sector matrix and its
+    # temporaries at a time; the stacks stay under that
+    sector = invariant_sector(build_tsp_finite(random_instance(4, 1), DsqPolicy("random")))
+    assert sector.levels.size == 238
+    schedule = make_schedule("linear", 1.0)
+    gap_scan(sector.h_i, sector.h_p, schedule, grid=41)
+    tracemalloc.start()
+    try:
+        gap_scan(sector.h_i, sector.h_p, schedule, grid=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.37e6
+
+
 def test_gap_scan_recovers_the_grover_zero_mode_through_eigsh(monkeypatch):
     # below 2 levels the sector is off and dim 4096 goes to eigsh, which alone
     # returns (1, 1) at s = 1; the Rayleigh-Ritz step with H_P's exact ground
@@ -381,6 +412,8 @@ def test_gap_scan_validation_and_serialization():
     h_i, h_p, _ = _grover_pieces(4)
     with pytest.raises(ValueError):
         gap_scan(h_i, h_p, Schedule("linear", 1.0), grid=2)
+    with pytest.raises(ValueError, match="refine_rounds"):
+        gap_scan(h_i, h_p, Schedule("linear", 1.0), refine_rounds=-1)
     other = Diagonal(BasisSpec.flat(5), np.zeros(5))
     with pytest.raises(ValueError):
         gap_scan(h_i, other, Schedule("linear", 1.0))

@@ -21,6 +21,7 @@ from adiabound import (
     default_fock_cutoff,
     expectation,
     ground_state,
+    invariant_sector,
     mode_digits,
     random_instance,
     to_dense,
@@ -732,7 +733,9 @@ def test_lowest_solves_the_projector_plus_diagonal_sector_exactly(name):
 
 
 def test_one_eigensolver_call_site():
-    # every eigensolve in the package runs inside hilbert.lowest, which verifies it
+    # every eigensolve in the package runs inside hilbert.lowest, which verifies
+    # it, or in the one stacked sector solve that lowest and lowest_levels share,
+    # which checks every pair's residual in the sector
     solver = re.compile(r"\beig(?:h|sh|valsh)\b")
     for path in Path(hilbert.__file__).parent.glob("*.py"):
         if path.name != "hilbert.py":
@@ -743,6 +746,64 @@ def test_one_eigensolver_call_site():
         return {id(c) for c in ast.walk(node) if isinstance(c, ast.Call)
                 and solver.fullmatch(getattr(c.func, "attr", getattr(c.func, "id", "")))}
 
-    lowest = next(n for n in ast.walk(tree)
-                  if isinstance(n, ast.FunctionDef) and n.name == "lowest")
-    assert solver_calls(tree) == solver_calls(lowest) != set()
+    def function(scope, name):
+        return next(n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    sector = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "InvariantSector")
+    lowest, solve = function(tree, "lowest"), function(sector, "solve")
+    assert len(solver_calls(solve)) == 1
+    assert solver_calls(tree) == solver_calls(lowest) | solver_calls(solve)
+    assert solver_calls(lowest) != set()
+
+
+def _stacked_level_cases():
+    cases = dict(_sector_cases())
+    sector = invariant_sector(build_tsp_finite(random_instance(4, 1), DsqPolicy("random")))
+    assert sector.levels.size == 238
+    cases["tsp-finite-m4-random-sector"] = (sector.h_i, sector.h_p)
+    return cases
+
+
+@pytest.mark.parametrize("budget", ["one-matrix-a-chunk", "one-chunk"])
+@pytest.mark.parametrize("name", list(_stacked_level_cases()))
+def test_stacked_sector_levels_are_lowest_values_bit_for_bit(name, budget, monkeypatch):
+    h_i, h_p = _stacked_level_cases()[name]
+    monkeypatch.setattr(hilbert, "_STACK_BYTES", 1 if budget == "one-matrix-a-chunk" else 1 << 40)
+    s = np.array([0.0, 0.1, 0.25, 0.5, 0.7, 0.999, 1.0])
+    f, g = np.concatenate([1.0 - s, [-1.0, 1.0]]), np.concatenate([s, [1.0, -1.0]])
+    for k in (1, 2, 3):
+        # the terms in either order: H_I first, and H_P first
+        for terms in (((f, h_i), (g, h_p)), ((g, h_p), (f, h_i))):
+            levels = hilbert.lowest_levels(terms, k)
+            assert levels.shape == (f.size, k)
+            for i, row in enumerate(levels):
+                op = LinearCombination(h_i.basis, tuple((c[i], t) for c, t in terms))
+                assert row.tobytes() == hilbert.lowest(op, k).values.tobytes(), (i, k)
+
+
+def test_lowest_levels_goes_point_by_point_without_a_sector():
+    basis = BasisSpec.flat(6)
+    h_i, h_p = Diagonal(basis, np.arange(6.0)), Diagonal(basis, np.arange(6.0)[::-1])
+    f = np.array([1.0, 0.5, 0.0])
+    levels = hilbert.lowest_levels(((f, h_i), (1.0 - f, h_p)), 2)
+    for row, c in zip(levels, f):
+        op = LinearCombination(basis, ((c, h_i), (1.0 - c, h_p)))
+        assert row.tobytes() == hilbert.lowest(op, 2).values.tobytes()
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        hilbert.lowest_levels(((f, h_i), (1.0 - f, h_p)), 0)
+
+
+def test_a_perturbed_stacked_eigenvector_fails_the_sector_residual(monkeypatch):
+    h_i, h_p = _sector_cases()["tsp-finite-m4-parity"]
+    eigh = np.linalg.eigh
+
+    def perturbed(stack):
+        values, vectors = eigh(stack)
+        vectors[vectors.shape[0] // 2, 0, 0] += 1e-3  # one vector of one matrix
+        return values, vectors
+
+    s = np.linspace(0.0, 1.0, 5)
+    hilbert.lowest_levels(((1.0 - s, h_i), (s, h_p)), 2)
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(hilbert.NumericGuardError, match="sector eigenpair residual"):
+        hilbert.lowest_levels(((1.0 - s, h_i), (s, h_p)), 2)
