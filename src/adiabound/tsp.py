@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._ziggurat import KI, WI
 from .hilbert import BasisSpec, argmin_set, degeneracy_tol, mode_digits
 
 __all__ = [
@@ -67,9 +68,12 @@ _LENGTH_CHUNK = 1 << 12
 #: cities after a scanned block's prefix: of 5..8, 6 and 7 timed fastest for
 #: brute force at M = 8..11, and 7 keeps an all-tie M = 11 scan to 720 blocks
 _BLOCK_CITIES = 7
-#: counters per bulk normal draw of the random d^2 policy: of 2..32, 6 and 8
-#: timed fastest on the M = 6 non-tour labels
-_DSQ_CHUNK = 8
+#: counters per raw-word read and per vectorized block of the random d^2
+#: policy: of 2^9..2^12, 2^10 timed within 2% of the fastest on the M = 6
+#: labels and holds under 100 KB beside the surcharges
+_RAW_CHUNK = 1 << 10
+#: the 52 bits of the ziggurat's rabs
+_RABS = (1 << 52) - 1
 #: the largest value of one 64-bit word of a Philox counter
 _WORD = (1 << 64) - 1
 
@@ -251,13 +255,15 @@ def _completions(d: np.ndarray, best) -> np.ndarray:
     It has 2^(M-1) x M entries, filled one subset size at a time (Held & Karp,
     J. SIAM 10, 196 (1962)).  Entries with j in S are no path and are never
     read.  Each path is summed from its last leg back, and rounding is
-    monotone, so an entry is the best of its paths' rounded sums.
+    monotone, so an entry is the best of its paths' rounded sums.  Each layer
+    also gathers the rows of the next one, masked out; they start as quiet
+    NaN, so no leftover bit pattern can raise a floating-point error there.
     """
     m = len(d)
     masks = np.arange(1 << (m - 1))
     sizes = np.bitwise_count(masks)
     bits = 1 << np.arange(m - 1)  # bit c - 1 of S is city c
-    table = np.empty((masks.size, m))
+    table = np.full((masks.size, m), np.nan)
     table[0] = d[:, 0]
     for size in range(1, m):
         layer = masks[sizes == size][:, None]
@@ -378,10 +384,24 @@ class DsqPolicy:
     def __post_init__(self):
         if self.kind not in ("parity", "random"):
             raise ValueError(f"unknown d^2 policy {self.kind!r}")
-        if self.kind == "random" and not self.sigma_d > 0:
+        if not math.isfinite(self.sigma_d):
+            raise ValueError(f"sigma_d must be finite, got {self.sigma_d!r}")
+        if self.kind != "random":
+            return
+        if not self.sigma_d > 0:
             raise ValueError("random policy needs sigma_d > 0")
+        seed = self.seed  # the Philox key
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or not 0 <= seed < 1 << 128):
+            raise ValueError(f"random policy needs an integer seed in [0, 2^128), got {seed!r}")
 
     def dsq(self, s: int, l_max: float) -> float:
+        """The surcharge of index s; a random one is the square of the fresh
+        draw that :meth:`_dsq_all` matches, made without its bulk set-up."""
+        if self.kind == "random":
+            draw = np.random.Generator(np.random.Philox(key=self.seed, counter=s)).normal(
+                0.0, self.sigma_d)
+            return draw * draw
         return float(self._dsq_all([s], l_max)[0])
 
     def _dsq_all(self, s_values, l_max: float) -> np.ndarray:
@@ -390,56 +410,49 @@ class DsqPolicy:
         Each random draw is bit-identical to
         ``Generator(Philox(key=seed, counter=s)).normal(0.0, sigma_d)``, however
         many are drawn at once.  A fresh Philox generator at counter s reads
-        its first 64-bit word from block s + 1, and the normal sampler takes
-        one word for almost every draw.  So a run of consecutive counters is
-        drawn in chunks: one generator set fresh at the chunk's first counter
-        s0 makes 4c draws for its c counters.  If they used exactly 4c words
-        (counter s0 + c, buffer used up, no half word kept), every draw took
-        one word, draw 4k is word 0 of block s0 + k + 1, which is what the
-        fresh generator at s0 + k reads, and the generator is already fresh at
-        s0 + c for the next chunk.  Otherwise the chunk's later counters get
-        one fresh generator each (draw 0 is right either way).
+        its first 64-bit word w from block s + 1.  So one generator set fresh
+        at the first counter s0 of a run of consecutive counters reads, by
+        ``random_raw``, the w of counter s0 + k as its word 4k.  numpy's
+        ziggurat (:mod:`._ziggurat`) returns after that one word when
+        rabs = (w >> 9) & (2^52 - 1) is below ``KI[w & 0xff]``, with the draw
+        +-rabs * ``WI[w & 0xff]``; the sign bit and loc = 0.0 cannot change
+        the square.  So the first raw word decides the fast path, and every
+        other counter (about 1.5% of them) gets one fresh draw.
         """
         if self.kind == "parity":
             return np.where(np.asarray(s_values) % 2 == 0, 0.0, 2.0 * l_max)
-        # exact counters: np.asarray rounds a list of ints past int64 to floats,
-        # and only nonnegative int64 counters difference without overflow
+        # exact counters: np.asarray rounds a list of ints past int64 to floats
         s = s_values if isinstance(s_values, np.ndarray) else np.asarray(s_values, dtype=object)
-        if s.dtype.kind != "i" or s.size and s.min() < 0:
+        if s.size == 0:
+            return np.empty(0)
+        if s.dtype.kind != "i":
             s = s.astype(object)
+        if s.min() < 0 or s.max() >= 1 << 256:  # as Philox(counter=s) rejects them
+            raise ValueError("Philox counters must lie in [0, 2^256)")
         breaks = (np.flatnonzero(np.diff(s) != 1) + 1).tolist() if s.size > 1 else []
-        out = np.empty(s.size)
         bits = np.random.Philox(key=self.seed)
         gen, fresh = np.random.Generator(bits), bits.state
-        words = fresh["state"]["counter"]
 
         def seek(counter: int) -> None:
-            if 0 <= counter <= _WORD:  # one word: the upper three are kept at 0
-                words[0] = counter
-                bits.state = fresh
-            else:
-                words[:] = _philox_words(counter)
-                bits.state = fresh
-                words[1:] = 0
+            fresh["state"]["counter"][:] = _philox_words(counter)
+            bits.state = fresh
 
-        at = None  # the counter the generator is fresh at, when known
+        out = np.empty(s.size)
+        raw = out.view(np.uint64)  # the first word of each counter, until replaced
         for a, b in zip([0, *breaks], [*breaks, s.size]):
-            for lo in range(a, b, _DSQ_CHUNK):
-                c, s0 = min(_DSQ_CHUNK, b - lo), int(s[lo])
-                if at != s0:
-                    seek(s0)
-                z = gen.normal(0.0, self.sigma_d, size=4 * c)
-                out[lo], at = z[0], None  # a fresh draw, whatever the others took
-                if c == 1:
-                    continue  # a one-counter chunk ends its run: none goes on from it
-                state = bits.state
-                if (state["buffer_pos"] == 4 and state["has_uint32"] == 0
-                        and state["state"]["counter"].tolist() == _philox_words(s0 + c)):
-                    out[lo + 1:lo + c], at = z[4::4], s0 + c
-                    continue
-                for k in range(1, c):
-                    seek(s0 + k)
-                    out[lo + k] = gen.normal(0.0, self.sigma_d)
+            seek(int(s[a]))
+            for lo in range(a, b, _RAW_CHUNK):
+                hi = min(b, lo + _RAW_CHUNK)
+                raw[lo:hi] = bits.random_raw(4 * (hi - lo))[::4]
+        sigma_d = float(self.sigma_d)
+        for lo in range(0, s.size, _RAW_CHUNK):
+            w = raw[lo:lo + _RAW_CHUNK]
+            idx, rabs = (w & 0xFF).astype(np.intp), w >> 9 & _RABS
+            slow = (np.flatnonzero(rabs >= KI[idx]) + lo).tolist()
+            out[lo:lo + _RAW_CHUNK] = sigma_d * (rabs * WI[idx])
+            for k in slow:
+                seek(int(s[k]))
+                out[k] = gen.normal(0.0, sigma_d)
         out *= out
         return out
 

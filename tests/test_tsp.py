@@ -379,6 +379,30 @@ def test_tour_statistics_memory_stays_bounded():
     assert _traced_peak_mb(brute_force_shortest, constant) < 5.0
 
 
+def test_held_karp_table_reads_no_unfilled_memory(monkeypatch):
+    """Each size layer of the Held-Karp table gathers the next layer's rows,
+    masked out.  With every fresh float buffer poisoned by a signaling NaN,
+    nothing unfilled may reach the arithmetic, and every result holds."""
+    inst = random_instance(9, SEED)
+    want = [tsp._completions(inst.d, best).tobytes() for best in (np.fmin, np.fmax)]
+    brute = brute_force_shortest(inst)
+    empty = np.empty
+
+    def poisoned(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if out.dtype == np.float64:
+            out.view(np.uint64).fill(0x7FF0000000000001)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    with np.errstate(invalid="raise"):
+        got = [tsp._completions(inst.d, best).tobytes() for best in (np.fmin, np.fmax)]
+        again = random_instance(9, SEED)
+        assert brute_force_shortest(again) == brute
+    assert got == want
+    assert again.l_max == inst.l_max
+
+
 # ---------------------------------------------------------------------------
 # tuple codec
 # ---------------------------------------------------------------------------
@@ -493,6 +517,11 @@ def _fresh_words(seed: int, s: int) -> int:
     """64-bit words that one normal draw takes from a fresh Philox at counter s < 2**64."""
     bits = np.random.Philox(key=seed, counter=s)
     np.random.Generator(bits).normal()
+    return _words_read(bits, s)
+
+
+def _words_read(bits: np.random.Philox, s: int) -> int:
+    """64-bit words read so far by a Philox set fresh at counter s < 2**64."""
     state = bits.state
     return 4 * (int(state["state"]["counter"][0]) - s - 1) + state["buffer_pos"]
 
@@ -510,6 +539,75 @@ def test_bulk_random_surcharges_match_a_fresh_philox_per_counter(sigma_d):
         expected = [_fresh_dsq(seed, sigma_d, int(s)) for s in s_values]
         assert policy._dsq_all(s_values, 1.0).tolist() == expected  # bit-identical
         assert [policy.dsq(s, 1.0) for s in s_values] == expected
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_random_surcharges_of_every_non_tour_label_match_a_fresh_philox(m):
+    labels = np.flatnonzero(~tour_index_mask(m)) + 1
+    sigmas = (0.5, 1.0, 2.5)
+    for seed in (7, 11):
+        expected, slow = np.empty((len(sigmas), labels.size)), 0
+        for k, s in enumerate(labels.tolist()):
+            bits = np.random.Philox(key=seed, counter=s)
+            gen, fresh = np.random.Generator(bits), bits.state
+            for i, sigma_d in enumerate(sigmas):
+                bits.state = fresh
+                draw = gen.normal(0.0, sigma_d)
+                expected[i, k] = draw * draw
+            slow += _words_read(bits, s) > 1
+        # the set must also hold labels past the one-word fast path
+        assert slow > 0
+        for i, sigma_d in enumerate(sigmas):
+            got = DsqPolicy("random", sigma_d=sigma_d, seed=seed)._dsq_all(labels, 1.0)
+            assert got.tobytes() == expected[i].tobytes()  # bit-identical
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "random", "sigma_d": math.inf},
+    {"kind": "random", "sigma_d": -math.inf},
+    {"kind": "random", "sigma_d": math.nan},
+    {"kind": "parity", "sigma_d": math.inf},
+    {"kind": "random", "sigma_d": 0.0},
+    {"kind": "random", "seed": -1},
+    {"kind": "random", "seed": 1.5},
+    {"kind": "random", "seed": 2 ** 128},
+    {"kind": "random", "seed": True},
+    {"kind": "random", "seed": "3"},
+])
+def test_dsq_policy_rejects_what_no_draw_takes(kwargs):
+    with pytest.raises(ValueError):
+        DsqPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 64 - 1), np.int64(5)])
+def test_dsq_policy_takes_every_philox_key(seed):
+    assert DsqPolicy("random", seed=seed).dsq(9, 1.0) == _fresh_dsq(int(seed), 1.0, 9)
+
+
+def test_random_surcharges_reject_counters_that_philox_rejects():
+    policy = DsqPolicy("random", seed=3)
+    for s in (-1, -(2 ** 70), 2 ** 256):
+        with pytest.raises(ValueError):
+            np.random.Philox(key=3, counter=s)
+        with pytest.raises(ValueError):
+            policy.dsq(s, 1.0)
+    for s_values in ([5, -1], np.array([4, -2]), [2 ** 256, 7], np.array([2 ** 256], dtype=object)):
+        with pytest.raises(ValueError):
+            policy._dsq_all(s_values, 1.0)
+    top = 2 ** 256 - 1  # a fresh generator there reads block 0
+    s_values = [top - 1, top, 0]
+    assert policy._dsq_all(s_values, 1.0).tolist() == [_fresh_dsq(3, 1.0, s) for s in s_values]
+
+
+def test_random_surcharges_memory_stays_flat():
+    # the surcharges take 8 bytes a label, and so does the search for the breaks
+    # between runs of an int64 label array; the four raw words of every label,
+    # held at once, would add 32 more
+    policy = DsqPolicy("random", seed=7)
+    labels = np.flatnonzero(~tour_index_mask(6)) + 1
+    assert _traced_peak_mb(policy._dsq_all, labels, 1.0) < (labels.nbytes + 100_000) / 1e6
+    run = np.arange(1, 200_001)
+    assert _traced_peak_mb(policy._dsq_all, run, 1.0) < (2 * run.nbytes + 100_000) / 1e6
 
 
 def test_effective_lengths_tours_below_penalties():
