@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +66,9 @@ _EXACT_LMAX_MAX_M = 10
 #: rows per block of the sorted-leg sum and of the rotation ranks, so an 8!-row
 #: scan never holds all its legs or ranks at once
 _LENGTH_CHUNK = 1 << 12
+#: bytes of sampled distance matrices per spread pass, so a study at large M
+#: holds a few matrices at a time, never all its samples
+_SIGMA_STACK_BYTES = 1 << 20
 #: cities after a scanned block's prefix: of 5..8, 6 and 7 timed fastest for
 #: brute force at M = 8..11, and 7 keeps an all-tie M = 11 scan to 720 blocks
 _BLOCK_CITIES = 7
@@ -214,15 +218,20 @@ def tour_length(inst: TspInstance, tour) -> float:
 
 def _lengths_of(perms: np.ndarray, d: np.ndarray) -> np.ndarray:
     # every tour length, scalar or tabled: a row's legs sorted (nonnegative floats
-    # order as their int64 bits), then added left to right, so rotations (and
-    # reversals, for a symmetric d) have the same legs and get the same bits
-    out = np.zeros(len(perms))
+    # order as their int64 bits), then added strictly left to right by one
+    # accumulate, so rotations (and reversals, for a symmetric d) have the same
+    # legs and get the same bits; the closing + 0.0 gives a row of -0.0 legs the
+    # +0.0 that a sum started from +0.0 gives it
+    m = len(d)
+    out = np.empty(len(perms))
     for lo in range(0, len(perms), _LENGTH_CHUNK):
         rows = perms[lo:lo + _LENGTH_CHUNK].astype(np.intp)
-        legs = d.ravel()[rows * len(d) + np.roll(rows, -1, axis=1)]
+        legs = rows * m  # flat index of each leg: city, then its successor
+        legs[:, :-1] += rows[:, 1:]
+        legs[:, -1] += rows[:, 0]
+        legs = d.ravel()[legs]
         legs.view(np.int64).sort(axis=1)
-        for leg in legs.T:
-            out[lo:lo + len(rows)] += leg
+        out[lo:lo + len(rows)] = np.cumsum(legs, axis=1, out=legs)[:, -1] + 0.0
     return out
 
 
@@ -306,21 +315,25 @@ def _rotation_ranks(rows: np.ndarray) -> np.ndarray:
     exactly once this way.
 
     A rank is 1 + sum_i c_i (M-1-i)!, with Lehmer digit c_i the number of later
-    cities below the one at position i.  Moving the first city to the end adds
-    one later city to every other position, so each city's digit goes up by
-    one where the moved city is below it, and the moved city's digit is 0: one
-    (M, rows) update per rotation, never a pairwise table.  Digits and ranks
-    are whole numbers at most M! <= 11! < 2^53, so doubles hold them exactly.
+    cities below the one at position i (Knuth, TAOCP vol. 2, Sec. 3.3.2).
+    Moving the first city to the end adds one later city to every other
+    position, so each city's digit goes up by one where the moved city is below
+    it, and the moved city's digit is 0: one (M, rows) int8 compare-and-add per
+    rotation, never a pairwise table.  Rotation k puts city column p at
+    position (p - k) mod M, so its weights are one row of a rotated factorial
+    table.  Digits are below M <= 11 and ranks at most M! <= 11! < 2^53, so
+    each weighted sum is exact in doubles, in any order.
     """
     n, m = rows.shape
     cities = np.ascontiguousarray(rows.T)
-    digits = np.zeros((m, n))
+    digits = np.zeros((m, n), dtype=np.int8)
     for q in range(1, m):
         digits[:q] += cities[q] < cities[:q]
-    weights = np.array([math.factorial(m - 1 - i) for i in range(m)], dtype=float)
+    factorials = np.array([math.factorial(m - 1 - i) for i in range(m)], dtype=float)
+    weights = factorials[(np.arange(m) - np.arange(m)[:, None]) % m]
     ranks = np.empty((m, n))
     for k in range(m):
-        ranks[k] = np.roll(weights, k) @ digits  # city p is at position (p - k) mod m
+        np.matmul(weights[k], digits.astype(float), out=ranks[k])
         digits += cities[k] < cities
         digits[k] = 0
     ranks += 1
@@ -399,8 +412,9 @@ class DsqPolicy:
         """The surcharge of index s; a random one is the square of the fresh
         draw that :meth:`_dsq_all` matches, made without its bulk set-up."""
         if self.kind == "random":
-            draw = np.random.Generator(np.random.Philox(key=self.seed, counter=s)).normal(
-                0.0, self.sigma_d)
+            gen, seek = _fresh_philox(self.seed)
+            seek(s)
+            draw = gen.normal(0.0, self.sigma_d)
             return draw * draw
         return float(self._dsq_all([s], l_max)[0])
 
@@ -430,20 +444,14 @@ class DsqPolicy:
         if s.min() < 0 or s.max() >= 1 << 256:  # as Philox(counter=s) rejects them
             raise ValueError("Philox counters must lie in [0, 2^256)")
         breaks = (np.flatnonzero(np.diff(s) != 1) + 1).tolist() if s.size > 1 else []
-        bits = np.random.Philox(key=self.seed)
-        gen, fresh = np.random.Generator(bits), bits.state
-
-        def seek(counter: int) -> None:
-            fresh["state"]["counter"][:] = _philox_words(counter)
-            bits.state = fresh
-
+        gen, seek = _fresh_philox(self.seed)
         out = np.empty(s.size)
         raw = out.view(np.uint64)  # the first word of each counter, until replaced
         for a, b in zip([0, *breaks], [*breaks, s.size]):
             seek(int(s[a]))
             for lo in range(a, b, _RAW_CHUNK):
                 hi = min(b, lo + _RAW_CHUNK)
-                raw[lo:hi] = bits.random_raw(4 * (hi - lo))[::4]
+                raw[lo:hi] = gen.bit_generator.random_raw(4 * (hi - lo))[::4]
         sigma_d = float(self.sigma_d)
         for lo in range(0, s.size, _RAW_CHUNK):
             w = raw[lo:lo + _RAW_CHUNK]
@@ -455,6 +463,34 @@ class DsqPolicy:
                 out[k] = gen.normal(0.0, sigma_d)
         out *= out
         return out
+
+
+#: each thread's one Philox generator and its saved fresh state, made on first use
+_PHILOX = threading.local()
+
+
+def _fresh_philox(key: int):
+    """This thread's Philox generator, and a ``seek(s)`` that sets it to the
+    state of a fresh ``Generator(Philox(key=key, counter=s))``.  A constructed
+    Philox, even a keyed one, seeds a ``SeedSequence`` from OS entropy (about
+    10 us); setting a saved state takes about 1 us.  ``seek`` rejects counters
+    outside [0, 2^256), as ``Philox(counter=s)`` does.
+    """
+    if not hasattr(_PHILOX, "gen"):
+        _PHILOX.gen = np.random.Generator(np.random.Philox(key=0))
+        _PHILOX.fresh = _PHILOX.gen.bit_generator.state
+    gen, fresh = _PHILOX.gen, _PHILOX.fresh
+    key = int(key)
+    fresh["state"]["key"][:] = [key & _WORD, key >> 64]
+
+    def seek(counter: int) -> None:
+        counter = int(counter)
+        if not 0 <= counter < 1 << 256:
+            raise ValueError("Philox counters must lie in [0, 2^256)")
+        fresh["state"]["counter"][:] = _philox_words(counter)
+        gen.bit_generator.state = fresh
+
+    return gen, seek
 
 
 def _philox_words(counter: int) -> list[int]:
@@ -560,20 +596,26 @@ def brute_force_shortest(inst: TspInstance) -> BruteForceResult:
     return BruteForceResult(tour=rank_to_tour(ties[0], m), length=best, tied_ranks=ties)
 
 
-def _sigma_from_d(d: np.ndarray) -> float:
-    m = d.shape[0]
+def _spreads(d: np.ndarray) -> np.ndarray:
+    """The spread of :func:`sigma_m` of each matrix of the (n, M, M) stack ``d``,
+    with the bits of that matrix alone: each total runs over its flattened M^2
+    entries (numpy's pairwise order), and ``row @ col`` is one BLAS dot per
+    matrix, since a batched product adds in another order.
+    """
+    n, m, _ = d.shape
     # legs centred on their mean: the variance is shift-invariant, and the sums cancel less
-    c = d - np.sum(d) / (m * (m - 1))
-    np.fill_diagonal(c, 0.0)
-    row, col = c.sum(axis=1), c.sum(axis=0)
-    sq = float(np.sum(c * c))                    # same leg twice
-    back = float(np.sum(c * c.T))                # a leg and its reverse
+    c = d - (d.reshape(n, -1).sum(axis=1) / (m * (m - 1)))[:, None, None]
+    c.reshape(n, -1)[:, ::m + 1] = 0.0
+    row, col = c.sum(axis=2), c.sum(axis=1)
+    sq = (c * c).reshape(n, -1).sum(axis=1)                          # same leg twice
+    back = (c * c.transpose(0, 2, 1)).reshape(n, -1).sum(axis=1)     # a leg and its reverse
     # sums of c_ab c_be over distinct a, b, e and of c_ab c_ce over distinct
     # a, b, c, e, by inclusion-exclusion over the shared cities (sum(c) = 0)
-    adjacent = float(row @ col) - back
-    disjoint = sq + back - float(np.sum((row + col) ** 2)) if m > 3 else 0.0
+    adjacent = np.array([r @ k for r, k in zip(row, col)]) - back
+    disjoint = sq + back - ((row + col) ** 2).sum(axis=1) if m > 3 else 0.0
     var = (sq + (2.0 * adjacent + disjoint) / (m - 2)) / (m - 1)
-    return math.sqrt(max(var, 0.0))
+    # sq >= +0.0 makes var never -0.0, so np.maximum clamps it as max(var, 0.0) does
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def sigma_m(inst: TspInstance) -> float:
@@ -584,7 +626,7 @@ def sigma_m(inst: TspInstance) -> float:
     """
     if inst.M > MAX_SPREAD_CITIES:
         raise ValueError(f"spread capped at {MAX_SPREAD_CITIES} cities")
-    return _sigma_from_d(inst.d)
+    return float(_spreads(inst.d[None])[0])
 
 
 @dataclass(frozen=True)
@@ -606,7 +648,9 @@ def sigma_scaling_study(sampler: DistanceSampler, m_values, samples: int,
     """Mean tour-length spread over sampled instances, per instance size.
 
     Instance (m, idx) always draws from the stream keyed by (seed, m, idx),
-    so rows are reproducible independently of iteration order.
+    so rows are reproducible independently of iteration order.  Samples are
+    stacked up to ``_SIGMA_STACK_BYTES`` (or one larger matrix) per
+    :func:`_spreads` pass.
     """
     if samples < 1:
         raise ValueError("need at least one sample per size")
@@ -615,9 +659,13 @@ def sigma_scaling_study(sampler: DistanceSampler, m_values, samples: int,
         if not 3 <= m <= MAX_SPREAD_CITIES:
             raise ValueError(f"sizes must be in [3, {MAX_SPREAD_CITIES}], got {m}")
         sigmas = np.empty(samples)
-        for idx in range(samples):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, idx)))
-            sigmas[idx] = _sigma_from_d(sampler.sample(m, rng))
+        per_pass = max(1, _SIGMA_STACK_BYTES // (8 * m * m))
+        for lo in range(0, samples, per_pass):
+            stack = np.empty((min(per_pass, samples - lo), m, m))
+            for idx, d in enumerate(stack, start=lo):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, idx)))
+                d[...] = sampler.sample(m, rng)
+            sigmas[lo:lo + len(stack)] = _spreads(stack)
         mean = float(np.mean(sigmas))
         stderr = float(np.std(sigmas, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
         rows.append(SigmaRow(m=m, samples=samples, sigma_mean=mean,

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -308,6 +310,68 @@ def test_prefix_blocks_and_rotation_ranks_follow_rank_order():
     assert np.array_equal(np.sort(ranks, axis=None), np.arange(1, math.factorial(8) + 1))
 
 
+def _lehmer_rank(perm) -> int:
+    """1-based rank of a permutation of range(M): 1 + sum_i c_i (M-1-i)!, with
+    digit c_i the number of later entries below entry i."""
+    m = len(perm)
+    return 1 + sum(sum(later < city for later in perm[i + 1:]) * math.factorial(m - 1 - i)
+                   for i, city in enumerate(perm))
+
+
+@pytest.mark.parametrize("m", range(3, 12))
+def test_rotation_ranks_are_the_lehmer_ranks(m):
+    rng = np.random.default_rng([SEED, m])
+    rows = np.array([rng.permutation(m) for _ in range(200)], dtype=np.int8)
+    if m <= 9:  # the tours from city 0, as the rank table and brute force pass them
+        block = tsp._block((0,), m)
+        rows = np.vstack([rows, block[np.sort(rng.choice(len(block), min(len(block), 500),
+                                                          replace=False))]])
+    got = tsp._rotation_ranks(rows)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[_lehmer_rank(row[k:] + row[:k]) for k in range(m)]
+                            for row in rows.tolist()]
+
+
+#: sha256 prefix of l_max, brute force's length, tour and tied ranks, and for
+#: M <= 9 the rank table, at random_instance(M, SEED, sampler); frozen from
+#: sorted legs added by one column pass per leg, which the accumulate must match
+_FROZEN_TOUR_STATISTICS = {
+    "uniform": ["96436914611f", "1a01ac0a9ee5", "2082a243b7bb", "4260ccbe5b45", "3f55066c83ce",
+                "b0c9ade2b1ea", "70fc5fa2338a", "61744fabf1ac", "d47096eb24dd"],
+    "symmetric": ["6257d78ef317", "252a6b2330b0", "e0bb0a51e52c", "bbacf34f5bd3", "6d7bd77c1821",
+                  "64edcbf81c47", "f19b4e7b3fa6", "f5468a59704c", "5c1fa90724e2"],
+}
+
+
+@pytest.mark.parametrize("sampler", list(_FROZEN_TOUR_STATISTICS))
+@pytest.mark.parametrize("m", range(3, 12))
+def test_tour_statistics_keep_their_frozen_bits(m, sampler):
+    inst = random_instance(m, SEED, _LMAX_SAMPLERS[sampler])
+    res = brute_force_shortest(inst)
+    parts = [inst.l_max.hex(), res.length.hex(), repr(res.tour), repr(res.tied_ranks)]
+    if m <= 9:
+        parts.append(hashlib.sha256(tour_lengths_by_rank(inst).tobytes()).hexdigest())
+    digest = hashlib.sha256(" ".join(parts).encode()).hexdigest()[:12]
+    assert digest == _FROZEN_TOUR_STATISTICS[sampler][m - 3]
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_negative_zero_legs_sum_to_positive_zero(m):
+    # -0.0 passes as a nonnegative distance; every tour that avoids the two
+    # positive legs walks only -0.0 legs, and a sum started from +0.0 is +0.0
+    d = np.full((m, m), -0.0)
+    np.fill_diagonal(d, 0.0)
+    d[0, 1], d[2, 0] = 1.0, 0.5
+    inst = TspInstance.from_distances(d)
+    want = _scan_lengths(inst)
+    assert np.count_nonzero(want == 0.0) > 0 and not np.signbit(want).any()
+    assert tour_lengths_by_rank(inst).tobytes() == want.tobytes()
+    rows = _lex_table(m)
+    for k in range(0, len(rows), max(1, len(rows) // 720)):
+        assert tour_length(inst, rows[k].tolist()).hex() == want[k].hex()
+    assert brute_force_shortest(inst).length.hex() == (0.0).hex()
+
+
 def _assert_full_scan(inst) -> None:
     """brute_force_shortest and tour_lengths_by_rank against all M! rows."""
     m = inst.M
@@ -528,17 +592,19 @@ def _words_read(bits: np.random.Philox, s: int) -> int:
 
 @pytest.mark.parametrize("sigma_d", [0.5, 0.7, 2.0])
 def test_bulk_random_surcharges_match_a_fresh_philox_per_counter(sigma_d):
-    seed = 11
     span = list(range(1, 1201))
-    # the bulk draw must also hold where a fresh draw takes more than one word
-    assert any(_fresh_words(seed, s) > 1 for s in span)
     scattered = [40, 7, 8, 9, 9, 3, 1000, 2, 2, 41, 39, 40]
     wide = list(range(2 ** 64 - 3, 2 ** 64 + 4))  # one run across the 64-bit word
-    policy = DsqPolicy("random", sigma_d=sigma_d, seed=seed)
-    for s_values in (span, np.arange(1, 1201), scattered, np.array(scattered), wide, [17], []):
-        expected = [_fresh_dsq(seed, sigma_d, int(s)) for s in s_values]
-        assert policy._dsq_all(s_values, 1.0).tolist() == expected  # bit-identical
-        assert [policy.dsq(s, 1.0) for s in s_values] == expected
+    high = [7 ** 25, 2 ** 130 + 3, 2 ** 255, 2 ** 256 - 1]
+    for seed in (11, 2 ** 128 - 1):  # keys of one and of two 64-bit words
+        # the bulk draw must also hold where a fresh draw takes more than one word
+        assert any(_fresh_words(seed, s) > 1 for s in span)
+        policy = DsqPolicy("random", sigma_d=sigma_d, seed=seed)
+        for s_values in (span, np.arange(1, 1201), scattered, np.array(scattered), wide, high,
+                         [17], []):
+            expected = [_fresh_dsq(seed, sigma_d, int(s)) for s in s_values]
+            assert policy._dsq_all(s_values, 1.0).tolist() == expected  # bit-identical
+            assert [policy.dsq(s, 1.0) for s in s_values] == expected
 
 
 @pytest.mark.parametrize("m", [5, 6])
@@ -610,6 +676,46 @@ def test_random_surcharges_memory_stays_flat():
     assert _traced_peak_mb(policy._dsq_all, run, 1.0) < (2 * run.nbytes + 100_000) / 1e6
 
 
+def test_surcharges_construct_no_philox_per_draw(monkeypatch):
+    policy = DsqPolicy("random", sigma_d=0.7, seed=11)
+    labels = [1, 2, 3, 40, 2 ** 64 + 9]
+    want = [_fresh_dsq(11, 0.7, s) for s in labels]
+    policy.dsq(1, 1.0)  # this thread's one Philox exists from here on
+
+    def constructed(*args, **kwargs):
+        raise AssertionError("a Philox constructed per draw seeds a SeedSequence")
+
+    monkeypatch.setattr(np.random, "Philox", constructed)
+    assert [policy.dsq(s, 1.0) for s in labels] == want
+    assert policy._dsq_all(labels, 1.0).tolist() == want
+
+
+def test_surcharges_from_two_threads_at_once():
+    labels = np.flatnonzero(~tour_index_mask(4)) + 1
+    jobs = [DsqPolicy("random", sigma_d=0.5, seed=3), DsqPolicy("random", sigma_d=2.0, seed=2 ** 70)]
+    want = [[_fresh_dsq(p.seed, p.sigma_d, int(s)) for s in labels] for p in jobs]
+    got = [[], []]
+
+    def run(k: int) -> None:
+        for _ in range(20):
+            got[k].append([jobs[k].dsq(int(s), 1.0) for s in labels])
+            got[k].append(jobs[k]._dsq_all(labels, 1.0).tolist())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(2):
+        assert len(got[k]) == 40 and all(values == want[k] for values in got[k])
+
+
 def test_effective_lengths_tours_below_penalties():
     inst = random_instance(4, SEED)
     vec = effective_lengths_all(inst, DsqPolicy("random", sigma_d=0.5, seed=1))
@@ -662,12 +768,80 @@ SAMPLERS = (DistanceSampler(), DistanceSampler(symmetric=True),
             DistanceSampler(low=100.0, high=101.0))
 
 
+def _sigma(d) -> float:
+    return sigma_m(TspInstance(d=d, l_max=1.0))
+
+
+def _per_matrix_sigma(d: np.ndarray) -> float:
+    """The closed-form spread as one matrix computes it alone: the oracle of
+    every stacked pass."""
+    m = d.shape[0]
+    c = d - np.sum(d) / (m * (m - 1))
+    np.fill_diagonal(c, 0.0)
+    row, col = c.sum(axis=1), c.sum(axis=0)
+    sq = float(np.sum(c * c))
+    back = float(np.sum(c * c.T))
+    adjacent = float(row @ col) - back
+    disjoint = sq + back - float(np.sum((row + col) ** 2)) if m > 3 else 0.0
+    var = (sq + (2.0 * adjacent + disjoint) / (m - 2)) / (m - 1)
+    return math.sqrt(max(var, 0.0))
+
+
+def _study_samples(sampler, m: int, samples: int, seed: int):
+    return [sampler.sample(m, np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(m, idx)))) for idx in range(samples)]
+
+
+def _row_bits(rows) -> list:
+    return [(r.m, r.samples, r.sigma_mean.hex(), r.sigma_stderr.hex(), r.ratio_sqrtm.hex())
+            for r in rows]
+
+
+_SPREAD_SAMPLERS = {**_LMAX_SAMPLERS, "shifted": DistanceSampler(low=100.0, high=101.0)}
+
+
+@pytest.mark.parametrize("sampler", list(_SPREAD_SAMPLERS))
+def test_spread_is_the_per_matrix_formula_bit_for_bit(sampler):
+    sampler = _SPREAD_SAMPLERS[sampler]
+    for m in range(3, 13):
+        for k in range(4):
+            d = sampler.sample(m, np.random.default_rng([SEED, m, k]))
+            assert _sigma(d).hex() == _per_matrix_sigma(d).hex()
+        # one sample: the mean is its spread and the stderr branch gives 0
+        (d,) = _study_samples(sampler, m, 1, 5)
+        (row,) = sigma_scaling_study(sampler, [m], samples=1, seed=5).rows
+        assert (row.sigma_mean.hex(), row.sigma_stderr) == (_per_matrix_sigma(d).hex(), 0.0)
+        sigmas = np.array([_per_matrix_sigma(d) for d in _study_samples(sampler, m, 6, 5)])
+        (row,) = sigma_scaling_study(sampler, [m], samples=6, seed=5).rows
+        assert row.sigma_mean.hex() == float(np.mean(sigmas)).hex()
+        assert row.sigma_stderr.hex() == float(np.std(sigmas, ddof=1) / math.sqrt(6)).hex()
+
+
+def test_sigma_study_rows_do_not_depend_on_the_stack_size(monkeypatch):
+    sizes, samples = [3, 5, 9, 40], 7
+    want = {name: _row_bits(sigma_scaling_study(sampler, sizes, samples, seed=3).rows)
+            for name, sampler in _SPREAD_SAMPLERS.items()}
+    # one matrix per pass, three per pass (a short last pass), all seven at once
+    for stack_bytes in (1, 3 * 8 * 40 * 40, 7 * 8 * 40 * 40):
+        monkeypatch.setattr(tsp, "_SIGMA_STACK_BYTES", stack_bytes)
+        for name, sampler in _SPREAD_SAMPLERS.items():
+            assert _row_bits(sigma_scaling_study(sampler, sizes, samples, seed=3).rows) == want[name]
+
+
+def test_sigma_study_memory_holds_a_few_samples():
+    # 40 stacked 1024-city matrices would take 335 MB; a pass holds one, with its
+    # centred copy and a product, and sampling it holds the symmetric sampler's copies
+    sample_mb = 8 * 1024 * 1024 / 1e6
+    peak = _traced_peak_mb(sigma_scaling_study, DistanceSampler(symmetric=True), [1024], 40, 0)
+    assert peak < 5 * sample_mb
+
+
 def test_sigma_closed_form_matches_exact_enumeration():
     for m in range(4, 8):
         for k, sampler in enumerate(SAMPLERS):
             d = sampler.sample(m, np.random.default_rng([SEED, m, k]))
             exact = _exact_sigma(d)
-            assert abs(tsp._sigma_from_d(d) / exact - 1.0) <= 2e-15
+            assert abs(_sigma(d) / exact - 1.0) <= 2e-15
 
 
 def test_sigma_closed_form_matches_float_enumeration():
@@ -684,7 +858,7 @@ def test_sigma_zero_spread_reads_at_most_sqrt_eps():
     for seed in range(50):
         d = DistanceSampler(symmetric=True).sample(3, np.random.default_rng(seed))
         assert np.ptp(_enumerated_lengths(d)) <= 1e-15
-        assert 0.0 <= tsp._sigma_from_d(d) <= 1e-7 * d.max()
+        assert 0.0 <= _sigma(d) <= 1e-7 * d.max()
 
 
 def test_sigma_needs_no_enumeration(monkeypatch):
