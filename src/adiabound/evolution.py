@@ -40,6 +40,8 @@ BOUNDARY_TOL = 1e-12
 SCHEDULE_KINDS = ("linear", "das_wei", "local_adiabatic_grover")
 #: bytes of precomputed RK4 tables per chunk of steps; bounds evolve's table memory
 _STAGE_TABLE_BYTES = 1 << 19
+#: the largest dimension whose projector-plus-diagonal steps are K x K matrices
+_MATRIX_DIM = 4
 #: the most steps a plan may take: the step index must fit an int64
 _MAX_STEPS = np.iinfo(np.int64).max
 
@@ -186,8 +188,10 @@ def evolve(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
 
     A ``ProjectorComplement`` H_I with a ``Diagonal`` H_P (Grover and
     tsp-finite, in full space or sector) takes each step as one diagonal
-    product and a rank-4 correction (:func:`_projector_diagonal_steps`);
-    every other pair takes the four stages (:func:`_stage_steps`).  Both
+    product and a rank-4 correction, or at dimension 4 and below (the
+    Grover sector) as one K x K increment matrix times the state
+    (:func:`_projector_diagonal_steps`); every other pair takes the four
+    stages (:func:`_stage_steps`).  Both
     take the same steps, to roundoff, and hand over the states of a block of
     steps at a time; the drift is checked on every state of each block, so
     the first step past ``policy.norm_tol`` is the one reported.
@@ -355,10 +359,12 @@ def _stage_scalars(schedule: Schedule, n_steps: int, dim: int):
     """Per chunk of steps, the RK4 stage scalars -i h w f and -i h w g at t,
     t + h/2 and t + h of every step, with w = (1/2, 1, 1/2); each has shape
     (3, steps).  A step is budgeted one complex row of dim (a state in
-    :func:`_stage_steps`, a Horner row in :func:`_step_maps`) and the ~2 KB
-    that :func:`_step_increment` takes to build its 4x4 map, and a chunk
-    stays under ``_STAGE_TABLE_BYTES`` (one step at least), so memory stays
-    flat however many steps the run takes; dim 0 budgets the 2 KB alone.  A
+    :func:`_stage_steps` or :func:`_projector_diagonal_steps`, a Horner row
+    in :func:`_step_maps`) and ~2 KB: what :func:`_step_increment` takes to
+    build its 4x4 map, or, at dim ``_MATRIX_DIM`` and below, the stage
+    matrices and the increment of :func:`_step_matrices`.  A chunk stays
+    under ``_STAGE_TABLE_BYTES`` (one step at least), so memory stays flat
+    however many steps the run takes; dim 0 budgets the 2 KB alone.  A
     step's scalars have the same bits in any chunking."""
     h = schedule.t_total / n_steps
     chunk = max(1, _STAGE_TABLE_BYTES // (16 * dim + 2048))
@@ -372,33 +378,51 @@ def _stage_scalars(schedule: Schedule, n_steps: int, dim: int):
 def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: Schedule,
                               n_steps: int, psi: np.ndarray):
     """The steps of :func:`_stage_steps` when H_I is 1 - |u><u| and H_P is
-    diag(d): each one diagonal product and a rank-4 correction, yielded in
-    blocks of states as there.
+    diag(d), yielded in blocks of states as there.
 
     With lam = d - c_d and P = |u><u|, every stage operator of the centered
-    path is a + b diag(lam) - g P for scalars a, b, g, and P diag(lam^r) P =
-    mu_r P with mu_r = sum |u|^2 lam^r.  So a whole step adds
-    E(lam) psi + sum_{r+k<=3} C[r, k] |lam^r u><lam^k u|psi> to psi, with E
-    a polynomial of degree 4 (:func:`_step_maps`).  Adding that increment,
-    as the stage kernel does, keeps its rounding small: multiplying by 1 + E
-    instead put the norm 1e-14 off a long-double RK4 within 1,500 steps.
-    Each step's row of the E table becomes that step's state, so the block
-    of states costs no memory beyond the table.
+    path is a + b diag(lam) - g P for scalars a, b, g.  Adding each step's
+    increment, as the stage kernel does, keeps its rounding small:
+    multiplying by 1 + E instead put the norm 1e-14 off a long-double RK4
+    within 1,500 steps.
 
-    The rank-4 term is three gemv calls, made through ``ndarray.dot``, which
-    dispatches them at about half the cost of ``matmul``.  Their bits need
-    not hold across BLAS thread counts: with OpenBLAS they match at 1 and 2
-    threads up to dim 4096
+    Up to dimension ``_MATRIX_DIM`` (the Grover sector is 2), a step is its
+    K x K increment (:func:`_step_matrices`) times the state, added to the
+    state: 4 x K rank-4 factors would hold no fewer numbers than that matrix.
+
+    Above it, P diag(lam^r) P = mu_r P with mu_r = sum |u|^2 lam^r, so a
+    whole step adds E(lam) psi + sum_{r+k<=3} C[r, k] |lam^r u><lam^k u|psi>
+    to psi, with E a polynomial of degree 4 (:func:`_step_maps`): one
+    diagonal product and a rank-4 correction.  Each step's row of the E
+    table becomes that step's state, so the block of states costs no memory
+    beyond the table.  The rank-4 term is three gemv calls, made through
+    ``ndarray.dot``, which dispatches them at about half the cost of
+    ``matmul``.  Their bits need not hold across BLAS thread counts: with
+    OpenBLAS they match at 1 and 2 threads up to dim 4096
     (``test_projector_diagonal_kernel_ignores_the_blas_thread_count``), but
     not at dim 32768 or 100,003.
     """
     lam = h_p.values - _centering(h_p)[0]
     u = h_i.vector
+    shift = 1.0 - _centering(h_i)[0]
+    y = np.empty_like(psi)
+    if lam.size <= _MATRIX_DIM:
+        block = None
+        for deltas in _step_matrices(schedule, n_steps, shift, lam, u):
+            if block is None:  # one block for every chunk; the first is the largest
+                block = np.empty((len(deltas), lam.size), dtype=np.complex128)
+            prev = psi
+            for row, d in zip(block, deltas):
+                d.dot(prev, out=y)
+                np.add(prev, y, out=row)
+                prev = row
+            psi[...] = prev
+            yield block[:len(deltas)]
+        return
     powers = lam ** np.arange(4.0)[:, None]
     rows, cols = powers * u.conj(), (powers * u).T.copy()
     mu = (powers[:3] * np.abs(u) ** 2).sum(axis=1)
-    y = np.empty_like(psi)
-    for table, maps in _step_maps(schedule, n_steps, 1.0 - _centering(h_i)[0], lam, mu):
+    for table, maps in _step_maps(schedule, n_steps, shift, lam, mu):
         prev = psi
         for row, c in zip(table, maps):
             cols.dot(c.dot(rows.dot(prev)), out=y)
@@ -408,6 +432,45 @@ def _projector_diagonal_steps(h_i: HamiltonianOp, h_p: HamiltonianOp, schedule: 
             prev = row
         psi[...] = prev
         yield table
+
+
+def _step_matrices(schedule: Schedule, n_steps: int, shift: float, lam: np.ndarray,
+                   u: np.ndarray):
+    """Per chunk of :func:`_stage_scalars`, the RK4 increment of every step of
+    :func:`_projector_diagonal_steps` as a K x K matrix, shape (steps, K, K).
+
+    Stage s is B_s = x_s (shift - u u^H) + y_s diag(lam), with x and y the
+    stage scalars -i h w f and -i h w g at t, t + h/2 and t + h.  Then
+    K_1 = B_lo, K_2 = B_mid (1 + K_1), K_3 = B_mid (1 + K_2 / 2) and
+    K_4 = B_hi (1 + K_3), and the increment is (K_1 + K_2 + K_3 + K_4) / 3.
+    The steps sit on the last axis, and each product is summed term by term
+    elementwise, with no BLAS call, so a step has the same bits in any
+    chunking and at any BLAS thread count.  At most five K x K matrices per
+    step are alive at once: 1,280 bytes at K = 4.
+    """
+    k = lam.size
+    base = shift * np.eye(k) - np.outer(u, u.conj())
+
+    def stage(x, y):  # B_s over the chunk, shape (K, K, steps)
+        b = base[:, :, None] * x
+        b.reshape(k * k, -1)[::k + 1] += lam[:, None] * y
+        return b
+
+    def times_one_plus(b, m, scale):  # B (1 + scale m), as B + (B m) scale
+        out = b[:, :1] * m[:1]
+        for j in range(1, k):
+            out += b[:, j:j + 1] * m[j:j + 1]
+        out *= scale
+        out += b
+        return out
+
+    for x, y in _stage_scalars(schedule, n_steps, k):
+        total = step = stage(x[0], y[0])
+        for s, scale in ((1, 1.0), (1, 0.5), (2, 1.0)):
+            step = times_one_plus(stage(x[s], y[s]), step, scale)
+            total += step
+        total *= 1.0 / 3.0
+        yield np.ascontiguousarray(np.moveaxis(total, -1, 0))
 
 
 def _step_maps(schedule: Schedule, n_steps: int, shift: float, lam: np.ndarray, mu: np.ndarray):

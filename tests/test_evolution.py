@@ -337,6 +337,8 @@ def _chunking_pairs():
     yield "two-projectors", _grover_ops(4)
     (h_i, h_p), start = _projector_diagonal(4, "projector-first")
     yield "projector-diagonal", (h_i, h_p, start)
+    sector = invariant_sector(build_grover(1024))
+    yield "grover-sector", (sector.h_i, sector.h_p, sector.g_i)
 
 
 @pytest.mark.parametrize("pair", list(_chunking_pairs()), ids=lambda pair: pair[0])
@@ -427,11 +429,13 @@ def _stage_kernel_run(h_i, h_p, schedule, n_steps, start, samples):
     return np.exp(-1j * phase) * psi, np.array(norms)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
 @pytest.mark.parametrize("kind", evolution.SCHEDULE_KINDS)
 @pytest.mark.parametrize("order", ["projector-first", "diagonal-first"])
-def test_projector_diagonal_kernel_matches_stage_kernel_and_dense_rk4(order, kind):
-    # values in [0, 1e3] make the step's degree-4 polynomial and rank-4 terms count
-    (h_i, h_p), start = _projector_diagonal(8, order, values_max=1e3)
+def test_projector_diagonal_kernel_matches_stage_kernel_and_dense_rk4(order, kind, dim):
+    # values in [0, 1e3] make the step's degree-4 polynomial and rank-4 terms
+    # count; dims up to 4 take the K x K step matrices, dim 8 the rank-4 terms
+    (h_i, h_p), start = _projector_diagonal(dim, order, values_max=1e3)
     sch, n_steps = Schedule(kind, 0.05, n=8), 1500
     pol = StepPolicy(n_steps_override=n_steps, samples_per_run=16, track_ground_overlap=False)
     res = evolve(h_i, h_p, sch, pol, psi0=start)
