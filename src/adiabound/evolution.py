@@ -466,9 +466,11 @@ def _step_matrices(schedule: Schedule, n_steps: int, shift: float, lam: np.ndarr
 
     for x, y in _stage_scalars(schedule, n_steps, k):
         total = step = stage(x[0], y[0])
-        for s, scale in ((1, 1.0), (1, 0.5), (2, 1.0)):
-            step = times_one_plus(stage(x[s], y[s]), step, scale)
-            total += step
+        for s, scales in ((1, (1.0, 0.5)), (2, (1.0,))):  # B_mid serves K_2 and K_3
+            b = stage(x[s], y[s])
+            for scale in scales:
+                step = times_one_plus(b, step, scale)
+                total += step
         total *= 1.0 / 3.0
         yield np.ascontiguousarray(np.moveaxis(total, -1, 0))
 

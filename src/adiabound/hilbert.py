@@ -366,9 +366,16 @@ def variance(op: HamiltonianOp, psi: StateVector) -> float:
 
 
 def default_fock_cutoff(alpha: complex) -> int:
-    """Occupation cutoff that keeps the coherent tail far below 1e-10."""
-    a = abs(alpha)
-    return math.ceil(a * a + 10.0 * a + 10.0)
+    """The smallest n with ``poisson_tail(n, |alpha|^2) <= COHERENT_TAIL_TOL``, 0 at alpha = 0.
+    The tail falls in n and tops 1/4 at floor(|alpha|^2) >= 1, so the search starts there."""
+    mu = abs(alpha) ** 2
+    if mu == 0:
+        return 0
+    lo, step = math.floor(mu), 1
+    while poisson_tail(lo + step, mu) > COHERENT_TAIL_TOL:
+        step *= 2
+    return bisect.bisect_left(range(lo + step + 1), True, lo=lo,
+                              key=lambda n: poisson_tail(n, mu) <= COHERENT_TAIL_TOL)
 
 
 @dataclass
@@ -388,33 +395,24 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentPrep:
     Amplitudes come from the closed form exp(-|a|^2/2) a^n / sqrt(n!), built in
     log space so large |alpha| cannot overflow, then renormalized over the kept
     levels.  If the discarded tail mass exceeds ``COHERENT_TAIL_TOL`` the call
-    fails and names the smallest sufficient cutoff.
+    fails and names the smallest sufficient cutoff, :func:`default_fock_cutoff`.
     """
     alpha = complex(alpha)
-    if n_max is None:
-        n_max = default_fock_cutoff(alpha)
+    n_max = default_fock_cutoff(alpha) if n_max is None else n_max
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     mu = abs(alpha) ** 2
     tail = poisson_tail(n_max, mu) if mu > 0 else 0.0
     if tail > COHERENT_TAIL_TOL:
-        hi = n_max + 1
-        while poisson_tail(hi, mu) > COHERENT_TAIL_TOL:
-            hi *= 2
-        # the tail falls as n grows: bisect for the first n at or below the tolerance
-        needed = bisect.bisect_left(range(hi + 1), True, lo=n_max + 1,
-                                    key=lambda n: poisson_tail(n, mu) <= COHERENT_TAIL_TOL)
-        raise ValueError(
-            f"coherent tail mass {tail:.3e} above {COHERENT_TAIL_TOL:.1e} at n_max={n_max}; "
-            f"n_max={needed} suffices")
+        raise ValueError(f"coherent tail mass {tail:.3e} above {COHERENT_TAIL_TOL:.1e} at "
+                         f"n_max={n_max}; n_max={default_fock_cutoff(alpha)} suffices")
     n = np.arange(n_max + 1)
     if mu > 0:
         log_mag = -0.5 * mu + n * math.log(abs(alpha)) - 0.5 * np.array(
             [math.lgamma(k + 1) for k in n])
         amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
     else:
-        amps = np.zeros(n_max + 1, dtype=np.complex128)
-        amps[0] = 1.0
+        amps = (n == 0).astype(np.complex128)
     captured = float(np.sum(np.abs(amps) ** 2))
     renorm = 1.0 / math.sqrt(captured)
     state = StateVector(BasisSpec.modes(1, n_max), amps * renorm)

@@ -151,12 +151,12 @@ def _ladder_model(kind: str, inst: tsp.TspInstance, labels: np.ndarray, alpha_sq
     H_P carries ``labels`` on the leading block of levels (every occupation
     below ``labels.shape[0]``) and l_max everywhere else; g_I is the product
     of the truncated coherent states."""
-    if not alpha_sq > 0:
-        raise ValueError(f"{alpha_name} must be positive")
-    alpha = math.sqrt(alpha_sq)
-    if n_max is None:
-        n_max = default_fock_cutoff(alpha)
     n_modes, levels = labels.ndim, labels.shape[0]
+    if not 0 < alpha_sq <= _TUPLE_DIM_BUDGET ** (1 / n_modes):  # tail cutoffs keep > alpha_sq levels
+        raise ValueError(f"{alpha_name} must be in (0, {_TUPLE_DIM_BUDGET ** (1 / n_modes):.6g}]")
+    alpha = math.sqrt(alpha_sq)
+    if n_max is None:  # the smallest ladder that keeps the tail and every label level
+        n_max = max(levels - 1, default_fock_cutoff(alpha))
     if n_max < levels - 1:
         raise ValueError(f"n_max={n_max} drops label levels; need at least {levels - 1}")
     basis = BasisSpec.modes(n_modes, n_max)

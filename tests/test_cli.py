@@ -563,7 +563,7 @@ def test_gap_scan_from_instance_file(tmp_path, capsys):
     assert main(["gap-scan", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     blob = json.loads((out / "gap.json").read_text())
-    assert (blob["space"], blob["dim"]) == ("full", 42)  # tsp-rank has no sector
+    assert (blob["space"], blob["dim"]) == ("full", 28)  # tsp-rank has no sector
     # rotations of the optimal tour tie, so the end-of-path gap collapses
     assert blob["g_min"] <= 1e-12
     assert blob["s_at_min"] == pytest.approx(1.0, abs=1e-6)
@@ -688,12 +688,20 @@ def test_validate_ok(tmp_path, capsys):
     ({"model": "tsp-finite"}, {"cities": 3, "sampler": {"kind": "constant"}},
      # one tour length and the two parity penalties
      "(tsp-finite-random-m3-s0-0, dim 27, sector 3)"),
-    ({"model": "tsp-rank"}, {"cities": 3}, "(tsp-rank-random-m3-s0-0, dim 42)"),
+    ({"model": "tsp-rank"}, {"cities": 3}, "(tsp-rank-random-m3-s0-0, dim 28)"),
 ])
 def test_validate_reports_the_sector(tmp_path, capsys, model, instance, expect):
     payload = {"experiment": "bound-audit", "model": model, "instance": instance}
     assert main(["validate", "--config", _write_config(tmp_path, "c.json", payload)]) == 0
     assert expect in capsys.readouterr().out
+
+
+def test_validate_takes_the_default_cutoff_it_builds(tmp_path, capsys):
+    # below alpha_scale 0.78 the tail alone would cut M = 6's 720 tour levels
+    payload = {"experiment": "bound-audit", "model": {"model": "tsp-rank", "alpha_scale": 0.5},
+               "instance": {"cities": 6}, "t_values": [1.0]}
+    assert main(["validate", "--config", _write_config(tmp_path, "c.json", payload)]) == 0
+    assert "(tsp-rank-random-m6-s0-0, dim 720)" in capsys.readouterr().out
 
 
 def test_grover_sweep_rows_come_from_the_full_model(tmp_path, capsys):
@@ -788,6 +796,9 @@ DRIFT_ABORT = {"experiment": "bound-audit", "model": {"model": "tsp-finite"},
     ({**TSP_RUN, "instance": {"cities": 3, "seed": [1]}}, "instance.seed must be an integer"),
     ({**TSP_RUN, "model": {"model": "tsp-rank", "alpha_scale": [1]}},
      "model.alpha_scale must be a number"),
+    # no cutoff that keeps the coherent tail fits the dimension budget
+    ({**TSP_RUN, "model": {"model": "tsp-rank", "alpha_scale": 1e12}},
+     "alpha_sq must be in (0, 4e+06]"),
     ({**TSP_RUN, "instance": {"path": 5}}, "instance.path must be a string, got 5"),
     ({"experiment": "fraction-decay", "m_values": [8], "out_dir": 5},
      "out_dir must be a string, got 5"),

@@ -599,7 +599,8 @@ def _frozen_state_cases():
                               policy=DsqPolicy("random", sigma_d=0.5, seed=5))
     yield ("tsp-finite-random", finite, Schedule("linear", 20.0),
            "8253d7a9a0cad08ee16462d1b8f74ef6577783044930b1c00f15355fe7cc4a04")
-    yield ("tsp-rank", build_tsp_rank(random_instance(3, 3)), Schedule("linear", 0.5),
+    # n_max 41, the cutoff this digest was frozen at
+    yield ("tsp-rank", build_tsp_rank(random_instance(3, 3), n_max=41), Schedule("linear", 0.5),
            "e23f6a05ab439994a0f0574d25bb7d743d455ca56fa14616ea795fe3594d8d62")
 
 

@@ -476,6 +476,13 @@ def test_default_cutoff_keeps_tail_small():
         assert prep.n_max == default_fock_cutoff(alpha)
         number = Diagonal(prep.state.basis, np.arange(prep.n_max + 1.0))
         assert expectation(number, prep.state) == pytest.approx(abs(alpha) ** 2, abs=1e-6)
+    assert default_fock_cutoff(0) == 0
+    # the smallest cutoff for the tail, from below 1e-10 up to far beyond the models
+    for mu in np.geomspace(1e-12, 3e4, 60).tolist() + [1.0, 2.0, 3.0, 24.0, 720.0]:
+        alpha = math.sqrt(mu)
+        n, mu = default_fock_cutoff(alpha), abs(alpha) ** 2
+        assert hilbert.poisson_tail(n, mu) <= hilbert.COHERENT_TAIL_TOL, mu
+        assert n == 0 or hilbert.poisson_tail(n - 1, mu) > hilbert.COHERENT_TAIL_TOL, mu
 
 
 def test_coherent_state_near_null_of_quadratic():
@@ -578,7 +585,7 @@ def test_mode_sum_product_ground_state_checks_its_residual(monkeypatch):
 
 def test_tuple_driver_ground_state_never_reaches_lanczos():
     # dim 32,768: eigsh takes ~390 matvecs, the product three ladders of 32 plus one
-    h_i = build_tsp_tuple(random_instance(3, SEED)).h_i
+    h_i = build_tsp_tuple(random_instance(3, SEED), n_max=31).h_i
     assert h_i.basis.dim == 32 ** 3
     assert ground_state(h_i).matvecs <= 3 * 32 + 1
 

@@ -29,6 +29,7 @@ from adiabound import (
     tour_lengths_by_rank,
     uniform_state,
 )
+from adiabound import hilbert
 from adiabound.hilbert import argmin_set
 
 SEED = 20260825
@@ -272,6 +273,11 @@ FROZEN_EFFECTIVE = {
     (6, "random"): "011fd10bf80ff6fa1ded2c8241c47589f25a29515c6c4d8909f2d9ad48fd127e",
 }
 FROZEN_POLICIES = {"parity": DsqPolicy(), "random": DsqPolicy("random", sigma_d=0.7, seed=3)}
+#: (model, M) -> (default n_max, the former default ceil(|alpha|^2 + 10 |alpha| + 10)),
+#: at |alpha|^2 = M! for tsp-rank and M a mode for tsp-tuple; the ladder digests
+#: below were frozen at the former default, and pin the builders' bits there
+LADDER_N_MAX = {("rank", 3): (27, 41), ("rank", 4): (61, 83), ("rank", 5): (196, 240),
+                ("rank", 6): (897, 999), ("tuple", 3): (19, 31), ("tuple", 4): (22, 34)}
 #: (h_p.values, target_indices, g_i.amps)
 FROZEN_TUPLE = {
     3: ("0ea8a7061941613435461f9da154eb2281e00a2db6d5e085a54f564dff001087",
@@ -302,15 +308,50 @@ def test_effective_lengths_all_frozen(m, policy):
 
 @pytest.mark.parametrize("m", sorted(FROZEN_TUPLE))
 def test_tuple_model_frozen(m):
-    b = build_tsp_tuple(random_instance(m, SEED))
+    b = build_tsp_tuple(random_instance(m, SEED), n_max=LADDER_N_MAX["tuple", m][1])
     targets = np.array(b.target_indices, dtype=np.int64)
     assert (_sha(b.h_p.values), _sha(targets), _sha(b.g_i.amps)) == FROZEN_TUPLE[m]
 
 
 @pytest.mark.parametrize("m", sorted(FROZEN_RANK))
 def test_rank_model_frozen(m):
-    b = build_tsp_rank(random_instance(m, SEED))
+    b = build_tsp_rank(random_instance(m, SEED), n_max=LADDER_N_MAX["rank", m][1])
     assert (_sha(b.h_p.values), _sha(b.g_i.amps)) == FROZEN_RANK[m]
+
+
+# tsp-tuple M = 4 is 1.5 million levels at the former cutoff
+@pytest.mark.parametrize("kind, m", sorted(set(LADDER_N_MAX) - {("tuple", 4)}))
+def test_the_default_cutoff_keeps_the_spread(kind, m):
+    # the smallest cutoff that keeps the coherent tail under 1e-10 moves
+    # Delta_I E by under 1e-9 relative against a longer ladder
+    build = build_tsp_rank if kind == "rank" else build_tsp_tuple
+    inst = random_instance(m, 1)
+    b = build(inst)
+    n_max, former = LADDER_N_MAX[kind, m]
+    assert b.g_i.basis.n_max == n_max
+    spread = delta_ie(b.g_i, b.h_p)
+    for longer in (former, n_max + 5):
+        ref = build(inst, n_max=longer)
+        assert abs(spread - delta_ie(ref.g_i, ref.h_p)) <= 1e-9 * spread, longer
+
+
+@pytest.mark.parametrize("alpha_scale", [0.5, 0.7, 0.77])
+def test_the_default_cutoff_keeps_every_label_level(alpha_scale):
+    # below alpha_scale 0.78 the tail alone would cut the 720 tour levels of M = 6
+    mu = alpha_scale * math.factorial(6)
+    assert hilbert.default_fock_cutoff(math.sqrt(mu)) < 719
+    b = build_tsp_rank(random_instance(6, SEED), alpha_sq=mu)
+    assert b.g_i.basis.n_max == 719
+    assert b.preps[0].tail_mass <= hilbert.COHERENT_TAIL_TOL
+
+
+def test_an_unreachable_displacement_fails_before_any_cutoff_search():
+    # every cutoff that keeps the tail holds more than |alpha|^2 levels a mode
+    inst = random_instance(3, SEED)
+    for build, alpha_sq in ((build_tsp_rank, 1e12), (build_tsp_rank, math.inf),
+                            (build_tsp_tuple, 200.0)):
+        with pytest.raises(ValueError, match=r"must be in \(0, "):
+            build(inst, alpha_sq)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
