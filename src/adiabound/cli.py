@@ -23,7 +23,6 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
@@ -465,14 +464,6 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
         print(fmt.format(*row))
 
 
-def _pool_map(fn, cells, threads: int):
-    """Run cells in a bounded pool; results come back in submission order."""
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -518,17 +509,13 @@ def _check_run_invariants(cell: dict) -> None:
             f"(model {cell['model']}, T={cell['t_total']:g})")
 
 
-def _run_grover_sweep(plan: dict, out: OutputDir, threads: int) -> list[dict]:
-    def work(cell):
-        report, row = _audit_one(cell, plan["step"])
-        row["n"] = cell.bundle.h_p.basis.dim
-        return report, row
-
-    results = _pool_map(work, plan["cells"], threads)
+def _run_grover_sweep(plan: dict, out: OutputDir) -> list[dict]:
     rows = []
-    for idx, (report, cell) in enumerate(results):
-        out.write_json(f"cells/cell-{idx:03d}.json", cell)
-        rows.append(cell)
+    for cell in plan["cells"]:
+        _, row = _audit_one(cell, plan["step"])
+        rows.append({**row, "n": cell.bundle.h_p.basis.dim})
+    for idx, row in enumerate(rows):
+        out.write_json(f"cells/cell-{idx:03d}.json", row)
     out.write_rows("sweep.csv", "N,delta_ie,t_min,success_prob,slack_min",
                    ([c["n"], c["delta_ie"], c["t_min"], c["success_prob"], c["slack_min"]]
                     for c in rows))
@@ -545,8 +532,8 @@ def _run_grover_sweep(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     return rows
 
 
-def _run_model_audit(plan: dict, out: OutputDir, threads: int) -> list[dict]:
-    results = _pool_map(lambda cell: _audit_one(cell, plan["step"]), plan["cells"], threads)
+def _run_model_audit(plan: dict, out: OutputDir) -> list[dict]:
+    results = [_audit_one(cell, plan["step"]) for cell in plan["cells"]]
     rows = []
     for idx, (report, cell) in enumerate(results):
         out.write_json(f"cells/cell-{idx:03d}.json", cell)
@@ -569,7 +556,7 @@ def _run_model_audit(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     return rows
 
 
-def _run_sigma_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+def _run_sigma_scan(plan: dict, out: OutputDir) -> list[dict]:
     report = sigma_scaling_study(plan["sampler"], plan["m_values"], plan["samples"], plan["seed"])
     out.write_rows("sigma.csv", "M,samples,sigma_mean,sigma_stderr,ratio_sqrtM",
                    map(astuple, report.rows))
@@ -586,7 +573,7 @@ def _run_sigma_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     return rows
 
 
-def _run_gap_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+def _run_gap_scan(plan: dict, out: OutputDir) -> list[dict]:
     bundle, space, schedule = plan["bundle"], plan["space"], plan["schedule"]
     report = gap_scan(space.h_i, space.h_p, schedule, grid=plan["grid"],
                       refine_rounds=plan["rounds"])
@@ -605,7 +592,7 @@ def _run_gap_scan(plan: dict, out: OutputDir, threads: int) -> list[dict]:
     return [row]
 
 
-def _run_fraction_decay(plan: dict, out: OutputDir, threads: int) -> list[dict]:
+def _run_fraction_decay(plan: dict, out: OutputDir) -> list[dict]:
     report = plan["report"]
     out.write_rows("fraction.csv", "M,exact_ratio,stirling,stirling_rel_dev,sqrt_m_form,"
                    "sqrt_m_form_rel_dev,log_exact", map(astuple, report.rows))
@@ -685,7 +672,7 @@ class _Experiment:
 
     schema: dict
     plan: Callable[[dict], dict]
-    run: Callable[[dict, OutputDir, int], list[dict]]
+    run: Callable[[dict, OutputDir], list[dict]]
 
 
 EXPERIMENTS = {
@@ -757,13 +744,19 @@ def run_experiment(experiment: str, cfg: dict, out_dir=None, threads: int | None
     ``out_dir``, ``threads`` and ``seed``, when given, override the config's
     keys.  The same preflight as ``validate`` runs first, so a config error
     raises :class:`UsageError` before the output directory is created.
+    ``threads`` is checked (an int >= 1) and left out of the hash, but has
+    no effect: every cell runs on the calling thread, in order, because a
+    cell's many small numpy calls would only contend for the GIL in a pool.
     """
     _, typed, given, plan = _preflight(experiment, cfg, out_dir=out_dir, threads=threads,
                                        seed=seed)
     if typed["out_dir"] is None:
         raise UsageError("give --out or set out_dir in the config")
+    if typed["threads"] > 1:
+        print(f"note: threads {typed['threads']} has no effect; cells run one after another",
+              file=sys.stderr)
     out = OutputDir(Path(typed["out_dir"]))
-    rows = EXPERIMENTS[experiment].run(plan, out, typed["threads"])
+    rows = EXPERIMENTS[experiment].run(plan, out)
     return _finish_manifest(out, experiment, given, rows)
 
 
@@ -786,7 +779,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: config, then 1)")
+                       help="checked (int >= 1) but has no effect: cells run one after another")
         p.add_argument("--seed", type=int, default=None,
                        help="base seed override (fallback: config, then 0)")
     return parser

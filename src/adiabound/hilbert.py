@@ -421,12 +421,18 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentPrep:
 
 
 def poisson_tail(k: int, mu: float) -> float:
-    """P(X > k) for X ~ Poisson(mu), mu > 0: the sum of e^-mu mu^j / j! over
-    j > k, each term taken in log space so none overflows.  Past the mode each
-    term is mu / j times the one before, so the terms left sum to at most
+    """P(X > k) for X ~ Poisson(mu), mu > 0, from the terms e^-mu mu^j / j!,
+    each taken in log space so none overflows.  Below the mode (k + 1 < mu)
+    it is 1 minus the head j <= k, in O(k) time and O(1) memory; the tail is
+    then about one half or more, so the subtraction costs no precision that
+    matters.  Otherwise it is the sum over j > k.  Past the mode each term is
+    mu / j times the one before, so the terms left sum to at most
     t mu / (j - mu) after a term t; the sum stops once that is below e^-40
     (4e-18) of its largest term."""
     log_mu = math.log(mu)
+    if k + 1 < mu:
+        return 1.0 - math.fsum(math.exp(j * log_mu - mu - math.lgamma(j + 1))
+                               for j in range(k + 1))
     logs, top, j = [], -math.inf, k + 1
     while True:
         logs.append(j * log_mu - mu - math.lgamma(j + 1))

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -472,20 +473,29 @@ def test_the_experiment_key_is_always_hashed(tmp_path, capsys):
     assert all(m["config"] == base for m in manifests)
 
 
-def test_threads_come_from_the_flag_then_the_config_then_one(tmp_path, capsys, monkeypatch):
-    seen = []
-    pool_map = cli._pool_map
-    monkeypatch.setattr(cli, "_pool_map", lambda fn, cells, threads:
-                        seen.append(threads) or pool_map(fn, cells, threads))
+def test_threads_are_checked_but_start_no_thread(tmp_path, capsys, monkeypatch):
+    # every cell runs on the calling thread; a count above 1, from the flag
+    # first, then the config, is noted on stderr as having no effect
+    def no_thread(self):
+        raise AssertionError("a run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setenv("ADIABOUND_THREADS", "zebra")  # no environment variable is read
-    payload = {"experiment": "grover-sweep", "n_values": [4], "t_values": [1.0]}
+    payload = _tsp_run_cfg()
     with_key = _write_config(tmp_path, "k.json", {**payload, "threads": 2})
     bare = _write_config(tmp_path, "b.json", payload)
-    for i, argv in enumerate((["--config", with_key, "--threads", "3"], ["--config", with_key],
-                              ["--config", bare])):
-        assert main(["grover-sweep", *argv, "--out", str(tmp_path / f"o{i}")]) == 0
-    capsys.readouterr()
-    assert seen == [3, 2, 1]
+    notes = []
+    for i, argv in enumerate((["--config", bare, "--threads", "2"],
+                              ["--config", with_key, "--threads", "3"], ["--config", with_key],
+                              ["--config", with_key, "--threads", "1"], ["--config", bare])):
+        out = tmp_path / f"o{i}"
+        assert main(["bound-audit", *argv, "--out", str(out)]) == 0
+        assert len(json.loads((out / "manifest.json").read_text())["rows"]) == 2
+        notes.append([line for line in capsys.readouterr().err.splitlines()
+                      if "no effect" in line])
+    assert notes == [["note: threads 2 has no effect; cells run one after another"],
+                     ["note: threads 3 has no effect; cells run one after another"],
+                     ["note: threads 2 has no effect; cells run one after another"], [], []]
 
 
 def test_out_dir_from_config(tmp_path, capsys):
@@ -988,6 +998,7 @@ def test_import_leaves_out_unused_scipy_packages():
     loaded = _modules_after("import adiabound, adiabound.cli")
     assert "adiabound.cli" in loaded
     assert not loaded & _SCIPY_AT_RUN_TIME
+    assert "concurrent.futures" not in loaded  # the cli runs no pool
 
 
 def test_dense_scans_and_ground_states_load_no_scipy():

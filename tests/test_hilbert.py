@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,37 @@ def test_poisson_tail_matches_scipy_on_a_grid():
             if want > 1e-300:
                 assert abs(got - want) <= 1e-10 * want, (mu, k)
             assert (got > hilbert.COHERENT_TAIL_TOL) == (want > hilbert.COHERENT_TAIL_TOL)
+
+
+def _tail_by_terms(k, mu):
+    """P(X > k) as the sum of its terms j > k, the way poisson_tail sums past the mode."""
+    log_mu = math.log(mu)
+    logs = [j * log_mu - mu - math.lgamma(j + 1)
+            for j in range(k + 1, int(mu + 40.0 * math.sqrt(mu) + 100.0))]
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
+
+
+def test_poisson_tail_below_the_mode_is_one_minus_its_head():
+    # both sums carry the rounding of terms whose log is O(mu log mu), so they
+    # part by up to about 1.2e-15 * mu: 2.3e-11 at mu ~ 2e4, and each is that
+    # far from scipy's incomplete gamma
+    for mu in np.geomspace(1.01, 1e4, 30).tolist():
+        for k in sorted({int(k) for k in np.linspace(0, math.ceil(mu) - 2, 10)}):
+            if k + 1 < mu:
+                got = hilbert.poisson_tail(k, mu)
+                assert abs(got - _tail_by_terms(k, mu)) <= 2e-15 * mu, (k, mu)
+                assert got > 0.5 > hilbert.COHERENT_TAIL_TOL, (k, mu)
+
+
+def test_poisson_tail_below_the_mode_keeps_no_terms():
+    tracemalloc.start()
+    try:
+        assert hilbert.poisson_tail(5, 1e6) == 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_default_cutoff_keeps_tail_small():

@@ -895,7 +895,7 @@ def test_sigma_scaling_csv_header(tmp_path, capsys):
     from adiabound.cli import OutputDir, _run_sigma_scan
 
     plan = {"sampler": DistanceSampler(), "m_values": [5], "samples": 2, "seed": 0}
-    _run_sigma_scan(plan, OutputDir(tmp_path), threads=1)
+    _run_sigma_scan(plan, OutputDir(tmp_path))
     capsys.readouterr()
     lines = (tmp_path / "sigma.csv").read_text().splitlines()
     assert lines[0] == "M,samples,sigma_mean,sigma_stderr,ratio_sqrtM"
